@@ -20,46 +20,12 @@ let to_string c f =
     (if f.slow_to then "rise" else "fall")
 
 (* The delayed machine: the faulty gate never completes a transition to
-   [slow_to] within a cycle. *)
-let can_fire c f s g =
-  not (g = f.gate && Circuit.eval_gate c s g = f.slow_to && s.(g) <> f.slow_to)
-
-let dedup c states =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun s ->
-      let key = Circuit.state_to_string c s in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        true
-      end)
-    states
-
-let step ~max_set g f states v =
-  let c = Cssg.circuit g in
-  let k = Cssg.k g in
-  let out = ref [] in
-  try
-    List.iter
-      (fun s ->
-        let s1 = Circuit.apply_input_vector c s v in
-        let finals =
-          Async_sim.states_after ~max_frontier:max_set ~can_fire:(can_fire c f)
-            c ~k s1
-        in
-        out := finals @ !out;
-        if List.length !out > 8 * max_set then raise Async_sim.Frontier_limit)
-      states;
-    let deduped = dedup c !out in
-    if List.length deduped > max_set then None else Some deduped
-  with Async_sim.Frontier_limit -> None
-
-let differs g i states =
-  let c = Cssg.circuit g in
-  let expected = Circuit.output_values c (Cssg.state g i) in
-  states <> []
-  && List.for_all (fun s -> Circuit.output_values c s <> expected) states
+   [slow_to] within a cycle.  The kernel masks that transition out of
+   its excitation word, so a state whose only excited gate is held
+   behaves as stable. *)
+let machine ~max_set g f =
+  Detect.machine ~max_set ~k:(Cssg.k g)
+    (Async_sim.Kernel.compile ~slow:(f.gate, f.slow_to) (Cssg.circuit g))
 
 (* The delayed gate holds its (correct) reset value, so the faulty
    machine starts exactly in the reset state. *)
@@ -69,22 +35,17 @@ let start g =
   | Some s -> [ s ]
   | None -> invalid_arg "Delay_fault: circuit has no reset state"
 
-
-let set_key c states =
-  List.map (Circuit.state_to_string c) states
-  |> List.sort Stdlib.compare |> String.concat "|"
-
 let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
     ?(guard = Guard.none) g f =
   Guard.check_time guard;
-  let c = Cssg.circuit g in
-  let seen = Hashtbl.create 256 in
+  let m = machine ~max_set g f in
+  let seen = Async_sim.Words.Tbl.create 256 in
   let queue = Queue.create () in
   let result = ref None in
   (match Cssg.initial g with
   | i :: _ ->
     let f0 = start g in
-    Hashtbl.replace seen (i, set_key c f0) ();
+    Async_sim.Words.Tbl.replace seen (Detect.product_key m i f0) ();
     Queue.add (i, f0, [], 0) queue
   | [] -> ());
   while !result = None && not (Queue.is_empty queue) do
@@ -92,18 +53,18 @@ let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
     if depth < max_depth then
       List.iter
         (fun e ->
-          if !result = None && Hashtbl.length seen < max_states then begin
+          if !result = None && Async_sim.Words.Tbl.length seen < max_states then begin
             Guard.spend_transition guard;
             let j = e.Cssg.target in
-            match step ~max_set g f fsts e.Cssg.vector with
+            match Detect.exact_apply m fsts e.Cssg.vector with
             | None -> ()
             | Some fsts' ->
-              if differs g j fsts' then
+              if Detect.exact_differs g j m fsts' then
                 result := Some (List.rev (e.Cssg.vector :: path))
               else begin
-                let key = (j, set_key c fsts') in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.replace seen key ();
+                let key = Detect.product_key m j fsts' in
+                if not (Async_sim.Words.Tbl.mem seen key) then begin
+                  Async_sim.Words.Tbl.replace seen key ();
                   Queue.add (j, fsts', e.Cssg.vector :: path, depth + 1) queue
                 end
               end
@@ -116,16 +77,17 @@ let check g f seq =
   match Detect.good_trace g seq with
   | None -> false
   | Some trace ->
+    let m = machine ~max_set:128 g f in
     let rec go trace fsts vectors =
       match trace with
       | [] -> false
       | i :: trace' ->
-        differs g i fsts
+        Detect.exact_differs g i m fsts
         ||
         (match vectors with
         | [] -> false
         | v :: vs -> (
-          match step ~max_set:128 g f fsts v with
+          match Detect.exact_apply m fsts v with
           | None -> false
           | Some fsts' -> go trace' fsts' vs))
     in

@@ -117,67 +117,74 @@ let sweep g seq faults =
 
 type machine = {
   fc : Circuit.t;
+  kern : Async_sim.Kernel.t;
   k : int;
   max_set : int;
-  memo : (string, bool array list option) Hashtbl.t;
-      (* "<state>|<vector>" -> k-step frontier (None = blow-up) *)
+  memo : bool array list option Async_sim.Words.Tbl.t;
+      (* packed state after the vector -> k-step frontier (None = blow-up) *)
 }
 
-let dedup_states c states =
-  let seen = Hashtbl.create 16 in
+let machine ?(max_set = 128) ~k kern =
+  { fc = Async_sim.Kernel.circuit kern; kern; k; max_set; memo = Async_sim.Words.Tbl.create 256 }
+
+let dedup_states m states =
+  let seen = Async_sim.Words.Tbl.create 16 in
   List.filter
     (fun s ->
-      let k = Circuit.state_to_string c s in
-      if Hashtbl.mem seen k then false
+      let key = Async_sim.Kernel.pack m.kern s in
+      if Async_sim.Words.Tbl.mem seen key then false
       else begin
-        Hashtbl.replace seen k ();
+        Async_sim.Words.Tbl.replace seen key ();
         true
       end)
     states
 
-let exact_start ?(max_set = 128) g f =
+let product_key m i states =
+  let words = List.map (Async_sim.Kernel.pack m.kern) states in
+  Array.concat ([| i |] :: List.sort Async_sim.Words.compare words)
+
+let exact_start ?max_set g f =
   let good = Cssg.circuit g in
   let reset = reset_of g in
   let fc = Fault.inject good f in
   let init = Fault.initial_faulty_state good f reset in
-  let m = { fc; k = Cssg.k g; max_set; memo = Hashtbl.create 256 } in
+  let m = machine ?max_set ~k:(Cssg.k g) (Async_sim.Kernel.compile fc) in
   let start =
-    try Async_sim.states_after ~max_frontier:max_set fc ~k:m.k init
+    try Async_sim.Kernel.states_after ~max_frontier:m.max_set m.kern ~k:m.k init
     with Async_sim.Frontier_limit -> []
     (* An empty start set means "unknown"; exact_differs treats it as
        inconclusive and exact_apply keeps it empty. *)
   in
   (m, start)
 
+(* The k-step frontier depends only on the state after the vector, so
+   that state's packed words are the memo key. *)
 let step_one m s v =
-  let key =
-    Circuit.state_to_string m.fc s ^ "|"
-    ^ String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
-  in
-  match Hashtbl.find_opt m.memo key with
+  let s1 = Circuit.apply_input_vector m.fc s v in
+  let key = Async_sim.Kernel.pack m.kern s1 in
+  match Async_sim.Words.Tbl.find_opt m.memo key with
   | Some r -> r
   | None ->
     let r =
-      try
-        let s1 = Circuit.apply_input_vector m.fc s v in
-        Some (Async_sim.states_after ~max_frontier:m.max_set m.fc ~k:m.k s1)
+      try Some (Async_sim.Kernel.states_after ~max_frontier:m.max_set m.kern ~k:m.k s1)
       with Async_sim.Frontier_limit -> None
     in
-    Hashtbl.replace m.memo key r;
+    Async_sim.Words.Tbl.replace m.memo key r;
     r
 
+(* The union lists the last member's frontier first, each frontier in
+   its sorted order, and keeps a state's first occurrence. *)
 let exact_apply m states v =
   let rec go acc count = function
     | [] ->
-      let deduped = dedup_states m.fc acc in
+      let deduped = dedup_states m (List.concat acc) in
       if List.length deduped > m.max_set then None else Some deduped
     | s :: rest -> (
       match step_one m s v with
       | None -> None
       | Some finals ->
         let count = count + List.length finals in
-        if count > 8 * m.max_set then None
-        else go (finals @ acc) count rest)
+        if count > 8 * m.max_set then None else go (finals :: acc) count rest)
   in
   if states = [] then Some [] else go [] 0 states
 

@@ -45,7 +45,14 @@ val sweep :
     be noticed in all terminal stable states"). *)
 
 type machine
-(** A faulty machine with a memoized exact-step function. *)
+(** A faulty machine: one exploration kernel of the faulty circuit and
+    a memoized exact-step function. *)
+
+val machine : ?max_set:int -> k:int -> Async_sim.Kernel.t -> machine
+(** The machine exploring the kernel's circuit [k] firings per test
+    cycle; [max_set] as in {!exact_start}.  {!exact_start} builds one
+    for an injected stuck-at fault; the delay-fault engine builds one
+    around a kernel with a slow gate. *)
 
 val exact_start : ?max_set:int -> Cssg.t -> Fault.t -> machine * bool array list
 (** Machine and the exact set of states it may be in after power-up in
@@ -62,6 +69,12 @@ val exact_apply :
 
 val exact_differs : Cssg.t -> int -> machine -> bool array list -> bool
 (** Every member's outputs differ from the good state's outputs. *)
+
+val product_key : machine -> int -> bool array list -> Async_sim.Words.t
+(** [product_key m i states] identifies the product state (good CSSG
+    state [i], faulty-state set [states]): the set's packed states,
+    sorted, after [i].  Two lists with the same members give the same
+    key. *)
 
 val check_exact : Cssg.t -> Fault.t -> Testset.sequence -> bool
 (** Like {!check} but with exact faulty-state sets: strictly more

@@ -1,5 +1,5 @@
 open Satg_guard
-open Satg_circuit
+open Satg_sim
 open Satg_sg
 module Sat = Satg_sat.Sat
 module Cnf = Satg_cnf.Cnf
@@ -103,10 +103,6 @@ let justify t guard target =
   in
   try_frame 0
 
-let set_key c fstates =
-  List.map (Circuit.state_to_string c) fstates
-  |> List.sort Stdlib.compare |> String.concat "|"
-
 (* Ring-synchronized product unrolling.  Invariant: when the step-t
    clauses are emitted, every product state of distance <= t+1 and
    every edge leaving distance <= t already exists — and a path
@@ -125,7 +121,6 @@ let set_key c fstates =
    exactly the pre-incremental behaviour. *)
 let differentiate t guard config fm ~start ~fstates =
   let g = t.g in
-  let c = Cssg.circuit g in
   let cr = core t in
   let sat, act, defs, l0 =
     if t.incremental then begin
@@ -138,16 +133,16 @@ let differentiate t guard config fm ~start ~fstates =
       (s, None, Cnf.Defs.create s, 0)
   in
   let unr = Cnf.Unroller.create ?act sat in
-  let key2pid = Hashtbl.create 256 in
+  let key2pid = Async_sim.Words.Tbl.create 256 in
   let info = Hashtbl.create 256 in (* pid -> (good state, faulty set) *)
   let evec = Hashtbl.create 256 in (* unroller edge id -> vector *)
   let capped = ref false in
   let register i fsts =
-    let k = (i, set_key c fsts) in
-    match Hashtbl.find_opt key2pid k with
+    let k = Detect.product_key fm i fsts in
+    match Async_sim.Words.Tbl.find_opt key2pid k with
     | Some pid -> Some (pid, false)
     | None ->
-      if Hashtbl.length key2pid >= config.Three_phase.max_product_states
+      if Async_sim.Words.Tbl.length key2pid >= config.Three_phase.max_product_states
       then begin
         (* fail-soft: remember the truncation instead of silently
            pretending the frontier ended here *)
@@ -156,9 +151,9 @@ let differentiate t guard config fm ~start ~fstates =
       end
       else begin
         let pid =
-          Cnf.Unroller.add_state unr ~initial:(Hashtbl.length key2pid = 0)
+          Cnf.Unroller.add_state unr ~initial:(Async_sim.Words.Tbl.length key2pid = 0)
         in
-        Hashtbl.replace key2pid k pid;
+        Async_sim.Words.Tbl.replace key2pid k pid;
         Hashtbl.replace info pid (i, fsts);
         Some (pid, true)
       end

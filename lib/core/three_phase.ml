@@ -1,6 +1,6 @@
 open Satg_guard
-open Satg_circuit
 open Satg_fault
+open Satg_sim
 open Satg_sg
 
 type config = {
@@ -67,20 +67,15 @@ let replay_prefix guard g fm f0 prefix =
   | i :: _ -> go i f0 [] prefix
   | [] -> `Abort
 
-let set_key c fstates =
-  List.map (Circuit.state_to_string c) fstates
-  |> List.sort Stdlib.compare |> String.concat "|"
-
 (* Differentiation: BFS over (good state, exact faulty-state set).
    Hitting [max_product_states] is fail-soft: edges to known states and
    difference checks still run, but once the frontier was truncated a
    "no result" answer is no longer trustworthy, so it degrades like any
    other guard trip instead of reporting undetectable. *)
 let differentiate config guard g fm start_good fstates prefix =
-  let c = Cssg.circuit g in
-  let seen = Hashtbl.create 256 in
+  let seen = Async_sim.Words.Tbl.create 256 in
   let queue = Queue.create () in
-  Hashtbl.replace seen (start_good, set_key c fstates) ();
+  Async_sim.Words.Tbl.replace seen (Detect.product_key fm start_good fstates) ();
   Queue.add (start_good, fstates, [], 0) queue;
   let result = ref None in
   let capped = ref false in
@@ -98,12 +93,12 @@ let differentiate config guard g fm start_good fstates prefix =
               if Detect.exact_differs g j fm fsts' then
                 result := Some (List.rev (e.Cssg.vector :: path))
               else begin
-                let k = (j, set_key c fsts') in
-                if not (Hashtbl.mem seen k) then
-                  if Hashtbl.length seen >= config.max_product_states then
+                let k = Detect.product_key fm j fsts' in
+                if not (Async_sim.Words.Tbl.mem seen k) then
+                  if Async_sim.Words.Tbl.length seen >= config.max_product_states then
                     capped := true
                   else begin
-                    Hashtbl.replace seen k ();
+                    Async_sim.Words.Tbl.replace seen k ();
                     Queue.add (j, fsts', e.Cssg.vector :: path, depth + 1)
                       queue
                   end

@@ -87,17 +87,18 @@ type verdict =
   | Harvest of bool array list
   | Nothing
 
-let classify_pair ~exploration ~max_frontier ~guard c ~k s v =
+let classify_pair ~exploration ~max_frontier ~guard kern ~k s v =
   match exploration with
   | `Pure -> (
+    let c = Async_sim.Kernel.circuit kern in
     let s1 = Circuit.apply_input_vector c s v in
-    let finals = Async_sim.states_after ~guard c ~k s1 in
+    let finals = Async_sim.Kernel.states_after ~guard kern ~k s1 in
     let stables = List.filter (Circuit.is_stable c) finals in
     match (finals, stables) with
     | [ _ ], [ target ] -> Settles target
     | _ -> Harvest stables)
   | `Hybrid -> (
-    match Async_sim.classify_vector ~max_frontier ~guard c ~k s v with
+    match Async_sim.Kernel.classify_vector ~max_frontier ~guard kern ~k s v with
     | Async_sim.C_settles final -> Settles final
     | Async_sim.C_invalid stables -> Harvest stables
     | Async_sim.C_capped -> Nothing)
@@ -129,6 +130,7 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
     i
   in
   let scratch = Array.make n_in false in
+  let kern = Async_sim.Kernel.compile c in
   let truncated = ref None in
   (* Fail-soft exploration: a tripped guard ends the BFS where it
      stands.  States already interned keep their (possibly empty) edge
@@ -144,7 +146,7 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
        for mask = 0 to n_vec - 1 do
          if mask <> current then begin
            fill_from_mask scratch mask;
-           match classify_pair ~exploration ~max_frontier ~guard c ~k s scratch with
+           match classify_pair ~exploration ~max_frontier ~guard kern ~k s scratch with
            | Settles target ->
              out :=
                { Cssg.vector = Array.copy scratch; target = enqueue target }
@@ -224,8 +226,10 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
      the batch's remaining state allowance could possibly intern, it
      stops with a [State_limit] trip.  The cutoff is a pure function of
      the state and the batch-start allowance, so it is identical for
-     every pool width. *)
-  let classify_state t_allowance s_allowance s =
+     every pool width.  Each worker explores on its own kernel: kernel
+     scratch memory never crosses domains. *)
+  let kernels = Array.init (Pool.jobs pool) (fun _ -> Async_sim.Kernel.compile c) in
+  let classify_state kern t_allowance s_allowance s =
     let local = Guard.sub ?max_transitions:t_allowance guard in
     let scratch = Array.make n_in false in
     let current = mask_of_vector (Circuit.input_vector_of_state c s) in
@@ -242,7 +246,7 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
            | _ -> ());
            fill_from_mask scratch mask;
            let verdict =
-             classify_pair ~exploration ~max_frontier ~guard:local c ~k s
+             classify_pair ~exploration ~max_frontier ~guard:local kern ~k s
                scratch
            in
            let now = Guard.transitions_used local in
@@ -278,16 +282,16 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
           nothing they compute depends on the intern table, so batch
           classification commutes with the sequential build's
           state-by-state discovery. *)
-       let batch = ref [] in
-       while (not (Queue.is_empty queue)) && List.length !batch < chunk do
-         batch := Queue.take queue :: !batch
+       let batch = Array.make (min chunk (Queue.length queue)) (Queue.peek queue) in
+       for b = 0 to Array.length batch - 1 do
+         batch.(b) <- Queue.take queue
        done;
-       let batch = Array.of_list (List.rev !batch) in
        let t_allowance = Guard.remaining_transitions guard in
        let s_allowance = Guard.remaining_states guard in
        let tasks =
          Pool.map pool
-           (fun _wid (_, s) -> classify_state t_allowance s_allowance s)
+           (fun wid (_, s) ->
+             classify_state kernels.(wid) t_allowance s_allowance s)
            batch
        in
        (* Deterministic merge: walk states in frontier order and pairs

@@ -8,7 +8,7 @@
       the paper defines [TCR_k] — the oracle used to cross-check the
       symbolic engine, exponential in the concurrency width;
     - [`Hybrid] (default): the same verdicts through the early-exit
-      classifier {!Satg_sim.Async_sim.classify_vector} (a second stable
+      classifier {!Satg_sim.Async_sim.Kernel.classify_vector} (a second stable
       outcome or a repeating frontier ends the analysis immediately),
       capped at [max_frontier] interleaving states per layer.  A capped
       pair is conservatively pruned and no TCSG nodes are harvested
@@ -55,9 +55,10 @@ val build_par :
   Circuit.t ->
   Cssg.t
 (** [build] fanned out over a {!Satg_pool.Pool}: fixed-size batches of
-    the BFS frontier are classified concurrently (each worker under a
-    private [Guard.sub] carrying the shared deadline and the batch's
-    transition allowance), then merged on the caller in frontier order
+    the BFS frontier are classified concurrently (each worker on its
+    own exploration kernel, under a private [Guard.sub] carrying the
+    shared deadline and the batch's transition allowance), then merged
+    on the caller in frontier order
     — interning, edge recording and budget re-spending all happen
     sequentially in the merge, so state numbering is identical to
     {!build} and the resulting graph is bit-identical for {e every}

@@ -4,7 +4,14 @@
     firing one excited gate at a time ([R_delta] in the paper); all
     interleavings are explored.  This is the reference semantics the
     CSSG is built from, and also the oracle the ternary simulator is
-    tested against. *)
+    tested against.
+
+    All exploration runs on a {!Kernel}: the circuit compiled once into
+    packed state words, per-gate fanin masks and incremental excitation
+    words, with reusable open-addressing frontier sets (docs/PERF.md,
+    "The test-mode exploration kernel").  The circuit-level functions
+    below compile a kernel per call; loops that explore many pairs of
+    one circuit compile one kernel and keep it. *)
 
 open Satg_guard
 open Satg_circuit
@@ -21,29 +28,109 @@ type outcome =
           (oscillation, or a settling chain longer than the test
           cycle) *)
 
+type classification =
+  | C_settles of bool array  (** unique stable outcome within budget *)
+  | C_invalid of bool array list
+      (** non-confluent, oscillating or over budget; carries the stable
+          states observed along the way (TCSG node harvest), sorted by
+          [Stdlib.compare] *)
+  | C_capped  (** frontier limit hit before a verdict *)
+
 exception Frontier_limit
 (** Raised by {!states_after} when a layer exceeds [max_frontier]. *)
 
+(** Packed state words as hash keys. *)
+module Words : sig
+  type t = int array
+
+  val compare : t -> t -> int
+  (** Unsigned, word by word; on {!Kernel.pack}ed states of one kernel
+      this is [Stdlib.compare] on the unpacked [bool array]s. *)
+
+  module Tbl : Hashtbl.S with type key = t
+end
+
+(** The packed exploration kernel of one circuit.
+
+    - A state is [ceil(n_nodes / 63)] int words; node [i] is bit
+      [62 - i mod 63] of word [i / 63], so unsigned word order is
+      [Stdlib.compare] order on [bool array]s.
+    - Each gate is compiled to the word and bit of each fanin; an SOP
+      cube becomes a (care, value) mask over the gathered fanin bits.
+    - Every state in a frontier carries an excitation word per 63
+      gates.  Firing a gate flips one state bit and re-evaluates only
+      that gate and its readers.
+    - Frontiers and harvested stable states live in open-addressing
+      sets keyed by a Zobrist hash, reused from layer to layer and from
+      search to search.
+
+    A kernel owns mutable scratch memory: it must not be shared between
+    domains.  Compile one per worker. *)
+module Kernel : sig
+  type t
+
+  val compile : ?slow:int * bool -> Circuit.t -> t
+  (** [slow:(g, dir)] models a gross delay fault: gate node [g] never
+      completes a transition to [dir] (its excitation bit stays clear
+      while its output differs from [dir]), so a state whose only
+      excited gate is held this way behaves as stable.
+      @raise Invalid_argument if [g] is not a gate node. *)
+
+  val circuit : t -> Circuit.t
+
+  val states_after :
+    ?max_frontier:int -> ?guard:Guard.t -> t -> k:int -> bool array -> bool array list
+  (** [states_after t ~k s] is the set of states reachable from [s] in
+      {e exactly} [k] firings, where states with nothing to fire
+      self-loop (paper's [TCR_k] frontier).  Sorted by
+      [Stdlib.compare].
+
+      [guard] is charged once per layer with the layer's width (one
+      transition per frontier state).
+      @raise Frontier_limit when some layer grows beyond [max_frontier]
+      (default: unlimited).
+      @raise Satg_guard.Guard.Exhausted when [guard] trips. *)
+
+  val classify_vector :
+    ?max_frontier:int ->
+    ?guard:Guard.t ->
+    t ->
+    k:int ->
+    bool array ->
+    bool array ->
+    classification
+  (** [classify_vector t ~k s v] decides the CSSG validity of applying
+      [v] to the stable state [s], with early exits: a second distinct
+      stable state, or a frontier of at most 4096 states that repeats an
+      earlier layer of the same search (order-independent fingerprint,
+      confirmed by exact set equality), ends the analysis immediately.
+      Agrees with {!apply_vector} wherever both give a verdict.
+      [guard] is charged like in {!states_after}, once per layer.
+      @raise Invalid_argument if [s] is not stable.
+      @raise Satg_guard.Guard.Exhausted when [guard] trips. *)
+
+  val pack : t -> bool array -> Words.t
+  (** The packed words of a state: equal states give equal words. *)
+end
+
 val states_after :
   ?max_frontier:int ->
-  ?can_fire:(bool array -> int -> bool) ->
   ?guard:Guard.t ->
   Circuit.t ->
   k:int ->
   bool array ->
   bool array list
-(** [states_after c ~k s] is the set of states reachable from [s] in
-    {e exactly} [k] firings, where stable states self-loop (paper's
-    [TCR_k] frontier).  Sorted lexicographically.
+(** {!Kernel.states_after} on a freshly compiled kernel. *)
 
-    [can_fire s g] may veto individual transitions (used to model
-    delay faults: a slow gate's transition is suppressed); a state
-    whose every excited gate is vetoed behaves as stable.
-
-    [guard] is charged one transition per frontier state per layer.
-    @raise Frontier_limit when some layer grows beyond [max_frontier]
-    (default: unlimited).
-    @raise Satg_guard.Guard.Exhausted when [guard] trips. *)
+val classify_vector :
+  ?max_frontier:int ->
+  ?guard:Guard.t ->
+  Circuit.t ->
+  k:int ->
+  bool array ->
+  bool array ->
+  classification
+(** {!Kernel.classify_vector} on a freshly compiled kernel. *)
 
 val apply_vector : Circuit.t -> k:int -> bool array -> bool array -> outcome
 (** [apply_vector c ~k s v] applies input vector [v] to the stable
@@ -61,26 +148,3 @@ val reachable_stable_states :
     vector (valid or not) may be applied; the union of all settling
     results.  Used by fault activation to know where signals can rest.
     Bounded exploration: states are accumulated to a fixed point. *)
-
-type classification =
-  | C_settles of bool array  (** unique stable outcome within budget *)
-  | C_invalid of bool array list
-      (** non-confluent, oscillating or over budget; carries the stable
-          states observed along the way (TCSG node harvest) *)
-  | C_capped  (** frontier limit hit before a verdict *)
-
-val classify_vector :
-  ?max_frontier:int ->
-  ?guard:Guard.t ->
-  Circuit.t ->
-  k:int ->
-  bool array ->
-  bool array ->
-  classification
-(** [classify_vector c ~k s v] decides the CSSG validity of applying
-    [v] to the stable state [s], with early exits: a second distinct
-    stable state or a repeated non-stable frontier ends the analysis
-    immediately.  Agrees with {!apply_vector} wherever both give a
-    verdict.  [guard] is charged like in {!states_after}.
-    @raise Invalid_argument if [s] is not stable.
-    @raise Satg_guard.Guard.Exhausted when [guard] trips. *)

@@ -6,6 +6,7 @@ let () =
          Test_bdd.suites;
          Test_circuit.suites;
          Test_sim.suites;
+         Test_kernel.suites;
          Test_rails.suites;
          Test_sg.suites;
          Test_stg.suites;

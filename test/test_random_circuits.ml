@@ -387,9 +387,60 @@ let prop_timed_matches_exact_on_valid_edges =
             timed = Satg_sg.Cssg.state g e.Satg_sg.Cssg.target)
           (Satg_sg.Cssg.successors g reset_id))
 
+(* --- P7: the packed exploration kernel equals the string-set oracle ------- *)
+
+(* From every CSSG state under every vector, and from an arbitrary
+   (possibly unstable) state: the same [states_after] sets — also with
+   a slow gate vetoed — the same [Frontier_limit] points under small
+   caps, the same [classify_vector] verdicts and the same guard
+   charges. *)
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~name:"random circuits: exploration kernel = oracle" ~count:150
+    QCheck.(triple spec_arb (int_range 1 16) (int_bound 100_000))
+    (fun (spec, cap, pick) ->
+      match build_spec spec with
+      | None -> QCheck.assume_fail ()
+      | Some c ->
+        let module Guard = Satg_guard.Guard in
+        let max_frontier = if cap = 16 then max_int else cap in
+        let k = Structure.default_k c in
+        let kern = Async_sim.Kernel.compile c in
+        let gates = Circuit.gates c in
+        let slow_gate = gates.(pick mod Array.length gates) and slow_to = pick land 1 = 0 in
+        let slow = Async_sim.Kernel.compile ~slow:(slow_gate, slow_to) c in
+        let can_fire = Async_oracle.slow_gate c ~gate:slow_gate ~slow_to in
+        let capped f = try Some (f ()) with Async_sim.Frontier_limit -> None in
+        let same_after ?can_fire kern s =
+          let g1 = Guard.create () and g2 = Guard.create () in
+          capped (fun () -> Async_sim.Kernel.states_after ~max_frontier ~guard:g1 kern ~k s)
+          = capped (fun () ->
+                Async_oracle.states_after ~max_frontier ?can_fire ~guard:g2 c ~k s)
+          && Guard.transitions_used g1 = Guard.transitions_used g2
+        in
+        let same_class s v =
+          let g1 = Guard.create () and g2 = Guard.create () in
+          Async_sim.Kernel.classify_vector ~max_frontier ~guard:g1 kern ~k s v
+          = Async_oracle.classify_vector ~max_frontier ~guard:g2 c ~k s v
+          && Guard.transitions_used g1 = Guard.transitions_used g2
+        in
+        let g = Explicit.build c in
+        let arbitrary = Array.init (Circuit.n_nodes c) (fun i -> (pick lsr (i mod 17)) land 1 = 1) in
+        same_after kern arbitrary && same_after ~can_fire slow arbitrary
+        && List.for_all
+             (fun i ->
+               let s = Cssg.state g i in
+               List.for_all
+                 (fun v ->
+                   let s1 = Circuit.apply_input_vector c s v in
+                   same_after kern s1 && same_after ~can_fire slow s1
+                   && (v = Circuit.input_vector_of_state c s || same_class s v))
+                 (all_vectors (Circuit.n_inputs c)))
+             (List.init (Cssg.n_states g) Fun.id))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_kernel_matches_oracle;
       prop_ternary_sound;
       prop_engines_agree;
       prop_reorder_agrees;
