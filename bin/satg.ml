@@ -175,10 +175,11 @@ let cluster_cap_arg =
     & opt int Symbolic.default_cluster_cap
     & info [ "cluster-cap" ] ~docv:"N"
         ~doc:
-          "Node cap per frame-equality cluster in the symbolic engine's \
-           partitioned early-quantification schedule.  Smaller caps mean \
-           more, smaller conjuncts; the computed graph is identical for \
-           every value.")
+          "Node cap per chunk of primary-input equalities in the symbolic \
+           engine's non-confluence check, which runs as an \
+           early-quantification schedule over the chunks.  Smaller caps \
+           mean more, smaller conjuncts; the computed graph is identical \
+           for every value.")
 
 let stats_arg =
   Arg.(

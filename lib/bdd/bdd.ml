@@ -666,47 +666,67 @@ let ite m f g h =
 let and_list m ts = List.fold_left (and_ m) 1 ts
 let or_list m ts = List.fold_left (or_ m) 0 ts
 
-(* [f(¬v)]: exchange the cofactors by [v] everywhere.  An involution,
-   linear in the operand — the image of a one-variable toggle, so the
-   partitioned transition relation never needs a frame conjunct or a
-   relational product for the firing gate itself. *)
-let rec flip_rec m v t =
-  if t < 2 then t
-  else
-    let tv = m.var_of.(t) in
-    if m.level_of.(tv) > m.level_of.(v) then t
-    else if m.n_nodes < m.cache_threshold then begin
-      m.misses.(op_flip) <- m.misses.(op_flip) + 1;
-      Guard.tick m.guard;
-      if tv = v then mk m v m.high_of.(t) m.low_of.(t)
-      else mk m tv (flip_rec m v m.low_of.(t)) (flip_rec m v m.high_of.(t))
+(* [(a ∧ b)(¬v)]: the conjunction with the cofactors by [v] exchanged,
+   in one recursion that never materialises [a ∧ b] — the image of a
+   one-variable toggle restricted to a guard, so the partitioned
+   transition relation needs neither a frame conjunct, a relational
+   product nor the throwaway conjunction [t ∧ excited_g].  Above [v]
+   the two operands split in lockstep, as in AND; at [v] the
+   cofactor conjunctions are swapped; below [v] nothing flips and the
+   result is the plain conjunction.  [b = 1] is the one-operand flip,
+   linear in [a] and an involution.  Cache entries are [(a, b, v)]
+   with [a < b] unless [b = 1]. *)
+let rec flip_rec m v a b =
+  if a = 0 || b = 0 then 0
+  else if a = 1 && b = 1 then 1
+  else if a = 1 then flip_norm m v b 1
+  else if b = 1 || a = b then flip_norm m v a 1
+  else if a < b then flip_norm m v a b
+  else flip_norm m v b a
+
+(* [a] is internal; [b] is internal (and > a) or the terminal 1. *)
+and flip_norm m v a b =
+  let la = m.level_of.(m.var_of.(a)) and lb = lvl m b in
+  let l = if la <= lb then la else lb in
+  if l > m.level_of.(v) then apply_rec m op_and a b
+  else if m.n_nodes < m.cache_threshold then begin
+    m.misses.(op_flip) <- m.misses.(op_flip) + 1;
+    Guard.tick m.guard;
+    flip_node m v a b la lb l
+  end
+  else begin
+    let idx = (mix ((a lsl 3) lor op_flip) b v land m.cmask) * 4 in
+    let c = m.cache in
+    let k1 = (a lsl 3) lor op_flip in
+    if c.(idx) = k1 && c.(idx + 1) = b && c.(idx + 2) = v then begin
+      m.hits.(op_flip) <- m.hits.(op_flip) + 1;
+      c.(idx + 3)
     end
     else begin
-      let idx = (mix op_flip t v land m.cmask) * 4 in
-      let c = m.cache in
-      let k1 = (t lsl 3) lor op_flip in
-      if c.(idx) = k1 && c.(idx + 1) = v then begin
-        m.hits.(op_flip) <- m.hits.(op_flip) + 1;
-        c.(idx + 3)
-      end
-      else begin
-        m.misses.(op_flip) <- m.misses.(op_flip) + 1;
-        Guard.tick m.guard;
-        let r =
-          if tv = v then mk m v m.high_of.(t) m.low_of.(t)
-          else mk m tv (flip_rec m v m.low_of.(t)) (flip_rec m v m.high_of.(t))
-        in
-        c.(idx) <- k1;
-        c.(idx + 1) <- v;
-        c.(idx + 3) <- r;
-        r
-      end
+      m.misses.(op_flip) <- m.misses.(op_flip) + 1;
+      Guard.tick m.guard;
+      let r = flip_node m v a b la lb l in
+      c.(idx) <- k1;
+      c.(idx + 1) <- b;
+      c.(idx + 2) <- v;
+      c.(idx + 3) <- r;
+      r
     end
+  end
 
-let flip_var m ~var t =
+and flip_node m v a b la lb l =
+  let w = m.var_at.(l) in
+  let a0 = if la = l then m.low_of.(a) else a in
+  let a1 = if la = l then m.high_of.(a) else a in
+  let b0 = if lb = l then m.low_of.(b) else b in
+  let b1 = if lb = l then m.high_of.(b) else b in
+  if w = v then mk m v (apply_rec m op_and a1 b1) (apply_rec m op_and a0 b0)
+  else mk m w (flip_rec m v a0 b0) (flip_rec m v a1 b1)
+
+let flip_var m ~var a b =
   if var < 0 || var >= m.n_vars then invalid_arg "Bdd.flip_var: bad variable";
   maybe_reorder m;
-  flip_rec m var t
+  flip_rec m var a b
 
 let cofactor m t ~var ~value =
   maybe_reorder m;

@@ -95,10 +95,12 @@ val or_list : man -> t list -> t
 
 val cofactor : man -> t -> var:int -> value:bool -> t
 
-val flip_var : man -> var:int -> t -> t
-(** [flip_var m ~var f] is [f] with the polarity of [var] inverted
-    (the cofactors by [var] exchanged everywhere) — the image of a
-    single-variable toggle, linear in [f].  An involution. *)
+val flip_var : man -> var:int -> t -> t -> t
+(** [flip_var m ~var a b] is [a ∧ b] with the polarity of [var]
+    inverted (the cofactors by [var] exchanged everywhere) — the image
+    of a single-variable toggle restricted to [b], computed in one
+    recursion without building [a ∧ b].  [flip_var m ~var f (one m)]
+    flips [f] alone: linear in [f], and an involution. *)
 
 val compose : man -> t -> var:int -> t -> t
 (** [compose m f ~var g] substitutes [g] for [var] in [f]. *)

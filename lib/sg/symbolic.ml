@@ -14,9 +14,9 @@ open Satg_bdd
    variable out at the very equality that mentions it — an identity
    rename — and the firing gate's own ∃z_g against (y_g = ¬z_g) is a
    one-variable cofactor exchange: the gate-g disjunct of the image is
-   [Bdd.flip_var (T ∧ excited_g)].  No frame BDD is ever built, no
-   relational product is ever run, and no intermediate result carries
-   a dead variable. *)
+   [Bdd.flip_var ~var:y_g T excited_g], fused so that T ∧ excited_g is
+   never built.  No frame BDD is ever built, no relational product is
+   ever run, and no intermediate result carries a dead variable. *)
 type schedule = int list * (Bdd.t * int list) list
 
 type rel =
@@ -284,7 +284,8 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
      T ∧ excited_g — each frame variable is "quantified" at the very
      equality conjunct that mentions it, which degenerates to the
      identity rename, and the firing variable's ∃z_g collapses into
-     {!Bdd.flip_var}.  No frame BDD, no relational product. *)
+     {!Bdd.flip_var}, which flips the conjunction without building it.
+     No frame BDD, no relational product. *)
   let delta_image t =
     match rel with
     | Monolithic r_zy ->
@@ -293,8 +294,7 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
       let img = ref (Bdd.and_ m t stable_y) in
       Array.iteri
         (fun idx gid ->
-          let u = Bdd.and_ m t excited_y.(idx) in
-          img := Bdd.or_ m !img (Bdd.flip_var m ~var:(yv gid) u))
+          img := Bdd.or_ m !img (Bdd.flip_var m ~var:(yv gid) t excited_y.(idx)))
         gates;
       !img
   in
@@ -336,23 +336,33 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
       let cnt = Bdd.sat_count m ~nvars:(3 * n) set in
       int_of_float ((cnt /. (2.0 ** float_of_int (2 * n))) +. 0.5)
   in
-  (* Fail-soft reachability: a tripped guard keeps the last completed
-     ring.  The partial (reach, tcr) pair is a sound under-approximation
-     of the full graph — every state and edge in it is genuine — so the
+  (* Frontier-only reachability: each ring images just the stable
+     states first reached by the previous one.  R_I and every delta
+     image distribute over ∨ (one gate fires per step, so an image is
+     a union of per-gate images), and [tcr] is exact per call, so the
+     union of the per-ring results is exactly TCR_k of the whole
+     reachable set, and no state is imaged twice.
+
+     Fail-soft: a tripped guard keeps the reachable set and the union
+     of the completed rings; the states of the ring in progress are
+     kept without edges.  That pair is a sound under-approximation of
+     the full graph — every state and edge in it is genuine — so the
      CSSG pruning below still applies verbatim. *)
   let truncated = ref None in
-  let rec reach_loop reach t_prev n_prev =
+  let rec reach_loop reach front t_acc =
     match
       try
-        let t = tcr reach in
+        let t = tcr front in
+        let t_acc' = Bdd.or_ m t_acc t in
         let new_stables =
           y_as_x (Bdd.exists m ~vars:x_vars (Bdd.and_ m t stable_y))
         in
-        let reach' = Bdd.or_ m reach new_stables in
-        let n' = count_states reach' in
-        if n' > n_prev then Guard.spend_states guard (n' - n_prev);
+        let front' = Bdd.diff m new_stables reach in
+        let reach' = Bdd.or_ m reach front' in
+        let n_new = count_states front' in
+        if n_new > 0 then Guard.spend_states guard n_new;
         Guard.check_time guard;
-        `Step (reach', t, n')
+        `Step (reach', front', t_acc')
       with Guard.Exhausted r ->
         truncated := Some r;
         (* The guard stays tripped; detach it so salvaging the partial
@@ -365,11 +375,12 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
         Bdd.disable_reorder m;
         `Stop
     with
-    | `Stop -> (reach, t_prev)
-    | `Step (reach', t, n') ->
-      if Bdd.equal reach' reach then (reach, t) else reach_loop reach' t n'
+    | `Stop -> (reach, t_acc)
+    | `Step (reach', front', t_acc') ->
+      if Bdd.is_zero front' then (reach', t_acc')
+      else reach_loop reach' front' t_acc'
   in
-  let reachable, tcr_final = reach_loop reset_bdd (Bdd.zero m) 1 in
+  let reachable, tcr_final = reach_loop reset_bdd reset_bdd (Bdd.zero m) in
   let tcr_xz = Bdd.permute m y_to_z tcr_final in
   (* Non-confluence check, ∃z. TCR(x,z) ∧ X_I(z)=X_I(y) ∧ z≠y, run as a
      clustered early-quantification schedule: the input equalities are

@@ -1,7 +1,7 @@
 (** Symbolic (BDD-based) CSSG construction — the paper's actual method
     (§4.2): transition relations [R_I] and [R_delta] as BDDs, the
-    k-step test-cycle relation [TCR_k] by relational-product iteration,
-    and the non-confluence pruning by the pair-splitting check
+    k-step test-cycle relation [TCR_k] by k-fold [R_delta] images, and
+    the non-confluence pruning by the pair-splitting check
     [∃ s''. TCR_k(s, s'') ∧ X_I(s'') = X_I(s') ∧ s'' ≠ s'].
 
     Each circuit node owns three adjacent BDD variables (present, next,
@@ -30,23 +30,43 @@ val build :
     (default: creation order, which interleaves inputs and gates).
 
     [style] selects the transition-relation representation (default
-    [`Partitioned]): the partitioned form keeps one excited∧flip
-    conjunct per gate plus frame-equality clusters chunked along the
-    rank order under [cluster_cap] nodes each, and computes images by
-    a clustered [and_exists] schedule that quantifies every auxiliary
-    variable out at the last conjunct mentioning it.  [`Monolithic] is
-    the paper's literal single-BDD [R_delta] — kept as the reference
-    oracle for benchmarks and conformance runs; both styles produce
-    identical graphs.
+    [`Partitioned]).  The partitioned form keeps one excitation
+    conjunct per gate over the next-state rail, plus the conjunct of
+    stability, and images a set [T] as
+    [(T ∧ stable) ∨ ⋁_g flip_{y_g}(T ∧ excited_g)]: one gate fires per
+    step, so each per-gate relational product collapses to a
+    one-variable cofactor exchange ({!Bdd.flip_var}, which never builds
+    the conjunction).  No frame-equality BDD and no [and_exists]
+    schedule is involved.  [`Monolithic] is the paper's literal
+    single-BDD [R_delta], imaged by one relational product per step —
+    kept as the reference oracle for benchmarks and conformance runs;
+    both styles produce identical graphs.
+
+    Reachability is frontier-only: each ring computes [TCR_k] from just
+    the stable states first reached by the previous ring, and [TCR_k]
+    of the reachable set is kept as the union of the per-ring results
+    (the image distributes over union, so the union is exact).  The
+    loop stops when a ring reaches no new stable state.
+
+    [cluster_cap] (default {!default_cluster_cap}) is used only by the
+    non-confluence check [∃z. TCR_k(x, z) ∧ X_I(z) = X_I(y) ∧ z ≠ y]:
+    the primary-input equalities are chunked along the rank order into
+    conjuncts of at most [cluster_cap] nodes, and the check runs as an
+    early-quantification schedule over them.
 
     [reorder] (default {!Bdd.Reorder_none}) enables sifting-based
     dynamic variable reordering inside the manager.
 
-    [guard] governs the traversal: one transition per relational
-    product, states spent as the reachable set grows (counted by
-    sat-count after each ring).  Exhaustion does {e not} raise: the
-    last completed ring is kept and the result is tagged
-    {!truncated} — a sound under-approximation of the full graph.
+    [guard] governs the traversal: one transition per allocated BDD
+    node, so [max_transitions] bounds symbolic work by the same order
+    of work it bounds the explicit engine, and states spent as the
+    reachable set grows (each ring's new states, counted by
+    sat-count).  Exhaustion does {e not} raise: the reachable set and
+    the edges of the completed rings are kept — the states of the ring
+    in progress are kept without edges — and the result is tagged
+    {!truncated}, a sound sub-graph of the full graph.  Because the
+    charge is per allocated node, a capped build's trip point moves
+    with the amount of BDD work: less allocation lets it get further.
 
     The guard is also installed in the BDD manager, so [mk]/[apply]
     cache misses probe it and a deadline trips {e inside} a runaway

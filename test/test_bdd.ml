@@ -416,7 +416,7 @@ let test_flip_var () =
   let m = Bdd.create ~nvars:3 () in
   let a = Bdd.var m 0 and b = Bdd.var m 1 and c = Bdd.var m 2 in
   let f = Bdd.or_ m (Bdd.and_ m a b) (Bdd.and_ m (Bdd.not_ m a) c) in
-  let g = Bdd.flip_var m ~var:0 f in
+  let g = Bdd.flip_var m ~var:0 f (Bdd.one m) in
   (* flipping var 0 exchanges the roles of the two AND terms *)
   for mask = 0 to 7 do
     let assign v = mask land (1 lsl v) <> 0 in
@@ -425,12 +425,12 @@ let test_flip_var () =
       (Bdd.eval m g assign)
   done;
   Alcotest.(check bool) "involution" true
-    (Bdd.equal (Bdd.flip_var m ~var:0 g) f);
+    (Bdd.equal (Bdd.flip_var m ~var:0 g (Bdd.one m)) f);
   (* variables absent from the support are no-ops, terminals too *)
   Alcotest.(check bool) "absent var" true
-    (Bdd.equal (Bdd.flip_var m ~var:1 c) c);
+    (Bdd.equal (Bdd.flip_var m ~var:1 c (Bdd.one m)) c);
   Alcotest.(check bool) "terminal" true
-    (Bdd.is_one (Bdd.flip_var m ~var:0 (Bdd.one m)));
+    (Bdd.is_one (Bdd.flip_var m ~var:0 (Bdd.one m) (Bdd.one m)));
   let s = Bdd.stats m in
   Alcotest.(check bool) "flip misses counted" true (s.Bdd.flip_misses > 0)
 
@@ -440,14 +440,65 @@ let prop_flip_var_matches =
     (fun (e, v) ->
       let m = Bdd.create ~nvars:n_prop_vars () in
       let f = build m e in
-      let g = Bdd.flip_var m ~var:v f in
-      let ok = ref (Bdd.equal (Bdd.flip_var m ~var:v g) f) in
+      let g = Bdd.flip_var m ~var:v f (Bdd.one m) in
+      let ok = ref (Bdd.equal (Bdd.flip_var m ~var:v g (Bdd.one m)) f) in
       for mask = 0 to (1 lsl n_prop_vars) - 1 do
         let assign u = mask land (1 lsl u) <> 0 in
         let flipped u = if u = v then not (assign u) else assign u in
         if Bdd.eval m g assign <> Bdd.eval m f flipped then ok := false
       done;
       !ok)
+
+(* The fused form [flip_var ~var:v a b] is the flip of [a ∧ b]: it must
+   equal the one-operand flip of the built conjunction, the
+   one-operand flip must be an involution, and evaluation must match
+   [a ∧ b] read with [v] negated. *)
+let flip_laws m nvars v a b =
+  let one = Bdd.one m in
+  let fused = Bdd.flip_var m ~var:v a b in
+  let ok =
+    ref
+      (Bdd.equal fused (Bdd.flip_var m ~var:v (Bdd.and_ m a b) one)
+      && Bdd.equal
+           (Bdd.flip_var m ~var:v (Bdd.flip_var m ~var:v a one) one)
+           a)
+  in
+  for mask = 0 to (1 lsl nvars) - 1 do
+    let assign u = mask land (1 lsl u) <> 0 in
+    let flipped u = if u = v then not (assign u) else assign u in
+    if Bdd.eval m fused assign <> (Bdd.eval m a flipped && Bdd.eval m b flipped)
+    then ok := false
+  done;
+  !ok
+
+(* After a sifting pass the recursion must follow levels, not
+   variable indices. *)
+let prop_flip_fused_after_sift =
+  QCheck.Test.make ~name:"fused flip laws after sift" ~count:100
+    QCheck.(triple deep_expr_arb deep_expr_arb (int_bound (n_deep_vars - 1)))
+    (fun (ea, eb, v) ->
+      let m = Bdd.create ~nvars:n_deep_vars () in
+      let a = build m ea and b = build m eb in
+      Bdd.sift m;
+      flip_laws m n_deep_vars v a b)
+
+(* The uncached path: an auto-sized manager whose store never reaches
+   the cache threshold. *)
+let prop_flip_fused_below_threshold =
+  QCheck.Test.make ~name:"fused flip laws below the cache threshold"
+    ~count:200
+    QCheck.(
+      triple
+        (make (gen_expr n_prop_vars 2) ~print:expr_to_string)
+        (make (gen_expr n_prop_vars 2) ~print:expr_to_string)
+        (int_bound (n_prop_vars - 1)))
+    (fun (ea, eb, v) ->
+      let m = Bdd.create ~nvars:n_prop_vars () in
+      let a = build m ea and b = build m eb in
+      let ok = flip_laws m n_prop_vars v a b in
+      let s = Bdd.stats m in
+      ok && s.Bdd.peak_nodes < s.Bdd.cache_threshold
+      && s.Bdd.flip_hits = 0)
 
 (* --- dynamic variable reordering ------------------------------------------ *)
 
@@ -630,6 +681,8 @@ let qcheck_cases =
       prop_forall_matches;
       prop_deep_bdd_matches_semantics;
       prop_flip_var_matches;
+      prop_flip_fused_after_sift;
+      prop_flip_fused_below_threshold;
       prop_sift_preserves_semantics;
     ]
 

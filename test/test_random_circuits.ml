@@ -198,6 +198,47 @@ let prop_reorder_agrees =
         && canonical (Symbolic.to_cssg sifted) = reference
         && canonical (Symbolic.to_cssg mono) = reference)
 
+(* Salvage under random transition budgets.  A symbolic build charges
+   one transition per allocated BDD node, so a budget drawn below the
+   unguarded build's allocation can trip anywhere: while the relations
+   are built, inside a ring, or after one or more completed rings.
+   Untruncated, the graph must be the explicit one; truncated, it must
+   be a sub-graph of it that keeps the reset state.  The reference is
+   pure exploration: like the symbolic engine it keeps the stable
+   states reached only through non-confluent vectors, which the hybrid
+   mode's early exits may skip. *)
+let prop_salvage_sound =
+  QCheck.Test.make
+    ~name:"random circuits: symbolic salvage under random budgets" ~count:100
+    QCheck.(pair spec_arb (int_bound 1000))
+    (fun (spec, permille) ->
+      match build_spec spec with
+      | None -> QCheck.assume_fail ()
+      | Some c ->
+        let module Guard = Satg_guard.Guard in
+        let k = Structure.default_k c in
+        let full_states, full_edges =
+          canonical (Explicit.build ~exploration:`Pure ~k c)
+        in
+        let cost =
+          (Symbolic.bdd_stats (Symbolic.build ~k c)).Satg_bdd.Bdd.peak_nodes
+        in
+        let max_transitions = 1 + (cost * permille / 1000) in
+        let sym =
+          Symbolic.build ~k ~guard:(Guard.create ~max_transitions ()) c
+        in
+        let states, edges = canonical (Symbolic.to_cssg sym) in
+        match Symbolic.truncated sym with
+        | None -> states = full_states && edges = full_edges
+        | Some reason ->
+          let reset =
+            Circuit.state_to_string c (Option.get (Circuit.initial c))
+          in
+          reason = Guard.Transition_limit
+          && List.mem reset states
+          && List.for_all (fun s -> List.mem s full_states) states
+          && List.for_all (fun e -> List.mem e full_edges) edges)
+
 (* --- P3: multi-word pack differential oracle ------------------------------- *)
 
 (* The strongest pack property: replicate the whole fault universe past
@@ -444,6 +485,7 @@ let qcheck_cases =
       prop_ternary_sound;
       prop_engines_agree;
       prop_reorder_agrees;
+      prop_salvage_sound;
       prop_differential_oracle;
       prop_parser_roundtrip;
       prop_exact_dominates_when_settled;

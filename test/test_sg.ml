@@ -124,35 +124,86 @@ let test_justify_already_satisfied () =
   | Some (_ :: _, _) -> Alcotest.fail "expected empty justification"
   | None -> Alcotest.fail "expected hit"
 
+(* The uncapped netlists of the benchmark's symbolic workload: the
+   decomposed pipeline3 and arbiter3, the redundant latch2 and
+   vbe10b's bounded-delay netlist.  Large enough that reachability
+   takes several rings. *)
+let workload_netlists =
+  let ok name = function Ok c -> c | Error e -> Alcotest.failf "%s: %s" name e in
+  let family fname n redundant () =
+    let name = Printf.sprintf "%s%d" fname n in
+    let e = ok name (Suite.generate fname ~n) in
+    ok name (Satg_stg.Synth.decomposed ~redundant e.Suite.stg)
+  in
+  [
+    family "pipeline" 3 false;
+    family "arbiter" 3 false;
+    family "latch" 2 true;
+    (fun () -> ok "vbe10b" (Suite.bounded_delay (Option.get (Suite.find "vbe10b"))));
+  ]
+
 let test_symbolic_matches_explicit () =
   List.iter
-    (fun make ->
+    (fun (make, pure) ->
       let c = make () in
       let k = Structure.default_k c in
-      (* Both exploration strategies must agree with the symbolic engine. *)
-      let exp = Explicit.build ~exploration:`Pure ~k c in
+      (* Both exploration strategies must agree with the symbolic
+         engine; pure exploration takes seconds on pipeline3, so the
+         workload netlists check the hybrid one only. *)
       let hyb = Explicit.build ~exploration:`Hybrid ~k c in
-      let sym = Symbolic.build ~k c in
-      let se, ee = canonical exp and sh, eh = canonical hyb in
-      Alcotest.(check (list string)) (Circuit.name c ^ ": hybrid states") se sh;
-      Alcotest.(check int) (Circuit.name c ^ ": hybrid edges")
-        (List.length ee) (List.length eh);
-      Alcotest.(check int)
-        (Circuit.name c ^ ": reachable count")
-        (Cssg.n_states exp) (Symbolic.n_reachable sym);
-      let gs = Symbolic.to_cssg sym in
-      let s1, e1 = canonical exp and s2, e2 = canonical gs in
-      Alcotest.(check (list string)) (Circuit.name c ^ ": states") s1 s2;
-      List.iter2
-        (fun (a, v, b) (a', v', b') ->
-          Alcotest.(check (triple string string string))
-            (Circuit.name c ^ ": edge")
-            (a, v, b) (a', v', b'))
-        e1 e2;
-      Alcotest.(check int)
-        (Circuit.name c ^ ": edge count")
-        (List.length e1) (List.length e2))
-    fixtures
+      let exp =
+        if not pure then hyb
+        else begin
+          let exp = Explicit.build ~exploration:`Pure ~k c in
+          let se, ee = canonical exp and sh, eh = canonical hyb in
+          Alcotest.(check (list string)) (Circuit.name c ^ ": hybrid states") se sh;
+          Alcotest.(check int) (Circuit.name c ^ ": hybrid edges")
+            (List.length ee) (List.length eh);
+          exp
+        end
+      in
+      List.iter
+        (fun (style, tag) ->
+          let name = Circuit.name c ^ " " ^ tag in
+          let sym = Symbolic.build ~k ~style c in
+          Alcotest.(check int)
+            (name ^ ": reachable count")
+            (Cssg.n_states exp) (Symbolic.n_reachable sym);
+          let gs = Symbolic.to_cssg sym in
+          let s1, e1 = canonical exp and s2, e2 = canonical gs in
+          Alcotest.(check (list string)) (name ^ ": states") s1 s2;
+          Alcotest.(check int) (name ^ ": edge count")
+            (List.length e1) (List.length e2);
+          List.iter2
+            (fun (a, v, b) (a', v', b') ->
+              Alcotest.(check (triple string string string))
+                (name ^ ": edge")
+                (a, v, b) (a', v', b'))
+            e1 e2)
+        [ (`Partitioned, "partitioned"); (`Monolithic, "monolithic") ])
+    (List.map (fun f -> (f, true)) fixtures
+    @ List.map (fun f -> (f, false)) workload_netlists)
+
+(* Under the CI caps (500 states, 200 000 transitions, sifting) the
+   pathological pair trips before its first ring completes, so the
+   salvage is the reset state alone, with no edges. *)
+let test_capped_pair_salvage () =
+  List.iter
+    (fun text ->
+      let c = Test_domains.parse text in
+      let name = Circuit.name c in
+      let guard =
+        Satg_guard.Guard.create ~max_states:500 ~max_transitions:200_000 ()
+      in
+      let sym = Symbolic.build ~reorder:Satg_bdd.Bdd.Reorder_sift ~guard c in
+      Alcotest.(check bool) (name ^ ": transition limit") true
+        (Symbolic.truncated sym = Some Satg_guard.Guard.Transition_limit);
+      let states, edges = canonical (Symbolic.to_cssg sym) in
+      Alcotest.(check (list string)) (name ^ ": reset stub")
+        [ Circuit.state_to_string c (Option.get (Circuit.initial c)) ]
+        states;
+      Alcotest.(check int) (name ^ ": no edges") 0 (List.length edges))
+    [ Test_domains.ring_storm_text; Test_domains.toggle_farm_text ]
 
 let test_symbolic_justify () =
   let c = Figures.celem_handshake () in
@@ -335,6 +386,7 @@ let suites =
     ( "sg.symbolic",
       [
         Alcotest.test_case "matches explicit" `Slow test_symbolic_matches_explicit;
+        Alcotest.test_case "capped pair salvage" `Quick test_capped_pair_salvage;
         Alcotest.test_case "justify" `Quick test_symbolic_justify;
         Alcotest.test_case "justify multi-step" `Quick test_symbolic_justify_multi_step;
         Alcotest.test_case "sift order" `Slow test_sift_order;
