@@ -1049,11 +1049,12 @@ let sat_engine_bench () =
 
 (* The full explicit-engine pipeline (CSSG + random + deterministic
    phases) at -j 1/2/4/8 on the figure-1 pathology pair, under the same
-   caps as the SAT race, against the sequential pipeline as baseline.
-   Every run's detected/undetected/aborted partition is hashed and the
-   bench *fails* if any two differ — the determinism contract, measured
-   rather than assumed.  Results (plus [host_cores], so a flat curve on
-   a single-core runner is readable as such) go to BENCH_domains.json. *)
+   caps as the SAT race; -j 1 is the sequential pipeline and the
+   baseline.  Every run's detected/undetected/aborted partition is
+   hashed and the bench *fails* if any two differ — the determinism
+   contract, measured rather than assumed.  Results (plus
+   [host_cores], so a flat curve on a single-core runner is readable as
+   such) go to BENCH_domains.json. *)
 
 let domains_js = [ 1; 2; 4; 8 ]
 
@@ -1139,54 +1140,6 @@ let intern_bench () =
     (float_of_int n_lookups /. packed_seconds)
     speedup
 
-(* Frontier-chunk sizing for [Explicit.build_par], relative to the host:
-   few cores want larger batches (amortise dispatch), many cores want
-   smaller ones (balance load).  The untruncated graph is identical for
-   every chunk (asserted below), so this measures pure scheduling
-   overhead.  Runs on an uncapped mid-size family circuit where the
-   sequential build completes. *)
-let build_par_chunk_bench ~host_cores =
-  let entry =
-    match Suite.generate "pipeline" ~n:8 with
-    | Ok e -> e
-    | Error m -> failwith ("pipeline n=8: " ^ m)
-  in
-  let c =
-    match Synth.complex_gate entry.Suite.stg with
-    | Ok c -> c
-    | Error m -> failwith (entry.Suite.name ^ ": synth: " ^ m)
-  in
-  let sized_chunk = max 4 (256 / host_cores) in
-  Satg_pool.Pool.with_pool ~jobs:host_cores (fun pool ->
-      let seq = Explicit.build c in
-      let default_g = ref (Explicit.build_par ~pool c) in
-      let sized_g = ref (Explicit.build_par ~chunk:sized_chunk ~pool c) in
-      let default_seconds =
-        time_thunk (fun () -> default_g := Explicit.build_par ~pool c)
-      in
-      let sized_seconds =
-        time_thunk (fun () ->
-            sized_g := Explicit.build_par ~chunk:sized_chunk ~pool c)
-      in
-      let shape g = (Cssg.n_states g, Cssg.n_edges g) in
-      if shape !default_g <> shape seq || shape !sized_g <> shape seq then
-        failwith "build_par: chunk size changed the untruncated graph";
-      let n_states, n_edges = shape seq in
-      Printf.printf
-        "build_par chunks (%s): %d states, %d edges, jobs %d\n\
-        \  chunk  32 (default)  : %8.4f s\n\
-        \  chunk %3d (host-sized): %8.4f s\n"
-        (Circuit.name c) n_states n_edges host_cores default_seconds
-        sized_chunk sized_seconds;
-      Printf.sprintf
-        {|  "build_par_chunk": { "circuit": "%s", "jobs": %d,
-              "n_states": %d, "n_edges": %d,
-              "default": { "chunk": 32, "seconds": %.6f },
-              "host_sized": { "chunk": %d, "seconds": %.6f },
-              "graphs_equal": true }|}
-        (Circuit.name c) host_cores n_states n_edges default_seconds
-        sized_chunk sized_seconds)
-
 let domains_bench () =
   let host_cores = Domain.recommended_domain_count () in
   (* Honest rows only: an oversubscribed -j on a small host measures
@@ -1200,7 +1153,6 @@ let domains_bench () =
     Printf.printf "domains: host has %d core(s); skipping -j %s\n" host_cores
       (String.concat "/" (List.map string_of_int js_skipped));
   let intern_json = intern_bench () in
-  let chunk_json = build_par_chunk_bench ~host_cores in
   let row path =
     let c = load_netlist path in
     let faults = Fault.universe_input_sa c in
@@ -1214,31 +1166,29 @@ let domains_bench () =
       }
     in
     let run jobs = Engine.run ~config:(config jobs) c ~faults in
-    let seq_r = ref (run None) in
-    let seq_seconds = time_thunk (fun () -> seq_r := run None) in
-    let seq_hash = partition_hash !seq_r in
     let cells =
       List.map
         (fun j ->
-          let r = ref (run (Some j)) in
-          let seconds = time_thunk (fun () -> r := run (Some j)) in
+          let r = ref (run j) in
+          let seconds = time_thunk (fun () -> r := run j) in
           (j, seconds, partition_hash !r, Engine.detected !r,
            Engine.aborted !r))
         js_run
     in
-    let j1_seconds =
-      match cells with (1, s, _, _, _) :: _ -> s | _ -> seq_seconds
+    let j1_seconds, j1_hash =
+      match cells with
+      | (1, s, h, _, _) :: _ -> (s, h)
+      | _ -> failwith "domains: the -j 1 row always runs"
     in
     List.iter
       (fun (j, _, h, _, _) ->
-        if h <> seq_hash then
+        if h <> j1_hash then
           failwith
-            (Printf.sprintf "%s: -j %d partition differs from sequential"
+            (Printf.sprintf "%s: -j %d partition differs from -j 1"
                (Circuit.name c) j))
       cells;
     Printf.printf "domains (%s): %d faults, caps %d states / %d transitions\n"
       (Circuit.name c) (List.length faults) sat_cap_states sat_cap_transitions;
-    Printf.printf "  seq : %8.4f s  (hash %08x)\n" seq_seconds seq_hash;
     List.iter
       (fun (j, s, h, det, ab) ->
         Printf.printf
@@ -1251,14 +1201,12 @@ let domains_bench () =
       "circuit": "%s",
       "n_faults": %d,
       "caps": { "max_states": %d, "max_transitions": %d },
-      "sequential": { "seconds": %.6f, "partition_hash": "%08x" },
       "jobs": [
 %s
       ],
       "partitions_equal": true
     }|}
       (Circuit.name c) (List.length faults) sat_cap_states sat_cap_transitions
-      seq_seconds seq_hash
       (String.concat ",\n"
          (List.map
             (fun (j, s, h, det, ab) ->
@@ -1276,7 +1224,6 @@ let domains_bench () =
   "host_cores": %d,
   "jobs_skipped": [%s],
 %s,
-%s,
   "circuits": [
 %s
   ]
@@ -1284,7 +1231,7 @@ let domains_bench () =
 |}
       host_cores
       (String.concat ", " (List.map string_of_int js_skipped))
-      intern_json chunk_json
+      intern_json
       (String.concat ",\n" rows)
   in
   let oc = open_out "BENCH_domains.json" in
@@ -1390,7 +1337,7 @@ let families_bench () =
     in
     let pooled j =
       Engine.run
-        ~config:{ Engine.default_config with jobs = Some j }
+        ~config:{ Engine.default_config with jobs = j }
         c ~faults
     in
     let jobs_agree = partition (pooled 1) = partition (pooled 4) in

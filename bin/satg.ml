@@ -1,7 +1,7 @@
 (* Command-line front end.
 
      satg synth   SPEC.g   [--backend complex|decomposed|redundant] [-o OUT]
-     satg cssg    FILE.cct [-k N] [--engine explicit|symbolic] [--dump]
+     satg cssg    FILE.cct [-k N] [--engine explicit|bdd] [--dump]
      satg atpg    FILE.cct [--universe input|output|both] [-k N] [--no-random]
      satg program FILE.cct emit a synchronous tester program
      satg delay   FILE.cct gross gate-delay fault ATPG
@@ -143,15 +143,15 @@ let max_transitions_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~env:(Cmd.Env.info "SATG_JOBS")
         ~doc:
           "Run CSSG construction and the deterministic fault search on \
-           $(docv) worker domains.  Merging is deterministic: the reported \
-           coverage partition is identical for every $(docv).  The BDD \
-           engine's deterministic phase stays sequential under this flag \
-           (single-domain manager).  Default: the sequential pipeline.")
+           $(docv) worker domains (default 1).  Merging is deterministic: \
+           the reported coverage partition is identical for every \
+           $(docv).  The BDD engine's deterministic phase searches one \
+           fault at a time (single-domain manager).")
 
 let reorder_arg =
   Arg.(
@@ -163,7 +163,7 @@ let reorder_arg =
         Satg_bdd.Bdd.Reorder_none
     & info [ "reorder" ]
         ~doc:
-          "Dynamic BDD variable reordering for the symbolic engine: \
+          "Dynamic BDD variable reordering for $(b,--engine bdd): \
            $(b,none) (default) or $(b,sift) (Rudell sifting, fired \
            automatically when the node store crosses a growth trigger).  \
            Reordering never changes the computed graph or the coverage \
@@ -175,7 +175,7 @@ let cluster_cap_arg =
     & opt int Symbolic.default_cluster_cap
     & info [ "cluster-cap" ] ~docv:"N"
         ~doc:
-          "Node cap per chunk of primary-input equalities in the symbolic \
+          "Node cap per chunk of primary-input equalities in the BDD \
            engine's non-confluence check, which runs as an \
            early-quantification schedule over the chunks.  Smaller caps \
            mean more, smaller conjuncts; the computed graph is identical \
@@ -187,7 +187,7 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Print BDD-manager statistics (node counts, unique-table load, \
-           per-op cache hit/miss) after the run.  Only the symbolic engine \
+           per-op cache hit/miss) after the run.  Only $(b,--engine bdd) \
            has a BDD manager to report on.")
 
 let cssg_cmd =
@@ -195,7 +195,7 @@ let cssg_cmd =
   let engine =
     Arg.(
       value
-      & opt (enum [ ("explicit", `Explicit); ("symbolic", `Symbolic) ]) `Explicit
+      & opt (enum [ ("explicit", `Explicit); ("bdd", `Bdd) ]) `Explicit
       & info [ "engine"; "e" ] ~doc:"State-graph engine.")
   in
   let dump =
@@ -207,14 +207,10 @@ let cssg_cmd =
     let guard = Guard.create ?timeout ?max_states ?max_transitions () in
     let g, bdd_stats =
       match engine with
-      | `Explicit -> (
-        match jobs with
-        | Some j ->
-          ( Pool.with_pool ~jobs:j (fun pool ->
-                Explicit.build_par ?k ~guard ~pool c),
-            None )
-        | None -> (Explicit.build ?k ~guard c, None))
-      | `Symbolic ->
+      | `Explicit ->
+        ( Pool.with_pool ~jobs (fun pool -> Explicit.build ?k ~guard ~pool c),
+          None )
+      | `Bdd ->
         let sym = Symbolic.build ?k ~reorder ~cluster_cap ~guard c in
         let g = Symbolic.to_cssg sym in
         (* sampled after enumeration so the whole build is covered *)
@@ -283,7 +279,7 @@ let no_collapse_arg =
 
 (* The one-shot run, the daemon and the client all shape the same
    engine configuration from the same flags. *)
-let make_config ~k ~no_random ~engine ~no_collapse ~jobs ~timeout ~max_states
+let make_config ~k ~no_random ~engine ~no_collapse ~timeout ~max_states
     ~max_transitions ~reorder ~cluster_cap ~seed =
   {
     Engine.default_config with
@@ -291,7 +287,6 @@ let make_config ~k ~no_random ~engine ~no_collapse ~jobs ~timeout ~max_states
     enable_random = not no_random;
     engine;
     collapse = not no_collapse;
-    jobs;
     timeout;
     max_states;
     max_transitions;
@@ -307,12 +302,6 @@ let atpg_cmd =
   let seed = seed_arg in
   let verbose = verbose_arg in
   let engine = engine_arg in
-  let symbolic =
-    Arg.(
-      value & flag
-      & info [ "symbolic" ]
-          ~doc:"Deprecated alias for $(b,--engine bdd).")
-  in
   let no_collapse = no_collapse_arg in
   let cache_dir =
     Arg.(
@@ -365,15 +354,17 @@ let atpg_cmd =
     if stats then Format.printf "engine stats: n/a (cached result)@.";
     if Core_session.degraded p then exit exit_partial
   in
-  let run file universe no_random seed verbose engine symbolic no_collapse
-      stats k jobs timeout max_states max_transitions reorder cluster_cap
-      cache_dir resume =
+  let run file universe no_random seed verbose engine no_collapse stats k
+      jobs timeout max_states max_transitions reorder cluster_cap cache_dir
+      resume =
     let c = or_die (read_circuit file) in
     let config =
-      make_config ~k ~no_random
-        ~engine:(if symbolic then Engine.Bdd else engine)
-        ~no_collapse ~jobs ~timeout ~max_states ~max_transitions ~reorder
-        ~cluster_cap ~seed
+      {
+        (make_config ~k ~no_random ~engine ~no_collapse ~timeout ~max_states
+           ~max_transitions ~reorder ~cluster_cap ~seed)
+        with
+        jobs;
+      }
     in
     let guard = Guard.create ?timeout ?max_states ?max_transitions () in
     drain_on_signal guard;
@@ -449,7 +440,7 @@ let atpg_cmd =
     (Cmd.info "atpg" ~doc:"Generate synchronous test patterns for a netlist.")
     Term.(
       const run $ file $ universe $ no_random $ seed $ verbose $ engine
-      $ symbolic $ no_collapse $ stats_arg $ k_arg $ jobs_arg $ timeout_arg
+      $ no_collapse $ stats_arg $ k_arg $ jobs_arg $ timeout_arg
       $ max_states_arg $ max_transitions_arg $ reorder_arg $ cluster_cap_arg
       $ cache_dir $ resume)
 
@@ -754,7 +745,7 @@ let serve_cmd =
              $(b,--cache-dir) runs.")
   in
   let run socket jobs cache_dir =
-    let service = Satg_server.Service.create ?cache_dir ?jobs () in
+    let service = Satg_server.Service.create ?cache_dir ~jobs () in
     let on_ready () = Printf.eprintf "[serve] listening on %s\n%!" socket in
     match Satg_server.Server.serve ~on_ready ~socket service with
     | Ok () ->
@@ -818,7 +809,7 @@ let client_atpg_cmd =
     let netlist = read_file file in
     let c = or_die (read_circuit file) in
     let config =
-      make_config ~k ~no_random ~engine ~no_collapse ~jobs:None
+      make_config ~k ~no_random ~engine ~no_collapse
         ~timeout:(effective_timeout ~deadline_ms ~timeout)
         ~max_states ~max_transitions ~reorder ~cluster_cap ~seed
     in
@@ -895,7 +886,7 @@ let client_batch_cmd =
         files
     in
     let config =
-      make_config ~k ~no_random ~engine ~no_collapse ~jobs:None
+      make_config ~k ~no_random ~engine ~no_collapse
         ~timeout:(effective_timeout ~deadline_ms ~timeout)
         ~max_states ~max_transitions ~reorder ~cluster_cap ~seed
     in

@@ -12,7 +12,7 @@ type config = {
   enable_fault_sim : bool;
   engine : justification_engine;
   collapse : bool;
-  jobs : int option;
+  jobs : int;
   timeout : float option;
   max_states : int option;
   max_transitions : int option;
@@ -29,7 +29,7 @@ let default_config =
     enable_fault_sim = true;
     engine = Explicit;
     collapse = true;
-    jobs = None;
+    jobs = 1;
     timeout = None;
     max_states = None;
     max_transitions = None;
@@ -89,22 +89,11 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
   in
   (* A caller-owned pool (the daemon's) is reused across runs and never
      shut down here; otherwise the config's [jobs] owns a fresh one. *)
-  let owned_pool =
-    match pool with
-    | Some _ -> None
-    | None -> Option.map (fun jobs -> Pool.create ~jobs) config.jobs
-  in
-  let pool = match pool with Some _ -> pool | None -> owned_pool in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown owned_pool)
-  @@ fun () ->
+  Pool.with_pool ?pool ~jobs:config.jobs @@ fun pool ->
   let g =
     match cssg with
     | Some g -> g
-    | None -> (
-      match pool with
-      | Some pool ->
-        Explicit.build_par ?k:config.k ~guard:run_guard ~pool circuit
-      | None -> Explicit.build ?k:config.k ~guard:run_guard circuit)
+    | None -> Explicit.build ?k:config.k ~guard:run_guard ~pool circuit
   in
   let symbolic =
     match config.engine with
@@ -120,10 +109,9 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
      semantic property of the graph, so the detected/undetected
      partition does not depend on which instance answered.  The BDD
      manager is also single-domain, but duplicating it per worker
-     means re-running the symbolic build — engine=Bdd therefore keeps
-     the deterministic phase sequential under -j (see docs/PERF.md). *)
-  let n_workers = match pool with Some p -> Pool.jobs p | None -> 1 in
-  let worker_sats = Array.make n_workers None in
+     means re-running the symbolic build — engine=Bdd therefore
+     searches one fault at a time on the caller (see docs/PERF.md). *)
+  let worker_sats = Array.make (Pool.jobs pool) None in
   let backend_for wid =
     match config.engine with
     | Explicit -> None
@@ -240,22 +228,19 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
       end
       else rest
   in
-  let rec deterministic_seq backend = function
-    | [] -> ()
-    | f :: rest ->
-      if Hashtbl.mem status f then deterministic_seq backend rest
-      else deterministic_seq backend (commit f rest (find backend f))
-  in
   (* Speculative wave parallelism: search a fixed-size prefix of the
      pending list concurrently, then merge the results in list order
-     through [commit] — exactly the sequential loop, so when fault
-     simulation sweeps a wave member away its speculative result is
-     simply discarded.  Outcomes are therefore identical for every
-     [-j], and (for the explicit and BDD engines) to the sequential
-     path; a SAT worker's witness sequence may depend on its private
+     through [commit] — exactly a one-fault-at-a-time loop, so when
+     fault simulation sweeps a wave member away its speculative result
+     is simply discarded.  Outcomes are therefore identical for every
+     [-j]; a SAT worker's witness sequence may depend on its private
      solver history, so there the detected/undetected partition is the
-     j-invariant, not the sequences.  A worker that hits the global
-     deadline cancels the guard family so its siblings stop promptly. *)
+     j-invariant, not the sequences.  A wave is one fault on a
+     one-worker pool (no speculation, so [-j 1] makes exactly the
+     sequential searches) and for the BDD engine (single-domain
+     manager; a one-item [Pool.map] runs on the caller).  A worker that
+     hits the global deadline cancels the guard family so its siblings
+     stop promptly. *)
   let search wid f =
     let r = find (backend_for wid) f in
     (match r with
@@ -269,32 +254,29 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
     | _ when n = 0 -> []
     | x :: rest -> x :: take (n - 1) rest
   in
-  let deterministic_par pool pending =
-    let wave_size = 2 * Pool.jobs pool in
-    let rec waves pending =
-      match pending with
-      | [] -> ()
-      | _ ->
-        let wave = Array.of_list (take wave_size pending) in
-        let results = Pool.map pool search wave in
-        let tbl = Hashtbl.create (Array.length wave) in
-        Array.iteri (fun i f -> Hashtbl.replace tbl f results.(i)) wave;
-        let rec merge = function
-          | [] -> []
-          | f :: rest as l -> (
-            match Hashtbl.find_opt tbl f with
-            | None -> l (* first fault past this wave: start the next *)
-            | Some r ->
-              if Hashtbl.mem status f then merge rest
-              else merge (commit f rest r))
-        in
-        waves (merge pending)
-    in
-    waves pending
+  let wave_size =
+    if Pool.jobs pool = 1 || config.engine = Bdd then 1 else 2 * Pool.jobs pool
   in
-  (match pool with
-  | Some p when config.engine <> Bdd -> deterministic_par p remaining
-  | Some _ | None -> deterministic_seq (backend_for 0) remaining);
+  let rec waves pending =
+    match pending with
+    | [] -> ()
+    | _ ->
+      let wave = Array.of_list (take wave_size pending) in
+      let results = Pool.map pool search wave in
+      let tbl = Hashtbl.create (Array.length wave) in
+      Array.iteri (fun i f -> Hashtbl.replace tbl f results.(i)) wave;
+      let rec merge = function
+        | [] -> []
+        | f :: rest as l -> (
+          match Hashtbl.find_opt tbl f with
+          | None -> l (* first fault past this wave: start the next *)
+          | Some r ->
+            if Hashtbl.mem status f then merge rest
+            else merge (commit f rest r))
+      in
+      waves (merge pending)
+  in
+  waves remaining;
   let by_class = Hashtbl.create (List.length targets) in
   if config.collapse then
     List.iter
@@ -327,8 +309,8 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
     sat_stats =
       (match config.engine with
       | Sat ->
-        (* summed over the per-worker engines (one engine total when
-           sequential), so -j reports the run's whole SAT traffic *)
+        (* summed over the per-worker engines (one engine at -j 1),
+           so -j reports the run's whole SAT traffic *)
         Some
           (Array.fold_left
              (fun acc se ->

@@ -30,15 +30,16 @@ type config = {
   collapse : bool;
       (** structurally collapse the fault universe before any phase
           (default [true]); the result keeps both sizes *)
-  jobs : int option;
-      (** [Some j]: run CSSG construction and the deterministic phase
-          on a [j]-worker domain pool ({!Satg_pool.Pool}) — speculative
-          fault waves merged in input order, so the outcome partition
-          is identical for every [j] (and, for the explicit engine, to
-          the sequential path).  [None] (default): the legacy
-          sequential pipeline.  The BDD engine's deterministic phase
-          stays sequential under [jobs] (single-domain manager); see
-          docs/PERF.md. *)
+  jobs : int;
+      (** width of the domain pool ({!Satg_pool.Pool}) the run creates
+          when the caller passes none (default 1).  CSSG construction
+          classifies frontier batches on it and the deterministic
+          phase searches speculative fault waves of [2 × jobs] merged
+          in input order, so the outcome partition is identical for
+          every [jobs].  At [jobs = 1] a wave is one fault and the pool
+          spawns no domains: that {e is} the sequential pipeline.  The
+          BDD engine's deterministic phase always searches one fault
+          at a time (single-domain manager); see docs/PERF.md. *)
   timeout : float option;
       (** wall-clock budget in seconds for the whole run *)
   max_states : int option;
@@ -102,8 +103,8 @@ val run :
     [pool] substitutes a caller-owned worker pool for the one
     [config.jobs] would create (and shut down) per run — the hook that
     lets a long-lived service amortize domain spin-up across requests.
-    The run behaves as [jobs = Pool.jobs pool]; the pool is {e not}
-    shut down on return.
+    [config.jobs] is then ignored and the run behaves as
+    [jobs = Pool.jobs pool]; the pool is {e not} shut down on return.
 
     Resource limits come from the config: the wall-clock deadline is
     global to the run, while state/transition counters are reset per
@@ -120,10 +121,10 @@ val run :
       (a collapse representative): the fault skips every phase and
       [on_outcome] is {e not} echoed for it — it is already on disk.
     - [on_outcome] observes each freshly computed outcome the moment it
-      is committed, in commit order (the wave merge replays sequential
-      order, so this order is identical for every [jobs] value and a
-      journal written from it is an exact prefix of the sequential
-      commit sequence).  It runs on the coordinating domain only.
+      is committed, in commit order (the wave merge replays the
+      one-fault-at-a-time order, so this order is identical for every
+      [jobs] value and a journal written from it is an exact prefix of
+      the commit sequence of any other [jobs]).  It runs on the coordinating domain only.
 
     Determinism contract for resume: a fault's random-phase detection
     depends only on (graph, walk) — per-walk seeding makes it

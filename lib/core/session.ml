@@ -185,7 +185,7 @@ let config_of_fields fields =
           enable_fault_sim;
           engine;
           collapse;
-          jobs = None;
+          jobs = Engine.default_config.Engine.jobs;
           timeout;
           max_states;
           max_transitions;

@@ -99,6 +99,6 @@ val config_fields :
 val config_of_fields :
   (string * string) list -> (universe * Engine.config) option
 (** Rebuild [(universe, config)] from {!config_fields} output (the
-    wire-protocol decoder).  [jobs] comes back [None] — the receiving
-    side owns its own parallelism.  [None] on any missing, duplicated
+    wire-protocol decoder).  [jobs] comes back at its default — the
+    receiving side owns its own parallelism.  [None] on any missing, duplicated
     or malformed field. *)

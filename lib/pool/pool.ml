@@ -80,8 +80,7 @@ let run_region t body =
     Mutex.unlock t.mutex
   end
 
-let map ?(chunk = 1) t f arr =
-  let chunk = max 1 chunk in
+let map t f arr =
   let n = Array.length arr in
   (* [pool.worker] injection site: every item execution may be poisoned
      by the fault-injection harness.  The exception rides the normal
@@ -110,14 +109,11 @@ let map ?(chunk = 1) t f arr =
     in
     let body wid =
       let rec grab () =
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start < n then begin
-          let stop = min n (start + chunk) in
-          for i = start to stop - 1 do
-            match f wid arr.(i) with
-            | r -> results.(i) <- Some r
-            | exception e -> record_failure i e
-          done;
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          (match f wid arr.(i) with
+          | r -> results.(i) <- Some r
+          | exception e -> record_failure i e);
           grab ()
         end
       in
@@ -138,6 +134,9 @@ let shutdown t =
     t.domains <- [||]
   end
 
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+let with_pool ?pool ~jobs f =
+  match pool with
+  | Some t -> f t
+  | None ->
+    let t = create ~jobs in
+    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

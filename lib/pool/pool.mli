@@ -3,7 +3,7 @@
     One pool owns [jobs - 1] spawned domains (the caller participates
     as worker 0, so [jobs] workers run concurrently) that park between
     parallel regions.  {!map} fans an array of independent items out to
-    the workers — items are claimed in chunks off a shared atomic
+    the workers — items are claimed one at a time off a shared atomic
     cursor, so an expensive item never serialises the cheap ones behind
     it — and returns the results {e in input order}, which is what
     makes pool-based algorithms reproducible: callers merge results by
@@ -34,16 +34,19 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-val map : ?chunk:int -> t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+val map : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] computes [f worker_id arr.(i)] for every [i] and
     returns the results in input order.  [worker_id] is in
     [0 .. jobs - 1] and identifies the executing worker — the hook for
     worker-local backends (a per-domain SAT solver, a scratch buffer).
-    [chunk] (default 1) items are claimed per cursor fetch. *)
+    A one-item array runs inline in the caller as worker 0. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool must not be used
     afterwards. *)
 
-val with_pool : jobs:int -> (t -> 'b) -> 'b
-(** [create], run, and {!shutdown} even on exceptions. *)
+val with_pool : ?pool:t -> jobs:int -> (t -> 'b) -> 'b
+(** [create], run, and {!shutdown} even on exceptions.  Given a
+    caller-owned [pool], run on it instead and leave it running
+    ([jobs] is then ignored): the one place an optional pool is
+    resolved. *)

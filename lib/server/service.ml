@@ -26,17 +26,17 @@ type counters = {
 
 type t = {
   cache_dir : string option;
-  pool : Pool.t option;
+  pool : Pool.t;
   warm : (string, Satg_store.Codec.result_payload) Hashtbl.t;
   k : counters;
   mutable draining : bool;
   mutable active : Guard.t option;
 }
 
-let create ?cache_dir ?jobs () =
+let create ?cache_dir ?(jobs = 1) () =
   {
     cache_dir;
-    pool = Option.map (fun jobs -> Pool.create ~jobs) jobs;
+    pool = Pool.create ~jobs;
     warm = Hashtbl.create 64;
     k =
       {
@@ -59,7 +59,7 @@ let create ?cache_dir ?jobs () =
     active = None;
   }
 
-let shutdown t = Option.iter Pool.shutdown t.pool
+let shutdown t = Pool.shutdown t.pool
 let note_connection t = t.k.connections <- t.k.connections + 1
 let note_malformed t = t.k.malformed <- t.k.malformed + 1
 
@@ -138,9 +138,8 @@ let warm_store t key payload =
 
 (* Two ATPG requests may share a graph build iff every input to the
    build is equal: the netlist bytes, the cycle budget and the guard
-   ceilings that shape a truncation.  (The builder itself is
-   deterministic for a fixed pool width, and the service has exactly
-   one pool.) *)
+   ceilings that shape a truncation.  (The builder is deterministic at
+   every pool width.) *)
 let opt_int = function None -> "-" | Some n -> string_of_int n
 let opt_float = function None -> "-" | Some f -> Printf.sprintf "%.17g" f
 
@@ -156,9 +155,7 @@ let group_key ~netlist (config : Engine.config) =
 
 let build_cssg t ?k ~guard c =
   t.k.cssg_builds <- t.k.cssg_builds + 1;
-  match t.pool with
-  | Some pool -> Explicit.build_par ?k ~guard ~pool c
-  | None -> Explicit.build ?k ~guard c
+  Explicit.build ?k ~guard ~pool:t.pool c
 
 (* The first member of a group builds under its own request guard —
    exactly where the one-shot pipeline spends the run guard's counters
@@ -179,8 +176,8 @@ let shared_cssg t ~memo ~netlist ~config ~guard c =
 
 let run_atpg t ~memo (a : Proto.atpg_request) =
   t.k.atpg <- t.k.atpg + 1;
-  (* the wire never carries [jobs]; the service pool is the daemon's *)
-  let config = { a.Proto.config with Engine.jobs = None } in
+  (* the wire never carries [jobs]: every run uses the daemon's pool *)
+  let config = a.Proto.config in
   match Parser.parse_string a.Proto.netlist with
   | Error m -> failure t "parse" m
   | Ok c -> (
@@ -201,7 +198,7 @@ let run_atpg t ~memo (a : Proto.atpg_request) =
       let cssg =
         shared_cssg t ~memo ~netlist:a.Proto.netlist ~config ~guard c
       in
-      let r = Session.run ~guard ?pool:t.pool ~cssg ~config c a.Proto.universe in
+      let r = Session.run ~guard ~pool:t.pool ~cssg ~config c a.Proto.universe in
       let payload = Session.summary_of_result r in
       (* cacheable = reproducible: deterministic budget trips qualify,
          wall-clock/drain aborts and injected failures do not *)

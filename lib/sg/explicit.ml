@@ -57,6 +57,14 @@ module Intern = struct
       t.rev_states <- s :: t.rev_states;
       (i, true)
 
+  (* The worker-side probe: a fresh packed key per call, so no domain
+     ever writes [scratch], and a read-only lookup. *)
+  let key t s =
+    let buf = Bytes.create (Bytes.length t.scratch) in
+    pack_into buf s;
+    buf
+
+  let mem t key = Hashtbl.mem t.index key
   let count t = t.count
   let states t = Array.of_list (List.rev t.rev_states)
 end
@@ -113,59 +121,7 @@ let check_reset c =
     invalid_arg "Explicit.build: reset state not stable";
   reset
 
-(* --- sequential construction ----------------------------------------------- *)
-
-let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
-    ?(guard = Guard.none) c =
-  let k = match k with Some k -> k | None -> Structure.default_k c in
-  let reset = check_reset c in
-  let n_in = Circuit.n_inputs c in
-  let n_vec = 1 lsl n_in in
-  let it = Intern.create ~n_nodes:(Circuit.n_nodes c) in
-  let edges = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let enqueue s =
-    let i, fresh = Intern.intern it ~guard s in
-    if fresh then Queue.add (i, s) queue;
-    i
-  in
-  let scratch = Array.make n_in false in
-  let kern = Async_sim.Kernel.compile c in
-  let truncated = ref None in
-  (* Fail-soft exploration: a tripped guard ends the BFS where it
-     stands.  States already interned keep their (possibly empty) edge
-     lists; the partially classified state of the moment drops its
-     in-flight edges, so everything recorded is exact. *)
-  (try
-     let (_ : int) = enqueue reset in
-     while not (Queue.is_empty queue) do
-       Guard.check_time guard;
-       let i, s = Queue.take queue in
-       let current = mask_of_vector (Circuit.input_vector_of_state c s) in
-       let out = ref [] in
-       for mask = 0 to n_vec - 1 do
-         if mask <> current then begin
-           fill_from_mask scratch mask;
-           match classify_pair ~exploration ~max_frontier ~guard kern ~k s scratch with
-           | Settles target ->
-             out :=
-               { Cssg.vector = Array.copy scratch; target = enqueue target }
-               :: !out
-           | Harvest stables -> List.iter (fun s' -> ignore (enqueue s')) stables
-           | Nothing -> ()
-         end
-       done;
-       Hashtbl.replace edges i (List.rev !out)
-     done
-   with Guard.Exhausted r -> truncated := Some r);
-  let states = Intern.states it in
-  let succ =
-    Array.init (Array.length states) (fun i ->
-        Option.value ~default:[] (Hashtbl.find_opt edges i))
-  in
-  Cssg.make ?truncated:!truncated ~circuit:c ~k ~states ~succ ~initial:[ 0 ] ()
-
-(* --- parallel construction ------------------------------------------------- *)
+(* --- construction ----------------------------------------------------------- *)
 
 (* One worker-side result for one (state, vector) pair: the verdict
    plus the transitions the classification spent, so the merge can
@@ -184,20 +140,15 @@ type state_task = {
   worker_trip : Guard.reason option;  (* the task stopped early *)
 }
 
-(* How many frontier states fan out between merge barriers.  The
-   default is a fixed constant (never derived from [jobs]): that keeps
-   the barrier schedule — and therefore budget accounting and
-   truncation points — identical for every [-j], which is what the
-   j-determinism contract rests on.  It also bounds speculative waste
-   after a budget trip to one batch.  Callers that want wider batches
-   on wide hosts pass [?chunk] explicitly and own the consequence: the
-   truncation point then depends on the chunk size they chose (the
-   untruncated graph never does). *)
+(* How many frontier states fan out between merge barriers.  A fixed
+   constant, never derived from the pool width: that keeps the barrier
+   schedule identical for every [-j], and bounds speculative waste
+   after a budget trip to one batch. *)
 let batch_states = 32
 
-let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
-    ?(chunk = batch_states) ?(guard = Guard.none) ~pool c =
-  let chunk = max 1 chunk in
+let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
+    ?(guard = Guard.none) ?pool c =
+  Pool.with_pool ?pool ~jobs:1 @@ fun pool ->
   let k = match k with Some k -> k | None -> Structure.default_k c in
   let reset = check_reset c in
   let n_in = Circuit.n_inputs c in
@@ -218,15 +169,18 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
      the shared counters.
 
      The state budget needs its own worker-side cutoff: workers cannot
-     intern (that is the merge's job), but the sequential build trips
-     its state ceiling *during* classification, so without a bound a
-     worker would classify the whole vector space — minutes of
-     speculation a [--max-states] run would have cut after a few
-     hundred pairs.  Once a task has harvested more target states than
-     the batch's remaining state allowance could possibly intern, it
-     stops with a [State_limit] trip.  The cutoff is a pure function of
-     the state and the batch-start allowance, so it is identical for
-     every pool width.  Each worker explores on its own kernel: kernel
+     intern (that is the merge's job), so without a bound a worker
+     would classify the whole vector space of a state — minutes of
+     speculation a [--max-states] run cuts after a few hundred pairs.
+     Only under a state budget, a task counts the distinct targets the
+     intern table does not hold yet (a read-only probe: the merge is
+     the table's only writer and never runs during [Pool.map]) and
+     stops with a [State_limit] trip once that count exceeds the
+     batch-start allowance.  Each of those targets costs the merge one
+     state when it interns this task's items (or an earlier task's),
+     so the merge trips at or before the worker's stop point: the
+     worker's trip is never the one observed, and the graph is the
+     plain BFS's.  Each worker explores on its own kernel: kernel
      scratch memory never crosses domains. *)
   let kernels = Array.init (Pool.jobs pool) (fun _ -> Async_sim.Kernel.compile c) in
   let classify_state kern t_allowance s_allowance s =
@@ -236,13 +190,21 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
     let items = ref [] in
     let carried = ref 0 in
     let spent = ref 0 in
-    let targets = ref 0 in
+    let seen = Hashtbl.create 16 in
+    let note_target s' =
+      if s_allowance <> None then begin
+        let key = Intern.key it s' in
+        if not (Intern.mem it key || Hashtbl.mem seen key) then
+          Hashtbl.replace seen key ()
+      end
+    in
     let trip = ref None in
     (try
        for mask = 0 to n_vec - 1 do
          if mask <> current then begin
            (match s_allowance with
-           | Some a when !targets > a -> raise (Guard.Exhausted Guard.State_limit)
+           | Some a when Hashtbl.length seen > a ->
+             raise (Guard.Exhausted Guard.State_limit)
            | _ -> ());
            fill_from_mask scratch mask;
            let verdict =
@@ -255,12 +217,12 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
            carried := !carried + cost;
            match verdict with
            | Nothing -> ()
-           | Settles _ ->
-             targets := !targets + 1;
+           | Settles target ->
+             note_target target;
              items := { carried = !carried; vec_mask = mask; verdict } :: !items;
              carried := 0
            | Harvest stables ->
-             targets := !targets + List.length stables;
+             List.iter note_target stables;
              items := { carried = !carried; vec_mask = mask; verdict } :: !items;
              carried := 0
          end
@@ -279,10 +241,12 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
        Guard.check_time guard;
        (* Take a fixed-size batch off the BFS frontier and classify it
           on the pool.  Workers read a frozen snapshot of each state;
-          nothing they compute depends on the intern table, so batch
-          classification commutes with the sequential build's
-          state-by-state discovery. *)
-       let batch = Array.make (min chunk (Queue.length queue)) (Queue.peek queue) in
+          their verdicts do not depend on the intern table, so batch
+          classification commutes with a plain BFS's state-by-state
+          discovery. *)
+       let batch =
+         Array.make (min batch_states (Queue.length queue)) (Queue.peek queue)
+       in
        for b = 0 to Array.length batch - 1 do
          batch.(b) <- Queue.take queue
        done;
@@ -297,9 +261,9 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
        (* Deterministic merge: walk states in frontier order and pairs
           in vector order, re-spending each recorded cost against the
           shared guard before interning the pair's harvest.  Budget
-          trips therefore land at a batch-size-independent point; a
-          mid-state trip drops that state's in-flight edges exactly
-          like the sequential build. *)
+          trips therefore land on the pair where a plain BFS trips; a
+          mid-state trip drops that state's in-flight edges, and
+          everything recorded before it is exact. *)
        Array.iteri
          (fun bi (i, _) ->
            let task = tasks.(bi) in
@@ -320,12 +284,11 @@ let build_par ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
            (match task.worker_trip with
            | Some r ->
              (* The worker stopped before exhausting the vector space
-                (its allowance ran dry, or the deadline passed) and the
-                merge's own re-spend did not trip first: truncate here
-                with the worker's reason.  Raised directly — not
-                through the shared guard — so a budget trip inside the
-                build does not poison later phases that share this
-                guard family. *)
+                and the merge's own re-spend did not trip first (a
+                deadline, cancel or injected trip): truncate here with
+                the worker's reason.  Raised directly — not through the
+                shared guard — so a trip inside the build does not
+                poison later phases that share this guard family. *)
              raise (Guard.Exhausted r)
            | None -> ());
            Hashtbl.replace edges i (List.rev !out))

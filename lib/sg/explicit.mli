@@ -31,11 +31,20 @@ val build :
   ?exploration:[ `Hybrid | `Pure ] ->
   ?max_frontier:int ->
   ?guard:Guard.t ->
+  ?pool:Pool.t ->
   Circuit.t ->
   Cssg.t
 (** [k] defaults to {!Satg_circuit.Structure.default_k};
     [max_frontier] (default 20_000) only limits [`Hybrid] fallback
     exploration.
+
+    The BFS frontier is classified in fixed-size batches on [pool]
+    (without one, on an inline width-1 pool that spawns no domains):
+    each worker runs its own exploration kernel under a private
+    [Guard.sub] carrying the shared deadline and the batch's
+    transition allowance, and the caller merges the batch in frontier
+    order — interning, edge recording and budget re-spending all
+    happen there, sequentially.
 
     [guard] governs the whole construction: one state spent per
     interned stable state (the reset state is exempt, so even a
@@ -43,40 +52,14 @@ val build :
     spent by the underlying unbounded-delay exploration.  Exhaustion
     does {e not} raise out of [build]: the graph explored so far is
     returned, tagged with {!Cssg.truncated}.
+
+    Contract: at every pool width, with or without state and
+    transition budgets, the graph, its state numbering and the
+    truncation reason equal those of a plain one-state-at-a-time BFS
+    that spends the same budgets (the reference the tests keep).
+    Deadline trips are the exception: the deadline is checked per
+    batch and inside workers, so where it lands depends on timing.
     @raise Invalid_argument if the circuit has no stable reset state. *)
-
-val build_par :
-  ?k:int ->
-  ?exploration:[ `Hybrid | `Pure ] ->
-  ?max_frontier:int ->
-  ?chunk:int ->
-  ?guard:Guard.t ->
-  pool:Pool.t ->
-  Circuit.t ->
-  Cssg.t
-(** [build] fanned out over a {!Satg_pool.Pool}: fixed-size batches of
-    the BFS frontier are classified concurrently (each worker on its
-    own exploration kernel, under a private [Guard.sub] carrying the
-    shared deadline and the batch's transition allowance), then merged
-    on the caller in frontier order
-    — interning, edge recording and budget re-spending all happen
-    sequentially in the merge, so state numbering is identical to
-    {!build} and the resulting graph is bit-identical for {e every}
-    pool width, including a 1-worker pool.
-
-    [chunk] (default 32, clamped to ≥ 1) is the frontier batch size
-    between merge barriers.  The default is deliberately {e not}
-    derived from the pool width — that is what makes truncation points
-    [-j]-independent.  A caller sizing it to the measured host core
-    count (the benchmark does) trades that invariance for fuller
-    batches on wide machines; the untruncated graph is identical for
-    every [chunk].
-
-    On an untruncated run the graph equals {!build}'s exactly.  Under
-    a tripped budget the truncation point is deterministic across pool
-    widths (batch boundaries never depend on [jobs]) but may differ
-    from the sequential builder's, which trips mid-classification
-    rather than at merge granularity. *)
 
 (** Packed-key state interning — the [build] hot path, exposed for the
     intern micro-benchmark and white-box tests. *)

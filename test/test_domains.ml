@@ -1,8 +1,8 @@
-(* The -j determinism contract, measured: parallel CSSG construction
-   and parallel fault search must produce bit-identical artefacts for
-   every pool width, equal to the sequential pipeline for the explicit
-   engine, and must degrade fail-soft (never raise) when a resource
-   guard trips inside a worker. *)
+(* The -j determinism contract, measured: CSSG construction must equal
+   the reference BFS at every pool width, under every budget; fault
+   search must produce bit-identical outcomes for every pool width;
+   and both must degrade fail-soft (never raise) when a resource guard
+   trips inside a worker. *)
 
 open Satg_guard
 open Satg_circuit
@@ -70,64 +70,119 @@ let cap_transitions = 20_000
 let capped_guard () =
   Guard.create ~max_states:cap_states ~max_transitions:cap_transitions ()
 
-let cssg_dump g = Format.asprintf "%a" Cssg.pp g
+(* --- CSSG construction = the reference BFS ---------------------------------- *)
 
-(* --- parallel CSSG construction -------------------------------------------- *)
+(* [Explicit.build] on each pool against {!Cssg_oracle.build}, each
+   build under a fresh guard from [guard]: states, numbering, edges and
+   truncation reason must all match. *)
+let check_reference ?(guard = fun () -> Guard.none) pools name c =
+  let want = Cssg_oracle.build ~guard:(guard ()) c in
+  List.iter
+    (fun pool ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s -j%d" name (Pool.jobs pool))
+        (Cssg_oracle.dump want)
+        (Cssg_oracle.dump (Explicit.build ~guard:(guard ()) ~pool c)))
+    pools;
+  want
 
-let test_build_par_equals_build () =
+(* The two widths every contract check runs at. *)
+let with_pools f =
+  Pool.with_pool ~jobs:1 (fun p1 -> Pool.with_pool ~jobs:4 (fun p4 -> f [ p1; p4 ]))
+
+let test_build_equals_reference () =
+  with_pools @@ fun pools ->
   List.iter
     (fun c ->
-      let seq = cssg_dump (Explicit.build c) in
-      List.iter
-        (fun jobs ->
-          let par =
-            Pool.with_pool ~jobs (fun pool ->
-                cssg_dump (Explicit.build_par ~pool c))
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s -j%d" (Circuit.name c) jobs)
-            seq par)
-        [ 1; 4 ])
+      let want = check_reference pools (Circuit.name c) c in
+      Alcotest.(check string)
+        (Circuit.name c ^ " without a pool")
+        (Cssg_oracle.dump want)
+        (Cssg_oracle.dump (Explicit.build c)))
     [ Figures.celem_handshake (); Figures.mutex_latch (); Figures.fig1a () ]
 
-let test_build_par_truncated_deterministic () =
+let test_build_capped_equals_reference () =
+  with_pools @@ fun pools ->
   List.iter
     (fun text ->
       let c = parse text in
-      let dump jobs =
-        Pool.with_pool ~jobs (fun pool ->
-            let g = Explicit.build_par ~guard:(capped_guard ()) ~pool c in
-            Alcotest.(check bool)
-              (Circuit.name c ^ " truncated")
-              true
-              (Cssg.truncated g <> None);
-            cssg_dump g)
-      in
-      Alcotest.(check string)
-        (Circuit.name c ^ " -j1 = -j4")
-        (dump 1) (dump 4))
+      let want = check_reference ~guard:capped_guard pools (Circuit.name c) c in
+      Alcotest.(check bool)
+        (Circuit.name c ^ " truncated")
+        true
+        (Cssg.truncated want <> None))
     [ ring_storm_text; toggle_farm_text ]
 
-let test_build_par_state_cap_only () =
-  (* A state cap with no transition budget: the worker-side target-count
-     cutoff must keep classification bounded (without it, each worker
-     classifies the full 2^inputs vector space of a frontier state before
-     the merge can trip the cap), and the truncated graph must still be
-     identical to the sequential build at every width. *)
+let test_build_state_cap_only () =
+  (* A state cap with no transition budget: the worker-side cutoff must
+     keep classification bounded (without it, each worker classifies
+     the full 2^inputs vector space of a frontier state before the
+     merge can trip the cap), and the truncated graph must still be the
+     reference BFS's at every width. *)
+  with_pools @@ fun pools ->
   let c = parse toggle_farm_text in
-  let build guard = Explicit.build ~guard c in
-  let build_par jobs guard =
-    Pool.with_pool ~jobs (fun pool -> Explicit.build_par ~guard ~pool c)
+  let want =
+    check_reference
+      ~guard:(fun () -> Guard.create ~max_states:cap_states ())
+      pools "state-cap-only" c
   in
-  let seq = build (Guard.create ~max_states:cap_states ()) in
-  Alcotest.(check bool) "sequential truncated" true (Cssg.truncated seq <> None);
-  List.iter
-    (fun jobs ->
-      let par = build_par jobs (Guard.create ~max_states:cap_states ()) in
-      Alcotest.(check string)
-        (Printf.sprintf "state-cap-only -j%d = sequential" jobs)
-        (cssg_dump seq) (cssg_dump par))
-    [ 1; 4 ]
+  Alcotest.(check bool) "reference truncated" true (Cssg.truncated want <> None)
+
+(* Every budget that can shape a build, on the paper's table netlists
+   and the small family instances: each state cap from 0 to the full
+   graph's size, and 17 transition caps spread up to the full build's
+   cost.  A graph of n states spends n - 1 (the reset is free), so the
+   two largest state caps fit it and must not truncate. *)
+let sweep_circuits () =
+  let synth name = function
+    | Ok c -> c
+    | Error m -> Alcotest.failf "%s: %s" name m
+  in
+  List.concat_map
+    (fun (e : Suite.entry) ->
+      [ synth e.Suite.name (Suite.speed_independent e);
+        synth e.Suite.name (Suite.bounded_delay e) ])
+    (Suite.all ())
+  @ List.map
+      (fun (fname, n) ->
+        let name = Printf.sprintf "%s%d" fname n in
+        let e = synth name (Suite.generate fname ~n) in
+        synth name (Suite.speed_independent e))
+      [ ("pipeline", 2); ("pipeline", 3); ("pipeline", 4); ("arbiter", 2);
+        ("arbiter", 3); ("ring", 2); ("ring", 3); ("ring", 4); ("fifo", 2);
+        ("fifo", 3); ("fifo", 4) ]
+
+let test_cap_sweeps () =
+  with_pools @@ fun pools ->
+  let truncated = ref 0 and complete = ref 0 in
+  List.iteri
+    (fun idx c ->
+      let name = Printf.sprintf "#%d %s" idx (Circuit.name c) in
+      let counter = Guard.create () in
+      let full = Cssg_oracle.build ~guard:counter c in
+      let cost = Guard.transitions_used counter in
+      let check what guard =
+        let want = check_reference ~guard pools (name ^ " " ^ what) c in
+        incr (if Cssg.truncated want = None then complete else truncated);
+        want
+      in
+      for cap = 0 to Cssg.n_states full do
+        let what = Printf.sprintf "max-states %d" cap in
+        let want = check what (fun () -> Guard.create ~max_states:cap ()) in
+        if cap >= Cssg.n_states full - 1 then
+          Alcotest.(check bool) (name ^ " " ^ what ^ " fits") true
+            (Cssg.truncated want = None)
+      done;
+      for i = 0 to 16 do
+        let cap = cost * i / 16 in
+        ignore
+          (check
+             (Printf.sprintf "max-transitions %d" cap)
+             (fun () -> Guard.create ~max_transitions:cap ()))
+      done)
+    (sweep_circuits ());
+  Alcotest.(check bool) "some capped builds truncate" true (!truncated > 0);
+  Alcotest.(check bool) "some capped builds complete" true (!complete > 0)
 
 (* --- parallel fault search -------------------------------------------------- *)
 
@@ -146,7 +201,7 @@ let status_string c o =
   | Testset.Undetected -> "undetected"
   | Testset.Aborted r -> "aborted(" ^ Guard.reason_to_string r ^ ")"
 
-let run_atpg ?jobs ?(engine = Engine.Explicit) ?caps c =
+let run_atpg ?(jobs = 1) ?(engine = Engine.Explicit) ?caps c =
   let max_states, max_transitions =
     match caps with
     | Some (s, t) -> (Some s, Some t)
@@ -175,10 +230,8 @@ let test_engine_jobs_deterministic () =
   in
   List.iter
     (fun (c, caps) ->
-      let seq = run_atpg ?caps c in
       let j1 = run_atpg ~jobs:1 ?caps c in
       let j4 = run_atpg ~jobs:4 ?caps c in
-      check_outcomes_equal (Circuit.name c ^ " seq = -j1") c seq j1;
       check_outcomes_equal (Circuit.name c ^ " -j1 = -j4") c j1 j4)
     (tractable @ pathological)
 
@@ -223,7 +276,7 @@ let test_worker_timeout_fail_soft () =
   let config =
     {
       Engine.default_config with
-      jobs = Some 4;
+      jobs = 4;
       timeout = Some (-1.0);
       max_states = Some cap_states;
       max_transitions = Some cap_transitions;
@@ -237,12 +290,13 @@ let suites =
   [
     ( "domains.cssg",
       [
-        Alcotest.test_case "build_par = build (tractable)" `Quick
-          test_build_par_equals_build;
-        Alcotest.test_case "capped build_par j-deterministic" `Quick
-          test_build_par_truncated_deterministic;
-        Alcotest.test_case "state-cap-only build_par = build" `Quick
-          test_build_par_state_cap_only;
+        Alcotest.test_case "build = reference (tractable)" `Quick
+          test_build_equals_reference;
+        Alcotest.test_case "capped build = reference" `Quick
+          test_build_capped_equals_reference;
+        Alcotest.test_case "state-cap-only build = reference" `Quick
+          test_build_state_cap_only;
+        Alcotest.test_case "cap sweeps = reference" `Quick test_cap_sweeps;
       ] );
     ( "domains.engine",
       [

@@ -111,14 +111,10 @@ let test_jobs_determinism () =
       let run jobs =
         Engine.run ~config:{ Engine.default_config with jobs } c ~faults
       in
-      let r1 = run (Some 1) and r4 = run (Some 4) in
+      let r1 = run 1 and r4 = run 4 in
       Alcotest.(check bool)
         (nm ^ ": -j1 = -j4 outcomes") true
-        (r1.Engine.outcomes = r4.Engine.outcomes);
-      let rs = run None in
-      Alcotest.(check bool)
-        (nm ^ ": sequential = pooled") true
-        (rs.Engine.outcomes = r1.Engine.outcomes))
+        (r1.Engine.outcomes = r4.Engine.outcomes))
     instances
 
 let test_sat_searches_for_real () =
@@ -218,7 +214,7 @@ let test_sat_instances_o_workers () =
     | Some s -> s.Sat.instances
     | None -> Alcotest.fail "sat engine reported no stats"
   in
-  let r1 = run (Some 1) and r4 = run (Some 4) in
+  let r1 = run 1 and r4 = run 4 in
   Alcotest.(check int) "-j1: one instance" 1 (instances r1);
   Alcotest.(check bool) "-j4: at most one instance per worker" true
     (instances r4 <= 4);

@@ -166,27 +166,25 @@ let test_wide_matches_oracle () =
       done)
     (cssg_states c)
 
-let test_wide_build_par () =
+let test_wide_build_reference () =
   let c = wide_netlist () in
-  let seq = Explicit.build c in
-  Satg_pool.Pool.with_pool ~jobs:2 (fun pool ->
-      let par = Explicit.build_par ~pool c in
-      Alcotest.(check int) "states" (Cssg.n_states seq) (Cssg.n_states par);
-      Alcotest.(check int) "edges" (Cssg.n_edges seq) (Cssg.n_edges par);
-      for i = 0 to Cssg.n_states seq - 1 do
-        Alcotest.(check string) "state" (str (Cssg.state seq i)) (str (Cssg.state par i));
-        Alcotest.(check (list (pair string int)))
-          "successors"
-          (List.map (fun e -> (str e.Cssg.vector, e.Cssg.target)) (Cssg.successors seq i))
-          (List.map (fun e -> (str e.Cssg.vector, e.Cssg.target)) (Cssg.successors par i))
-      done)
+  let want = Cssg_oracle.dump (Cssg_oracle.build c) in
+  List.iter
+    (fun jobs ->
+      Satg_pool.Pool.with_pool ~jobs (fun pool ->
+          Alcotest.(check string)
+            (Printf.sprintf "build -j%d" jobs)
+            want
+            (Cssg_oracle.dump (Explicit.build ~pool c))))
+    [ 1; 4 ]
 
 (* --- capped builds --------------------------------------------------------- *)
 
 (* Under the CI caps (500 states, 200k transitions) the pathological pair
    truncates at a fixed pair: the transitions charged and the states
    interned are pinned to the figures the string-set exploration
-   produced, for the sequential build and the pool at two widths. *)
+   produced, for the reference BFS and for the pooled build at two
+   widths. *)
 let test_capped_charges () =
   List.iter
     (fun (text, states, transitions) ->
@@ -199,13 +197,13 @@ let test_capped_charges () =
       in
       let guard () = Guard.create ~max_states:500 ~max_transitions:200_000 () in
       let g0 = guard () in
-      check "build" (Explicit.build ~guard:g0 c) g0;
+      check "reference" (Cssg_oracle.build ~guard:g0 c) g0;
       List.iter
         (fun jobs ->
           Satg_pool.Pool.with_pool ~jobs (fun pool ->
               let g1 = guard () in
-              check (Printf.sprintf "build_par -j%d" jobs) (Explicit.build_par ~guard:g1 ~pool c) g1))
-        [ 1; 2 ])
+              check (Printf.sprintf "build -j%d" jobs) (Explicit.build ~guard:g1 ~pool c) g1))
+        [ 1; 4 ])
     [ (Test_domains.ring_storm_text, 127, 200_126); (Test_domains.toggle_farm_text, 496, 200_031) ]
 
 let suites =
@@ -215,7 +213,7 @@ let suites =
         Alcotest.test_case "table netlists = oracle" `Quick test_table_netlists;
         Alcotest.test_case "wide netlist shape" `Quick test_wide_shape;
         Alcotest.test_case "wide netlist = oracle" `Quick test_wide_matches_oracle;
-        Alcotest.test_case "wide netlist build = build_par" `Quick test_wide_build_par;
+        Alcotest.test_case "wide netlist build = reference" `Quick test_wide_build_reference;
         Alcotest.test_case "capped builds charge as before" `Quick test_capped_charges;
       ] );
   ]

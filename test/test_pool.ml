@@ -8,7 +8,7 @@ open Satg_pool
 let test_map_order () =
   Pool.with_pool ~jobs:4 (fun p ->
       let input = Array.init 100 (fun i -> i) in
-      let out = Pool.map ~chunk:3 p (fun _wid x -> x * x) input in
+      let out = Pool.map p (fun _wid x -> x * x) input in
       Alcotest.(check (array int))
         "squares in input order"
         (Array.map (fun x -> x * x) input)
@@ -72,7 +72,13 @@ let test_map_after_failure () =
         "pool still serves" (Array.init 8 (fun i -> i + 1)) out)
 
 let test_with_pool_returns () =
-  Alcotest.(check int) "with_pool value" 42 (Pool.with_pool ~jobs:2 (fun _ -> 42))
+  Alcotest.(check int) "with_pool value" 42 (Pool.with_pool ~jobs:2 (fun _ -> 42));
+  (* a caller-owned pool is used as given and left running *)
+  Pool.with_pool ~jobs:3 (fun p ->
+      Alcotest.(check int) "caller's pool" 3
+        (Pool.with_pool ~pool:p ~jobs:1 Pool.jobs);
+      Alcotest.(check (array int)) "still serves" [| 1; 2 |]
+        (Pool.map p (fun _ x -> x + 1) [| 0; 1 |]))
 
 (* --- the guard family's cross-domain cancel token -------------------------- *)
 

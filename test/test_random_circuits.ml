@@ -4,6 +4,7 @@
 
    - ternary simulation is sound w.r.t. exhaustive exploration,
    - the explicit (pure and hybrid) and symbolic CSSG engines agree,
+   - the pooled explicit build equals the reference BFS under budgets,
    - bit-parallel fault simulation equals scalar ternary simulation,
    - the netlist text format round-trips behaviour exactly. *)
 
@@ -478,10 +479,42 @@ let prop_kernel_matches_oracle =
                  (all_vectors (Circuit.n_inputs c)))
              (List.init (Cssg.n_states g) Fun.id))
 
+(* --- P8: the pooled CSSG build equals the reference BFS -------------------- *)
+
+(* Under random state and transition budgets (each absent one time in
+   ten, otherwise drawn up to the unbudgeted build's size) and on a
+   pool of width 1 or 2: the same dump — states, numbering, edges —
+   and the same truncation reason as the one-pair-at-a-time BFS. *)
+let prop_build_matches_reference =
+  QCheck.Test.make ~name:"random circuits: pooled build = reference BFS under budgets"
+    ~count:150
+    QCheck.(quad spec_arb (int_bound 1000) (int_bound 1000) bool)
+    (fun (spec, s_permille, t_permille, wide) ->
+      match build_spec spec with
+      | None -> QCheck.assume_fail ()
+      | Some c ->
+        let module Guard = Satg_guard.Guard in
+        let counter = Guard.create () in
+        let full = Cssg_oracle.build ~guard:counter c in
+        let cap permille size =
+          if permille >= 900 then None else Some ((size + 1) * permille / 900)
+        in
+        let max_states = cap s_permille (Cssg.n_states full)
+        and max_transitions = cap t_permille (Guard.transitions_used counter) in
+        let guard () = Guard.create ?max_states ?max_transitions () in
+        let want = Cssg_oracle.build ~guard:(guard ()) c in
+        let got =
+          Satg_pool.Pool.with_pool ~jobs:(if wide then 2 else 1) (fun pool ->
+              Explicit.build ~guard:(guard ()) ~pool c)
+        in
+        Cssg_oracle.dump got = Cssg_oracle.dump want
+        && Cssg.truncated got = Cssg.truncated want)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_kernel_matches_oracle;
+      prop_build_matches_reference;
       prop_ternary_sound;
       prop_engines_agree;
       prop_reorder_agrees;

@@ -104,7 +104,7 @@ let rendered_no_time c p = strip_seconds (rendered c p)
 
 (* The one-shot CLI path, distilled: same guard construction, same
    session entry point as [bin/satg.ml]. *)
-let oneshot ~jobs ~config c universe =
+let oneshot ?(jobs = 1) ~config c universe =
   let config = { config with Engine.jobs } in
   let guard =
     Guard.create ?timeout:config.Engine.timeout
@@ -169,7 +169,7 @@ let test_request_roundtrip () =
         Alcotest.(check string) "request round-trips"
           (Proto.encode_request r) (Proto.encode_request r'))
     all;
-  (* jobs never travels: a config with jobs decodes with jobs = None *)
+  (* jobs never travels: a config with jobs decodes with the default *)
   (match
      Proto.decode_request
        (Proto.encode_request
@@ -177,11 +177,12 @@ let test_request_roundtrip () =
              {
                Proto.netlist = "n";
                universe = Session.Input;
-               config = { sample_config with Engine.jobs = Some 8 };
+               config = { sample_config with Engine.jobs = 8 };
              }))
    with
   | Ok (Proto.Atpg a) ->
-    Alcotest.(check bool) "jobs stripped" true (a.Proto.config.Engine.jobs = None)
+    Alcotest.(check int) "jobs stripped" Engine.default_config.Engine.jobs
+      a.Proto.config.Engine.jobs
   | _ -> Alcotest.fail "atpg must decode as atpg");
   (* one nesting level only *)
   (match
@@ -202,7 +203,7 @@ let test_request_roundtrip () =
 let test_response_roundtrip () =
   let c = Figures.fig1a () in
   let summary =
-    oneshot ~jobs:None
+    oneshot
       ~config:{ Engine.default_config with Engine.max_states = Some 4 }
       c Session.Input
   in
@@ -327,7 +328,7 @@ let test_atpg_conformance () =
   let c = parse_exn netlist in
   List.iter
     (fun jobs ->
-      with_service ?jobs @@ fun service ->
+      with_service ~jobs @@ fun service ->
       List.iter
         (fun (label, config) ->
           List.iter
@@ -339,16 +340,15 @@ let test_atpg_conformance () =
               with
               | Proto.Result { hit = false; payload } ->
                 Alcotest.(check string)
-                  (Printf.sprintf "%s/%s/-j%s" label
-                     (Session.universe_name universe)
-                     (match jobs with Some j -> string_of_int j | None -> "0"))
+                  (Printf.sprintf "%s/%s/-j%d" label
+                     (Session.universe_name universe) jobs)
                   (rendered_no_time c expected) (rendered_no_time c payload)
               | Proto.Result { hit = true; _ } ->
                 Alcotest.fail "fresh request must not be a warm hit"
               | _ -> Alcotest.fail "atpg must answer Result")
             universes)
         conformance_configs)
-    [ None; Some 4 ]
+    [ 1; 4 ]
 
 let test_cssg_conformance () =
   let netlist = Parser.to_string (Figures.fig1a ()) in
@@ -448,7 +448,7 @@ let test_warm_store_is_keyed () =
     (ask { Engine.default_config with Engine.max_states = Some 3 });
   (* jobs is not part of the identity: same key, warm *)
   Alcotest.(check bool) "jobs-only difference hits" true
-    (ask { Engine.default_config with Engine.jobs = Some 4 });
+    (ask { Engine.default_config with Engine.jobs = 4 });
   (* reorder and cluster-cap are outcome-relevant config: both must be
      part of the cache key even though they never change the graph *)
   Alcotest.(check bool) "reorder-only difference misses" false
@@ -539,7 +539,7 @@ let test_batch_shares_cssg () =
         | Proto.Result { payload; _ } ->
           Alcotest.(check string)
             ("batch member conforms: " ^ Session.universe_name universe)
-            (rendered c (oneshot ~jobs:None ~config c universe))
+            (rendered c (oneshot ~config c universe))
             (rendered c payload)
         | _ -> Alcotest.fail "batch member must answer Result")
       universes responses
@@ -581,10 +581,10 @@ let test_batch_isolation () =
     Alcotest.(check bool) "member 2 degraded" true (Session.degraded p2);
     Alcotest.(check bool) "member 3 complete" false (Session.degraded p3);
     Alcotest.(check string) "member 2 conforms to its own one-shot"
-      (rendered c (oneshot ~jobs:None ~config:tripped_config c Session.Input))
+      (rendered c (oneshot ~config:tripped_config c Session.Input))
       (rendered c p2);
     Alcotest.(check string) "member 3 conforms after the trip"
-      (rendered c (oneshot ~jobs:None ~config:ok_config c Session.Output))
+      (rendered c (oneshot ~config:ok_config c Session.Output))
       (rendered c p3)
   | _ -> Alcotest.fail "batch must answer three Results"
 
@@ -754,7 +754,7 @@ let test_cli_sift_trip_exits_partial () =
       (fun () ->
         Unix.create_process satg_exe
           [|
-            satg_exe; "cssg"; netlist_file; "--engine"; "symbolic";
+            satg_exe; "cssg"; netlist_file; "--engine"; "bdd";
             "--reorder"; "sift"; "--max-transitions"; "2";
           |]
           Unix.stdin devnull devnull)

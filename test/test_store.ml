@@ -480,10 +480,10 @@ let test_session_key_sensitivity () =
     (k base <> k { base with Engine.enable_random = false });
   Alcotest.(check string) "jobs does not matter (j-invariant outcomes)"
     (k base)
-    (k { base with Engine.jobs = Some 4 });
+    (k { base with Engine.jobs = 4 });
   Alcotest.(check string) "jobs does not matter under caps either"
-    (k { base with Engine.jobs = Some 2; Engine.max_states = Some 7 })
-    (k { base with Engine.jobs = Some 8; Engine.max_states = Some 7 })
+    (k { base with Engine.jobs = 2; Engine.max_states = Some 7 })
+    (k { base with Engine.jobs = 8; Engine.max_states = Some 7 })
 
 (* --- session resume ------------------------------------------------------- *)
 
