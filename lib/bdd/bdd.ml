@@ -31,13 +31,25 @@
    sifting): a swap rewrites only the upper level's nodes whose
    children live at the lower level, preserving what every node id
    *denotes* — external handles and op-cache entries stay valid across
-   a reorder. *)
+   a reorder.
+
+   Garbage collection is mark-and-sweep from explicit roots
+   ([collect]): nodes unreachable from the roots go onto a free list
+   threaded through [low_of], the unique table is rebuilt from the
+   survivors and the op cache is cleared (its entries name dead ids).
+   Survivors keep their ids, so a rooted handle stays valid; a dead id
+   is reused by a later [mk].  Nothing collects implicitly — only the
+   owner of the roots knows which handles are still held. *)
 
 open Satg_guard
 
 type t = int
 
 let terminal_var = max_int
+
+(* [var_of] of a slot on the free list: no real variable, so every
+   [var_of = u] filter skips it *)
+let free_var = -1
 
 (* op tags, also the index into the per-op hit/miss counters *)
 let op_and = 0
@@ -54,7 +66,12 @@ type man = {
   mutable var_of : int array;
   mutable low_of : int array;
   mutable high_of : int array;
-  mutable n_nodes : int;
+  mutable n_nodes : int;  (* bump pointer: the store's high-water mark *)
+  mutable free : int;  (* head of the free list, -1 = empty *)
+  mutable n_free : int;
+  mutable allocs : int;  (* nodes allocated, monotone (budget charges) *)
+  mutable live_after_gc : int;  (* nodes in use after the last collection *)
+  mutable collections : int;
   (* unique table: open addressing, bucket = node id + 1, 0 = empty,
      -1 = tombstone (left behind by in-place reordering) *)
   mutable table : int array;
@@ -133,6 +150,11 @@ let create ?unique_size ?cache_size ?cache_threshold ?(guard = Guard.none)
     low_of = Array.make cap (-1);
     high_of = Array.make cap (-1);
     n_nodes = 2;
+    free = -1;
+    n_free = 0;
+    allocs = 0;
+    live_after_gc = 0;
+    collections = 0;
     table = Array.make usize 0;
     umask = usize - 1;
     ulimit = usize * 3 / 4;
@@ -232,17 +254,35 @@ let rehash m =
   m.ulimit <- size * 3 / 4;
   m.u_used <- m.u_entries
 
+(* Nodes in the store: terminals, live nodes and garbage not yet
+   collected. *)
+let in_use m = m.n_nodes - m.n_free
+
 let mk m v l h =
   if l = h then l
   else begin
     let rec probe i tomb =
       let e = m.table.(i) in
       if e = 0 then begin
-        (* miss: allocate in place *)
+        (* miss: allocate in place, from the free list unless a sifting
+           pass is running ([swap_core] finds its fresh nodes above the
+           bump pointer) *)
         Guard.tick m.guard;
-        grow m;
-        let id = m.n_nodes in
-        m.n_nodes <- id + 1;
+        let id =
+          if m.free >= 0 && not m.in_reorder then begin
+            let id = m.free in
+            m.free <- m.low_of.(id);
+            m.n_free <- m.n_free - 1;
+            id
+          end
+          else begin
+            grow m;
+            let id = m.n_nodes in
+            m.n_nodes <- id + 1;
+            id
+          end
+        in
+        m.allocs <- m.allocs + 1;
         m.var_of.(id) <- v;
         m.low_of.(id) <- l;
         m.high_of.(id) <- h;
@@ -475,7 +515,10 @@ and ite_node m f g h =
 
    [u_ids] is a conservative superset of the ids labeled [u] (stale
    entries are filtered by a [var_of] check).  Returns
-   (kept_u_ids, fresh_u_ids, moved_to_v_ids) for bucket maintenance.
+   (kept_u_ids, fresh_u_ids, moved_to_v_ids) for bucket maintenance;
+   the fresh ids are read off the bump pointer, which is exact under
+   [sift] because [mk] bypasses the free list while a pass runs
+   ([swap_adjacent] discards the lists).
    The whole swap runs with whatever guard is installed; sifting
    installs [Guard.none] and probes the real guard between swaps, so a
    swap is atomic and a trip always lands on a consistent order. *)
@@ -536,10 +579,12 @@ let swap_adjacent m l =
    tracking the live-key count, and park it at the smallest position
    seen.  A walk direction aborts once the table grows past 1.2× the
    best size seen for this variable (the standard max-growth cutoff).
-   No GC means orphaned nodes linger in the store (peak ≠ live), but
-   the table's live-key count is exact, so the minimisation target is
-   honest.  The caller's guard is probed between swaps, and the nodes
-   a swap allocates are charged to its transition budget (the same
+   The size measured is the unique table's key count, which includes
+   any garbage not collected before the pass and the nodes the swaps
+   themselves orphan: a pass never collects, and it allocates only
+   above the bump pointer, skipping free slots.  The caller's guard is
+   probed between swaps, and the nodes a swap allocates are charged
+   to its transition budget (the same
    allocation-proportional rule the symbolic build uses), so a
    states/transitions-only guard bounds reordering work too — without
    the charge, sifting a large store under a small budget could stall
@@ -566,7 +611,7 @@ let sift m =
         let buckets = Array.make m.n_vars [] in
         for id = m.n_nodes - 1 downto 2 do
           let v = m.var_of.(id) in
-          buckets.(v) <- id :: buckets.(v)
+          if v <> free_var then buckets.(v) <- id :: buckets.(v)
         done;
         let live_count v =
           List.fold_left
@@ -579,11 +624,11 @@ let sift m =
           buckets.(u) <- List.rev_append fresh kept;
           buckets.(v) <- List.rev_append moved buckets.(v)
         in
-        let charged = ref m.n_nodes in
+        let charged = ref m.allocs in
         let probe () =
-          if m.n_nodes > !charged then begin
-            let d = m.n_nodes - !charged in
-            charged := m.n_nodes;
+          if m.allocs > !charged then begin
+            let d = m.allocs - !charged in
+            charged := m.allocs;
             Guard.spend_transitions saved d
           end;
           Guard.tick saved
@@ -627,8 +672,55 @@ let sift m =
             done)
           vars;
         m.reorders <- m.reorders + 1;
-        m.reorder_trigger <- max m.reorder_trigger (2 * m.n_nodes))
+        m.reorder_trigger <- max m.reorder_trigger (2 * in_use m))
   end
+
+(* --- garbage collection --------------------------------------------------- *)
+
+(* Mark from [roots], thread every unmarked slot onto the free list
+   (ascending, so reuse refills the bottom of the store first), rebuild
+   the unique table from the survivors at its current size, and clear
+   the op cache: its entries may name reclaimed ids.  Survivors keep
+   their ids.  Marking recurses once per level, so its depth is bounded
+   by the variable count. *)
+let collect m roots =
+  let n = m.n_nodes in
+  let mark = Bytes.make n '\000' in
+  let rec visit t =
+    if t >= 2 && Bytes.unsafe_get mark t = '\000' then begin
+      if m.var_of.(t) = free_var then invalid_arg "Bdd.collect: dead root";
+      Bytes.unsafe_set mark t '\001';
+      visit m.low_of.(t);
+      visit m.high_of.(t)
+    end
+  in
+  List.iter visit roots;
+  Array.fill m.table 0 (Array.length m.table) 0;
+  m.u_entries <- 0;
+  m.u_used <- 0;
+  m.free <- -1;
+  m.n_free <- 0;
+  for id = n - 1 downto 2 do
+    if Bytes.unsafe_get mark id = '\000' then begin
+      m.var_of.(id) <- free_var;
+      m.low_of.(id) <- m.free;
+      m.high_of.(id) <- -1;
+      m.free <- id;
+      m.n_free <- m.n_free + 1
+    end
+    else insert_key m id
+  done;
+  Array.fill m.cache 0 (Array.length m.cache) (-1);
+  m.live_after_gc <- in_use m;
+  m.collections <- m.collections + 1
+
+(* The rule a safe point applies: the store holds more than 2^16
+   nodes and has doubled since the last collection.  A collection
+   costs time linear in the store; waiting for it to double keeps that
+   cost within a constant factor of the allocations made in between. *)
+let collect_due m =
+  let used = in_use m in
+  used > 1 lsl 16 && used > 2 * m.live_after_gc
 
 let set_reorder m mode = m.reorder <- mode
 let reorder_mode m = m.reorder
@@ -639,7 +731,7 @@ let maybe_reorder m =
   if
     m.reorder == Reorder_sift && (not m.in_reorder)
     && m.reorders < m.reorder_bound
-    && m.n_nodes >= m.reorder_trigger
+    && in_use m >= m.reorder_trigger
   then sift m
 
 (* public operation entry points *)
@@ -1059,7 +1151,7 @@ let size m t =
   in
   go t 0
 
-let node_count m = m.n_nodes
+let node_count m = m.allocs
 
 let clear_caches m = Array.fill m.cache 0 (Array.length m.cache) (-1)
 
@@ -1075,6 +1167,7 @@ type stats = {
   reorders : int;
   swaps : int;
   reorder_seconds : float;
+  collections : int;
   and_hits : int;
   and_misses : int;
   or_hits : int;
@@ -1091,9 +1184,7 @@ type stats = {
 
 let stats (m : man) =
   {
-    (* no garbage collection: the store only grows, so the peak is the
-       store size.  Reordering orphans nodes without reclaiming them,
-       which is the only way live can fall below peak. *)
+    (* every node in use has a unique-table key *)
     live_nodes = m.u_entries + 2;
     peak_nodes = m.n_nodes;
     n_vars = m.n_vars;
@@ -1105,6 +1196,7 @@ let stats (m : man) =
     reorders = m.reorders;
     swaps = m.swaps;
     reorder_seconds = m.reorder_time;
+    collections = m.collections;
     and_hits = m.hits.(op_and);
     and_misses = m.misses.(op_and);
     or_hits = m.hits.(op_or);
@@ -1134,13 +1226,14 @@ let cache_hit_rate s =
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "@[<v>bdd: %d nodes (peak %d), %d vars@,\
+    "@[<v>bdd: %d nodes (peak %d), %d vars, %d collections@,\
      unique table: %d buckets (init %d), load %.3f@,\
      op cache: %d slots (threshold %d), hit rate %.3f@,\
      reorder: %d passes, %d swaps, %.3f s@,\
      and %d/%d  or %d/%d  xor %d/%d  not %d/%d  ite %d/%d  flip %d/%d \
      (hits/misses)@]"
-    s.live_nodes s.peak_nodes s.n_vars s.unique_buckets s.unique_buckets_init
+    s.live_nodes s.peak_nodes s.n_vars s.collections s.unique_buckets
+    s.unique_buckets_init
     s.unique_load s.cache_slots s.cache_threshold (cache_hit_rate s)
     s.reorders s.swaps s.reorder_seconds s.and_hits s.and_misses s.or_hits
     s.or_misses s.xor_hits s.xor_misses s.not_hits s.not_misses s.ite_hits
@@ -1155,23 +1248,3 @@ let pp m fmt t =
         m.high_of.(t) go m.low_of.(t)
   in
   go fmt t
-
-let transfer ~(src : man) ~(dst : man) map t =
-  maybe_reorder dst;
-  let cache = Hashtbl.create 256 in
-  let rec go t =
-    if t < 2 then t
-    else
-      match Hashtbl.find_opt cache t with
-      | Some r -> r
-      | None ->
-        let v = map src.var_of.(t) in
-        if v < 0 || v >= dst.n_vars then
-          invalid_arg "Bdd.transfer: mapped variable out of range";
-        let r =
-          ite_rec dst (mk dst v 0 1) (go src.high_of.(t)) (go src.low_of.(t))
-        in
-        Hashtbl.replace cache t r;
-        r
-  in
-  go t

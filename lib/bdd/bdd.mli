@@ -19,7 +19,11 @@
     fixed-size direct-mapped cache (lossy on collision).  A
     {!Satg_guard.Guard.t} attached to the manager is probed from
     inside [mk]/[apply], so resource limits can interrupt a runaway
-    symbolic computation mid-recursion. *)
+    symbolic computation mid-recursion.
+
+    Memory is reclaimed only by {!collect}, a mark-and-sweep from
+    roots the caller names: nothing collects implicitly, because only
+    the caller knows which handles it still holds. *)
 
 open Satg_guard
 
@@ -27,7 +31,9 @@ type man
 type t
 (** A BDD node handle.  Handles are canonical: two handles of the same
     manager represent the same function iff they are [equal].  Handles
-    survive reordering. *)
+    survive reordering.  A handle survives a {!collect} if and only if
+    it is reachable from that collection's roots; any other handle is
+    dead afterwards, and its id may be reused for another function. *)
 
 val create :
   ?unique_size:int ->
@@ -147,10 +153,30 @@ val size : man -> t -> int
 (** Number of internal DAG nodes reachable from the handle. *)
 
 val node_count : man -> int
-(** Total nodes ever allocated in the manager (monotone). *)
+(** Total nodes ever allocated in the manager (monotone): a slot
+    reused from the free list counts again, so this measures
+    allocation work, not the store size. *)
 
 val clear_caches : man -> unit
 (** Invalidate the operation cache (unique table is kept). *)
+
+(** {2 Garbage collection} *)
+
+val collect : man -> t list -> unit
+(** [collect m roots] reclaims every node not reachable from [roots].
+    The survivors keep their handles; every other handle of [m] is
+    dead afterwards, and a later operation may reuse its id for a
+    different function.  Reclaimed slots go onto a free list that node
+    allocation reuses, the unique table is rebuilt from the survivors
+    and the operation cache is cleared.  Costs time linear in the
+    store size.  Must not run inside an operation or a sifting pass.
+    @raise Invalid_argument if a root is already dead. *)
+
+val collect_due : man -> bool
+(** The store has grown past [max 2{^16} (2 × n)] nodes, where [n] is
+    the count in use after the last {!collect} — the point at which
+    the owner of a safe point should collect.  A fixed rule, not a
+    setting. *)
 
 (** {2 Dynamic variable reordering} *)
 
@@ -177,10 +203,14 @@ val disable_reorder : man -> unit
 val sift : man -> unit
 (** One Rudell sifting pass: each variable (largest first) walks the
     order by in-place adjacent-level swaps and parks at the position
-    minimising the live node count, with the standard 1.2× max-growth
-    cutoff per direction.  Handles remain valid.  The manager's guard
+    minimising the unique table's key count, with the standard 1.2×
+    max-growth cutoff per direction.  That count includes garbage not
+    yet collected: {!collect} first to size the live functions only.
+    A pass never collects, and allocates only fresh slots above the
+    store's high-water mark.  Handles remain valid.  The manager's guard
     is probed {e between} swaps (each swap is atomic) and charged one
-    transition per node the swaps allocate, so both a deadline and a
+    transition per node the swaps allocate (counted as allocations,
+    like {!node_count}), so both a deadline and a
     transition budget bound reordering work; a trip raises
     {!Guard.Exhausted} with the manager consistent. *)
 
@@ -201,9 +231,14 @@ val order : man -> int array
 (** Manager health counters, for [--stats] and the BDD benchmark. *)
 type stats = {
   live_nodes : int;
-      (** unique-table entries + terminals.  Equals [peak_nodes] until
-          a reorder orphans nodes (there is no GC). *)
-  peak_nodes : int;  (** store size: everything ever allocated *)
+      (** nodes in use: unique-table entries + terminals, that is the
+          survivors of the last {!collect} plus everything allocated
+          since.  Below [peak_nodes] once a collection has freed slots
+          that have not been refilled. *)
+  peak_nodes : int;
+      (** the store's high-water mark (its bump pointer): never were
+          more slots in use at once.  Without a collection, every node
+          ever allocated. *)
   n_vars : int;
   unique_buckets : int;  (** open-addressing bucket count *)
   unique_buckets_init : int;  (** bucket count chosen at {!create} *)
@@ -213,6 +248,7 @@ type stats = {
   reorders : int;  (** completed sifting passes *)
   swaps : int;  (** adjacent-level swaps performed *)
   reorder_seconds : float;  (** CPU time spent reordering *)
+  collections : int;  (** completed {!collect} calls *)
   and_hits : int;
   and_misses : int;
   or_hits : int;
@@ -239,9 +275,3 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val pp : man -> Format.formatter -> t -> unit
 (** Render as nested ITE text; debugging aid for small BDDs. *)
-
-val transfer : src:man -> dst:man -> (int -> int) -> t -> t
-(** Rebuild a function of [src] inside [dst], renaming every variable
-    [v] to [map v].  The target order may be arbitrary (the rebuild
-    goes through ITE).
-    @raise Invalid_argument if a mapped variable is outside [dst]. *)

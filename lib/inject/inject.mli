@@ -33,6 +33,13 @@
       guard.  [trip] raises the guard's [Exhausted Transition_limit]
       mid-phase; [trip-timeout] raises [Exhausted Timeout] (the
       no-retry, cancel-the-family path).
+    - [bdd.collect] — each safe point of the symbolic engine: before
+      every [TCR_k] image step and between reachability rings of
+      [Symbolic.build], and on entry to [Symbolic.justify].  [force]
+      collects the BDD store there whatever its size, so
+      [bdd.collect=force@p1] collects at every safe point.  Probed on
+      the caller's domain only (the BDD manager is single-domain), so
+      an [@N] trigger is deterministic.
     - [pool.worker] — each item a {!Satg_pool.Pool.map} worker runs.
       [poison] raises {!Injected} inside the worker.
     - [journal.append] — each journal record append.  [short] writes a

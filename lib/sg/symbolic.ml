@@ -2,6 +2,7 @@ open Satg_logic
 open Satg_guard
 open Satg_circuit
 open Satg_bdd
+open Satg_inject
 
 (* The delta-step transition relation.  [Monolithic] is the paper's
    literal construction: one BDD for R_delta over (z, y) — every
@@ -59,6 +60,23 @@ let cssg_relation t = t.cssg
 let truncated t = t.truncated
 
 let default_cluster_cap = 1024
+
+let rel_roots = function
+  | Monolithic r -> [ r ]
+  | Partitioned { excited_y; stable_y } -> stable_y :: Array.to_list excited_y
+
+(* Every handle a built [t] holds. *)
+let roots t =
+  t.stable :: t.r_input :: t.reachable :: t.cssg
+  :: (List.map fst (snd t.cssg_sched) @ rel_roots t.rel)
+
+(* A safe point: no operation is in flight and [roots ()] names every
+   handle the caller still needs.  The store is collected once
+   [Bdd.collect_due] says it has doubled since the last collection, or
+   at every safe point under the [bdd.collect=force] injection. *)
+let safe_point m roots =
+  if Inject.fires "bdd.collect" "force" || Bdd.collect_due m then
+    Bdd.collect m (roots ())
 
 (* --- building blocks ---------------------------------------------------- *)
 
@@ -274,6 +292,11 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
            (Bdd.and_ m stable_z all_eq_zy))
     | `Partitioned -> Partitioned { excited_y; stable_y }
   in
+  (* What the rest of the build reads; a collection at a safe point
+     keeps these plus the reachability loop's own live sets. *)
+  let kept =
+    stable_y :: stable :: r_input :: (Array.to_list eq_zy @ rel_roots rel)
+  in
   (* Relation construction is real work too; a budget small enough to
      be tripped by it degrades (below) to the reset-only graph. *)
   charge_alloc ();
@@ -304,8 +327,12 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
      a repeat is seen, t_k is read off the recorded cycle instead of
      grinding the remaining steps — exact-step semantics preserved
      (they are load-bearing: unstable states surviving at step k are
-     the non-settling witnesses of the confluence check). *)
-  let tcr srcs =
+     the non-settling witnesses of the confluence check).  Each step
+     is a safe point; [live] are the caller's sets, [srcs] among them.
+     [seen] is keyed on handle ids, so every recorded step stays
+     rooted: a reclaimed id reused for a new set would alias a dead
+     one and fake a period. *)
+  let tcr ~live srcs =
     let t0 = Bdd.and_ m srcs r_input in
     let hist = Array.make (k + 1) t0 in
     let seen = Hashtbl.create 64 in
@@ -320,6 +347,7 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
           Hashtbl.add seen t i;
           hist.(i) <- t;
           charge_alloc ();
+          safe_point m (fun () -> Array.to_list hist @ live @ kept);
           iterate (i + 1) (delta_image t)
     in
     iterate 0 t0
@@ -352,7 +380,7 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
   let rec reach_loop reach front t_acc =
     match
       try
-        let t = tcr front in
+        let t = tcr ~live:[ reach; front; t_acc ] front in
         let t_acc' = Bdd.or_ m t_acc t in
         let new_stables =
           y_as_x (Bdd.exists m ~vars:x_vars (Bdd.and_ m t stable_y))
@@ -378,7 +406,10 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
     | `Stop -> (reach, t_acc)
     | `Step (reach', front', t_acc') ->
       if Bdd.is_zero front' then (reach', t_acc')
-      else reach_loop reach' front' t_acc'
+      else begin
+        safe_point m (fun () -> reach' :: front' :: t_acc' :: kept);
+        reach_loop reach' front' t_acc'
+      end
   in
   let reachable, tcr_final = reach_loop reset_bdd reset_bdd (Bdd.zero m) in
   let tcr_xz = Bdd.permute m y_to_z tcr_final in
@@ -466,17 +497,11 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
 
 (* --- queries ------------------------------------------------------------- *)
 
-let rel_roots t =
-  match t.rel with
-  | Monolithic r -> [ r ]
-  | Partitioned { excited_y; stable_y } ->
-    stable_y :: Array.to_list excited_y
-
 let live_nodes t =
   List.fold_left
     (fun acc root -> acc + Bdd.size t.man root)
     0
-    (t.cssg :: t.reachable :: t.r_input :: rel_roots t)
+    (t.cssg :: t.reachable :: t.r_input :: rel_roots t.rel)
 
 let n_reachable t =
   let n = Circuit.n_nodes t.circuit in
@@ -534,6 +559,7 @@ let cssg_image t src_bdd =
 
 let justify t ~target =
   let m = t.man in
+  safe_point m (fun () -> target :: roots t);
   let init = state_to_bdd t t.reset in
   if not (Bdd.is_zero (Bdd.and_ m init target)) then Some ([], t.reset)
   else begin
@@ -598,52 +624,3 @@ let to_cssg t =
   in
   Cssg.make ?truncated:t.truncated ~circuit:t.circuit ~k:t.k ~states ~succ
     ~initial:[ id_of t.reset ] ()
-
-(* Greedy sifting at node-triple granularity.  Candidate orders are
-   evaluated by transferring the retained artefacts (CSSG relation,
-   reachable set, R_I and the transition-relation conjuncts) into a
-   scratch manager with the candidate order and measuring their
-   combined size. *)
-let sift_order t =
-  let n = Circuit.n_nodes t.circuit in
-  let roots = t.cssg :: t.reachable :: t.r_input :: rel_roots t in
-  let measure rank =
-    let dst = Bdd.create ~nvars:(3 * n) () in
-    (* variable v = 3*old_rank + j moves to 3*rank.(node) + j *)
-    let map v =
-      let old_rank = v / 3 and j = v mod 3 in
-      (3 * rank.(t.node_of_rank.(old_rank))) + j
-    in
-    List.fold_left
-      (fun acc root -> acc + Bdd.size dst (Bdd.transfer ~src:t.man ~dst map root))
-      0 roots
-  in
-  let best = Array.copy t.rank in
-  let best_size = ref (measure best) in
-  (* One greedy pass: move each node to its best rank. *)
-  for node = 0 to n - 1 do
-    let try_rank r =
-      let old = best.(node) in
-      if r <> old then begin
-        (* rotate: every node ranked between the two positions shifts *)
-        let candidate =
-          Array.mapi
-            (fun i ri ->
-              if i = node then r
-              else if old < r && ri > old && ri <= r then ri - 1
-              else if old > r && ri >= r && ri < old then ri + 1
-              else ri)
-            best
-        in
-        let size = measure candidate in
-        if size < !best_size then begin
-          best_size := size;
-          Array.blit candidate 0 best 0 n
-        end
-      end
-    in
-    for r = 0 to n - 1 do
-      try_rank r
-    done
-  done;
-  best

@@ -7,7 +7,25 @@
     Each circuit node owns three adjacent BDD variables (present, next,
     auxiliary) at its {e rank} in the variable order; the rank
     permutation is configurable ([?node_order]), which is the paper's
-    §6 suggestion of studying variable-ordering strategies. *)
+    §6 suggestion of studying variable-ordering strategies.
+
+    {b Garbage collection.}  Two calls collect the manager's store
+    ({!Bdd.collect}) at safe points, once it holds more than 2{^16}
+    nodes and has doubled since the last collection
+    ({!Bdd.collect_due}):
+    - {!build}, before every [R_delta] image step of [TCR_k] and
+      between reachability rings.  Its roots are the relations it has
+      built, the reachable set, the running union of [TCR_k], the
+      ring's frontier, and every step [TCR_k] has recorded so far.
+    - {!justify}, on entry.  Its roots are this instance's artefacts
+      (the handles behind {!stable_set}, {!reachable},
+      {!cssg_relation}, [R_I], the transition relation and the CSSG
+      schedule) and [target].
+
+    So those artefacts, and a justify target, always survive.  Any
+    other handle of {!man} — from {!gate_function}, {!state_to_bdd} or
+    the caller's own operations — may be dead once {!justify} returns,
+    unless it was the target.  No other call collects. *)
 
 open Satg_guard
 open Satg_circuit
@@ -67,6 +85,8 @@ val build :
     {!truncated}, a sound sub-graph of the full graph.  Because the
     charge is per allocated node, a capped build's trip point moves
     with the amount of BDD work: less allocation lets it get further.
+    A node rebuilt after a collection reclaimed it is charged again,
+    so a build that collects before it trips may trip earlier.
 
     The guard is also installed in the BDD manager, so [mk]/[apply]
     cache misses probe it and a deadline trips {e inside} a runaway
@@ -118,17 +138,10 @@ val justify :
 (** Onion-ring shortest path from the reset state to any state in
     [target] (a set over present variables), following only valid CSSG
     edges.  Returns the input-vector sequence and the concrete reached
-    state. *)
+    state.  May collect on entry, keeping this instance's artefacts and
+    [target] (see the module doc). *)
 
 val to_cssg : t -> Cssg.t
 (** Enumerate the symbolic graph into the explicit representation
     (for cross-checks and for the concrete ATPG phases).  The
     {!truncated} tag carries over to {!Cssg.truncated}. *)
-
-val sift_order : t -> int array
-(** Greedy sifting over node ranks: starting from this instance's
-    order, repeatedly try moving each node's variable triple to every
-    position and keep the placement minimising the transferred size of
-    the retained artefacts.  Returns a [node_order] suitable for
-    {!build}; rebuilding with it never yields more live nodes than the
-    original order. *)

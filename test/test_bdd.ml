@@ -155,7 +155,8 @@ let test_stats () =
   done;
   let s1 = Bdd.stats m in
   Alcotest.(check bool) "nodes made" true (s1.Bdd.live_nodes > 2);
-  Alcotest.(check int) "peak = live (no GC)" s1.Bdd.live_nodes s1.Bdd.peak_nodes;
+  Alcotest.(check int) "peak = live before any collection" s1.Bdd.live_nodes
+    s1.Bdd.peak_nodes;
   Alcotest.(check int) "n_vars" 8 s1.Bdd.n_vars;
   Alcotest.(check bool)
     "load in (0, 0.75]" true
@@ -335,27 +336,6 @@ let test_clear_caches_preserves () =
   Bdd.clear_caches m;
   let g = Bdd.xor_ m (Bdd.var m 0) (Bdd.var m 1) in
   Alcotest.(check bool) "canonicity survives cache clear" true (Bdd.equal f g)
-
-let prop_transfer_preserves_semantics =
-  QCheck.Test.make ~name:"transfer preserves semantics under any renaming"
-    ~count:100 expr_arb (fun e ->
-      let src = Bdd.create ~nvars:n_prop_vars () in
-      let f = build src e in
-      (* an arbitrary-but-fixed permutation *)
-      let perm = [| 2; 0; 3; 1 |] in
-      let dst = Bdd.create ~nvars:n_prop_vars () in
-      let g = Bdd.transfer ~src ~dst (fun v -> perm.(v)) f in
-      let ok = ref true in
-      for mask = 0 to (1 lsl n_prop_vars) - 1 do
-        let assign v = mask land (1 lsl v) <> 0 in
-        let assign_dst v =
-          (* variable perm.(v) in dst plays the role of v in src *)
-          let rec inv i = if perm.(i) = v then i else inv (i + 1) in
-          assign (inv 0)
-        in
-        if Bdd.eval src f assign <> Bdd.eval dst g assign_dst then ok := false
-      done;
-      !ok)
 
 let prop_de_morgan =
   QCheck.Test.make ~name:"de morgan on arbitrary formulas" ~count:200
@@ -668,6 +648,175 @@ let prop_sift_preserves_semantics =
       done;
       !ok)
 
+(* --- garbage collection ---------------------------------------------------- *)
+
+(* A collection keeps exactly what its roots reach: survivors keep
+   their handles and functions, the freed slots are reused before the
+   store grows, and a dead root is refused. *)
+let test_collect () =
+  let n = 6 in
+  let m = Bdd.create ~nvars:(2 * n) () in
+  let keep = Bdd.xor_ m (Bdd.var m 0) (Bdd.var m 1) in
+  (* built, then dropped: no root reaches it *)
+  ignore (interleaved_pairs m n : Bdd.t);
+  let before = Bdd.stats m in
+  let allocated = Bdd.node_count m in
+  Bdd.collect m [ keep ];
+  let after = Bdd.stats m in
+  Alcotest.(check int) "one collection" 1 after.Bdd.collections;
+  Alcotest.(check bool) "live < peak after a collection" true
+    (after.Bdd.live_nodes < after.Bdd.peak_nodes);
+  Alcotest.(check int) "peak unchanged" before.Bdd.peak_nodes
+    after.Bdd.peak_nodes;
+  Alcotest.(check int) "survivor and terminals" (2 + Bdd.size m keep)
+    after.Bdd.live_nodes;
+  Alcotest.(check bool) "survivor handle canonical" true
+    (Bdd.equal keep (Bdd.xor_ m (Bdd.var m 1) (Bdd.var m 0)));
+  (* rebuilding the dropped function refills freed slots only *)
+  let rebuilt = interleaved_pairs m n in
+  for mask = 0 to (1 lsl (2 * n)) - 1 do
+    let assign v = mask land (1 lsl v) <> 0 in
+    if Bdd.eval m rebuilt assign <> eval_pairs n assign then
+      Alcotest.failf "rebuilt function wrong at mask %d" mask
+  done;
+  Alcotest.(check int) "no store growth" before.Bdd.peak_nodes
+    (Bdd.stats m).Bdd.peak_nodes;
+  Alcotest.(check bool) "allocations keep counting" true
+    (Bdd.node_count m > allocated);
+  Alcotest.(check bool) "collect_due below 2^16 nodes" false
+    (Bdd.collect_due m);
+  Bdd.collect m [ keep ];
+  Alcotest.(check bool) "dead root refused" true
+    (try Bdd.collect m [ rebuilt ]; false with Invalid_argument _ -> true)
+
+(* Random programs over a pool of handles, each paired with its truth
+   table over [n_gc_vars] variables.  [Collect] keeps a random subset
+   of the pool as roots and drops the rest from the pool. *)
+let n_gc_vars = 5
+
+type gc_op =
+  | Gc_bin of int * int * int  (* and / or / xor of two pool entries *)
+  | Gc_ite of int * int * int
+  | Gc_flip of int * int * int  (* var, two pool entries *)
+  | Gc_quant of bool * int * int  (* exists?, var, pool entry *)
+  | Gc_sift
+  | Gc_collect of bool list  (* keep flags, cycled over the pool *)
+
+let gc_op_gen ~sift =
+  let open QCheck.Gen in
+  let idx = int_bound 1000 in
+  frequency
+    ([
+       (6, map3 (fun o a b -> Gc_bin (o, a, b)) (int_bound 2) idx idx);
+       (2, map3 (fun f g h -> Gc_ite (f, g, h)) idx idx idx);
+       (2, map3 (fun v a b -> Gc_flip (v, a, b)) (int_bound (n_gc_vars - 1)) idx idx);
+       (2, map3 (fun e v a -> Gc_quant (e, v, a)) bool (int_bound (n_gc_vars - 1)) idx);
+       (2, map (fun keep -> Gc_collect keep) (list_size (int_range 1 8) bool));
+     ]
+    @ if sift then [ (1, return Gc_sift) ] else [])
+
+let gc_op_print = function
+  | Gc_bin (o, a, b) -> Printf.sprintf "bin%d(%d,%d)" o a b
+  | Gc_ite (f, g, h) -> Printf.sprintf "ite(%d,%d,%d)" f g h
+  | Gc_flip (v, a, b) -> Printf.sprintf "flip%d(%d,%d)" v a b
+  | Gc_quant (e, v, a) -> Printf.sprintf "%s%d(%d)" (if e then "ex" else "all") v a
+  | Gc_sift -> "sift"
+  | Gc_collect keep ->
+    "collect[" ^ String.concat "" (List.map (fun b -> if b then "1" else "0") keep) ^ "]"
+
+let gc_prog_arb ~sift =
+  QCheck.make
+    QCheck.Gen.(list_size (int_range 1 40) (gc_op_gen ~sift))
+    ~print:(fun ops -> String.concat " " (List.map gc_op_print ops))
+
+let n_gc_rows = 1 lsl n_gc_vars
+let tt_of f = Array.init n_gc_rows (fun row -> f (fun v -> row land (1 lsl v) <> 0))
+
+(* Shannon expansion of a truth table: the function rebuilt from
+   scratch, never from an existing handle. *)
+let of_tt m tt =
+  let rec go v row =
+    if v < 0 then if tt.(row) then Bdd.one m else Bdd.zero m
+    else
+      Bdd.ite m (Bdd.var m v) (go (v - 1) (row lor (1 lsl v))) (go (v - 1) row)
+  in
+  go (n_gc_vars - 1) 0
+
+let survivors_intact m pool =
+  List.for_all
+    (fun (f, tt) ->
+      tt_of (Bdd.eval m f) = tt && Bdd.equal (of_tt m tt) f)
+    pool
+
+(* Run a program; after every collection (and at the end) each pooled
+   handle must still denote its truth table, and rebuilding that table
+   from scratch must return the very same handle. *)
+let run_gc_prog m ops =
+  let var_pool () =
+    List.init n_gc_vars (fun v ->
+        (Bdd.var m v, tt_of (fun a -> a v)))
+  in
+  let pool = ref (var_pool ()) in
+  let pick i = List.nth !pool (i mod List.length !pool) in
+  let push f = pool := !pool @ [ (f, tt_of (Bdd.eval m f)) ] in
+  let ok = ref true in
+  List.iter
+    (fun op ->
+      match op with
+      | Gc_bin (o, a, b) ->
+        let (fa, _), (fb, _) = (pick a, pick b) in
+        push ((match o with 0 -> Bdd.and_ | 1 -> Bdd.or_ | _ -> Bdd.xor_) m fa fb)
+      | Gc_ite (f, g, h) ->
+        let (ff, _), (fg, _), (fh, _) = (pick f, pick g, pick h) in
+        push (Bdd.ite m ff fg fh)
+      | Gc_flip (v, a, b) ->
+        let (fa, _), (fb, _) = (pick a, pick b) in
+        push (Bdd.flip_var m ~var:v fa fb)
+      | Gc_quant (e, v, a) ->
+        let fa, _ = pick a in
+        push ((if e then Bdd.exists else Bdd.forall) m ~vars:[ v ] fa)
+      | Gc_sift -> Bdd.sift m
+      | Gc_collect keep ->
+        let flags = Array.of_list keep in
+        let kept =
+          List.filteri (fun i _ -> flags.(i mod Array.length flags)) !pool
+        in
+        let before = (Bdd.stats m).Bdd.live_nodes in
+        Bdd.collect m (List.map fst kept);
+        let s = Bdd.stats m in
+        if s.Bdd.live_nodes < before && s.Bdd.live_nodes >= s.Bdd.peak_nodes
+        then ok := false;
+        if not (survivors_intact m kept) then ok := false;
+        pool := if kept = [] then var_pool () else kept)
+    ops;
+  !ok && survivors_intact m !pool
+
+let prop_collect_laws =
+  QCheck.Test.make ~name:"collection keeps survivors and canonicity"
+    ~count:200 (gc_prog_arb ~sift:false) (fun ops ->
+      run_gc_prog (Bdd.create ~nvars:n_gc_vars ()) ops)
+
+let prop_collect_laws_sift =
+  QCheck.Test.make ~name:"collection laws with sifting" ~count:100
+    (gc_prog_arb ~sift:true) (fun ops ->
+      run_gc_prog (Bdd.create ~nvars:n_gc_vars ()) ops)
+
+(* Build a program's functions, then drop them all: every cycle after
+   the first refills the freed slots, so the store's high-water mark
+   stops moving. *)
+let prop_collect_no_growth =
+  QCheck.Test.make ~name:"build-and-drop cycles keep the high-water mark"
+    ~count:100 (gc_prog_arb ~sift:false) (fun ops ->
+      let m = Bdd.create ~nvars:n_gc_vars () in
+      let ops = List.filter (function Gc_collect _ -> false | _ -> true) ops in
+      let cycle () =
+        ignore (run_gc_prog m ops);
+        Bdd.collect m [];
+        (Bdd.stats m).Bdd.peak_nodes
+      in
+      let first = cycle () in
+      List.for_all (fun _ -> cycle () = first) [ 1; 2; 3 ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -675,7 +824,6 @@ let qcheck_cases =
       prop_satcount_matches;
       prop_exists_matches;
       prop_canonical_equal;
-      prop_transfer_preserves_semantics;
       prop_de_morgan;
       prop_ite_decomposition;
       prop_forall_matches;
@@ -684,6 +832,9 @@ let qcheck_cases =
       prop_flip_fused_after_sift;
       prop_flip_fused_below_threshold;
       prop_sift_preserves_semantics;
+      prop_collect_laws;
+      prop_collect_laws_sift;
+      prop_collect_no_growth;
     ]
 
 let suites =
@@ -711,6 +862,7 @@ let suites =
         Alcotest.test_case "auto reorder trigger" `Slow test_auto_reorder_trigger;
         Alcotest.test_case "sift under budget" `Quick test_sift_guard_budget;
         Alcotest.test_case "adaptive sizes" `Quick test_adaptive_sizes;
+        Alcotest.test_case "collect" `Quick test_collect;
       ]
       @ qcheck_cases );
   ]

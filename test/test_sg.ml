@@ -276,19 +276,6 @@ let test_symbolic_justify_multi_step () =
       (Circuit.state_to_string c (Cssg.state g final))
   | None -> Alcotest.fail "should justify in two steps"
 
-let test_sift_order () =
-  (* Sifting must never make the retained artefacts bigger, and the
-     sifted order must reproduce the same CSSG. *)
-  let c = Figures.mutex_latch () in
-  let base = Symbolic.build c in
-  let order = Symbolic.sift_order base in
-  let sifted = Symbolic.build ~node_order:order c in
-  Alcotest.(check bool) "no growth" true
-    (Symbolic.live_nodes sifted <= Symbolic.live_nodes base);
-  let a = canonical (Symbolic.to_cssg base) in
-  let b = canonical (Symbolic.to_cssg sifted) in
-  Alcotest.(check bool) "same graph" true (a = b)
-
 (* Reordering, the monolithic reference style and extreme cluster caps
    are all representation knobs: none may change the computed graph. *)
 let test_symbolic_variants_agree () =
@@ -346,30 +333,45 @@ let test_symbolic_sift_fail_soft () =
         (List.mem s full_states))
     (states partial)
 
-let test_bdd_transfer_roundtrip () =
-  (* Transfer to a manager with a reversed order and back preserves the
-     function. *)
-  let open Satg_bdd in
-  let src = Bdd.create ~nvars:6 () in
-  let f =
-    Bdd.or_ src
-      (Bdd.and_ src (Bdd.var src 0) (Bdd.var src 3))
-      (Bdd.xor_ src (Bdd.var src 1) (Bdd.var src 5))
+(* --- forced collection ------------------------------------------------------- *)
+
+(* Collect at every safe point of the symbolic engine (each TCR_k image
+   step, each ring, each justify entry), whatever the store size.
+   Survivors keep their handles, so no graph, partition or
+   justification may move. *)
+let with_forced_collection f () =
+  Test_store.with_inject "bdd.collect=force@p1" f
+
+(* The benchmark's four uncapped netlists through the BDD engine: CSSG,
+   and every outcome with its test sequence, forced = unforced. *)
+let test_forced_collection_agrees () =
+  let open Satg_core in
+  let config = { Engine.default_config with Engine.engine = Engine.Bdd } in
+  let observe c =
+    let sym = Symbolic.build c in
+    let graph = canonical (Symbolic.to_cssg sym) in
+    let r = Session.run ~config c Session.Both in
+    let outcomes =
+      List.map
+        (Format.asprintf "%a" (Testset.pp_outcome c))
+        r.Engine.outcomes
+    in
+    (graph, outcomes, (Symbolic.bdd_stats sym).Satg_bdd.Bdd.collections)
   in
-  let dst = Bdd.create ~nvars:6 () in
-  let rev v = 5 - v in
-  let g = Bdd.transfer ~src ~dst rev f in
-  let back = Bdd.create ~nvars:6 () in
-  let h = Bdd.transfer ~src:dst ~dst:back rev g in
-  (* compare by exhaustive evaluation *)
-  for mask = 0 to 63 do
-    let assign v = mask land (1 lsl v) <> 0 in
-    let assign_rev v = assign (rev v) in
-    Alcotest.(check bool) "same semantics (roundtrip)"
-      (Bdd.eval src f assign) (Bdd.eval back h assign);
-    Alcotest.(check bool) "renamed semantics"
-      (Bdd.eval src f assign) (Bdd.eval dst g assign_rev)
-  done
+  List.iter
+    (fun make ->
+      let c = make () in
+      let name = Circuit.name c in
+      let graph, outcomes, _ = observe c in
+      let graph', outcomes', forced =
+        with_forced_collection (fun () -> observe c) ()
+      in
+      Alcotest.(check bool) (name ^ ": forced collections ran") true
+        (forced > 0);
+      Alcotest.(check bool) (name ^ ": same graph") true (graph = graph');
+      Alcotest.(check (list string)) (name ^ ": same outcomes") outcomes
+        outcomes')
+    workload_netlists
 
 let suites =
   [
@@ -389,9 +391,17 @@ let suites =
         Alcotest.test_case "capped pair salvage" `Quick test_capped_pair_salvage;
         Alcotest.test_case "justify" `Quick test_symbolic_justify;
         Alcotest.test_case "justify multi-step" `Quick test_symbolic_justify_multi_step;
-        Alcotest.test_case "sift order" `Slow test_sift_order;
         Alcotest.test_case "variants agree" `Slow test_symbolic_variants_agree;
         Alcotest.test_case "sift fail-soft" `Quick test_symbolic_sift_fail_soft;
-        Alcotest.test_case "bdd transfer" `Quick test_bdd_transfer_roundtrip;
+        Alcotest.test_case "matches explicit, forced collection" `Slow
+          (with_forced_collection test_symbolic_matches_explicit);
+        Alcotest.test_case "justify, forced collection" `Quick
+          (with_forced_collection test_symbolic_justify);
+        Alcotest.test_case "justify multi-step, forced collection" `Quick
+          (with_forced_collection test_symbolic_justify_multi_step);
+        Alcotest.test_case "variants agree, forced collection" `Slow
+          (with_forced_collection test_symbolic_variants_agree);
+        Alcotest.test_case "forced collection = unforced" `Slow
+          test_forced_collection_agrees;
       ] );
   ]
