@@ -110,7 +110,7 @@ let bench_fig1b =
   Test.make ~name:"fig1b/oscillation-detection"
     (Staged.stage (fun () ->
          match Async_sim.classify_vector c ~k:64 reset [| true |] with
-         | Async_sim.C_invalid _ -> ()
+         | Async_sim.C_invalid -> ()
          | _ -> failwith "fig1b misclassified"))
 
 let bench_fig2 =

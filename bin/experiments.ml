@@ -235,7 +235,7 @@ let ablation_k () =
         | Ok c ->
           List.iter
             (fun k ->
-              let g = Explicit.build ~exploration:`Pure ~k c in
+              let g = Explicit.build ~k c in
               let r =
                 Engine.run
                   ~config:{ Engine.default_config with k = Some k }
@@ -281,8 +281,11 @@ let figures () =
   let g = Explicit.build c in
   printf "%s\n" (Format.asprintf "%a" Cssg.pp g);
   printf
-    "(note: states reachable only through invalid vectors stay in the graph\n\
-     but have no incoming valid edge, exactly as s1 in the paper's figure 2)\n"
+    "(note: the 11 -> 00 release race from 111100 is pruned; valid edges\n\
+     enter both of its outcomes, 000001 (00 from 110001) and the reset\n\
+     state 000010 (00 from 001110), so both stay nodes.  A state that only\n\
+     a race reaches, like s1 in the paper's figure 2, is left out: every\n\
+     node is reachable from reset over valid edges)\n"
 
 (* A4: BDD variable-ordering study (paper %s6: "studying better variable
    ordering strategies in the use of BDDs"). *)

@@ -2,9 +2,11 @@
 
    We use the cross-coupled NOR latch: most vectors are valid, but
    releasing both requests at once races the latch, so that edge is
-   pruned.  States reachable only through pruned vectors remain nodes
-   of the graph (like s1 in the paper's figure), and state
-   justification routes around them.
+   pruned.  The CSSG keeps the stable states reachable from reset over
+   valid edges.  A state that only a race reaches (like s1 in the
+   paper's figure) is left out, since no test can drive the circuit
+   into it.  The latch has no such state: valid edges enter both
+   outcomes of its race, so both stay nodes.
 
      dune exec examples/cssg_walkthrough.exe *)
 
@@ -24,6 +26,7 @@ let () =
   (* Classify every vector from every stable state: the TCSG view. *)
   let k = Structure.default_k c in
   let stables = Async_sim.reachable_stable_states c ~k ~from:[ reset ] in
+  let race_outcomes = ref [] in
   Format.printf "@.test-mode classification of every (state, vector) pair:@.";
   List.iter
     (fun s ->
@@ -36,6 +39,7 @@ let () =
               | Async_sim.Settles s' ->
                 Printf.sprintf "settles to %s" (Circuit.state_to_string c s')
               | Async_sim.Non_confluent finals ->
+                race_outcomes := !race_outcomes @ finals;
                 Printf.sprintf "NON-CONFLUENT (%d outcomes) - pruned"
                   (List.length finals)
               | Async_sim.Exceeds_budget -> "unstable at k - pruned"
@@ -51,6 +55,34 @@ let () =
   let g = Explicit.build c in
   Format.printf "@.the resulting CSSG:@.%a@." Cssg.pp g;
 
+  (* Where the race outcomes went: each is a node only if a valid edge
+     enters it (or it is the reset state). *)
+  let entries j =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun e ->
+            if e.Cssg.target = j then
+              Some
+                (Printf.sprintf "%s from %s" (vec_to_string e.Cssg.vector)
+                   (Circuit.state_to_string c (Cssg.state g i)))
+            else None)
+          (Cssg.successors g i))
+      (List.init (Cssg.n_states g) Fun.id)
+  in
+  List.iter
+    (fun s ->
+      match Cssg.id_of_state g s with
+      | None ->
+        Format.printf "race outcome %s: not a node (no valid edge enters it)@."
+          (Circuit.state_to_string c s)
+      | Some j ->
+        Format.printf "race outcome %s: node [%d]%s, entered by %s@."
+          (Circuit.state_to_string c s) j
+          (if List.mem j (Cssg.initial g) then " (reset)" else "")
+          (String.concat ", " (entries j)))
+    !race_outcomes;
+
   (* Justification: drive the latch to Q=0, QB=1 with both inputs low.
      The shortest route needs two vectors. *)
   let q = Option.get (Circuit.find_node c "Q") in
@@ -63,7 +95,7 @@ let () =
   in
   match Cssg.justify g ~target () with
   | Some (vectors, goal) ->
-    Format.printf "justifying Q=0 QB=1 R=S=0: apply %s -> state %s@."
+    Format.printf "@.justifying Q=0 QB=1 R=S=0: apply %s -> state %s@."
       (String.concat " then " (List.map vec_to_string vectors))
       (Circuit.state_to_string c (Cssg.state g goal))
   | None -> Format.printf "justification failed@."

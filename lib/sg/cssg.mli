@@ -7,10 +7,17 @@
     abstraction of the asynchronous circuit: every edge is safe to
     drive from a synchronous tester.
 
-    Nodes reachable only through invalid (non-confluent) patterns are
-    kept, as in the paper's figure 2 (they may still serve as forced
-    reset states), but they are flagged as not deterministically
-    reachable and justification never routes through them.
+    The nodes are the stable states reachable from the reset state
+    over valid edges: every builder interns only the targets of valid
+    edges.  The paper's figure 2 also draws stable states that only a
+    race reaches (its [s1]); no test can drive the circuit into such a
+    state, so the graph leaves them out.  A race outcome is still a
+    node when some valid edge enters it: on the mutex latch the
+    [11 -> 00] release race is pruned, yet both of its outcomes are
+    nodes — [000010] is the reset state, and [00] from [110001] enters
+    [000001].  Only a truncated graph may hold a state that is not
+    {!deterministically_reachable}: the target of an edge that the trip
+    dropped with the rest of its source's edges.
 
     A graph may be {e truncated}: a builder that exhausted its
     {!Satg_guard.Guard} budget returns the region explored so far,

@@ -84,33 +84,6 @@ let mask_of_vector v =
   Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) v;
   !m
 
-(* --- per-pair classification ----------------------------------------------- *)
-
-(* The verdict of one (stable state, vector) pair, with the stable
-   states it harvested on the way.  [Settles] is the valid-edge case;
-   [Harvest] covers invalid pairs whose reachable stable states still
-   enter the graph as TCSG nodes; [Nothing] is a capped pair. *)
-type verdict =
-  | Settles of bool array
-  | Harvest of bool array list
-  | Nothing
-
-let classify_pair ~exploration ~max_frontier ~guard kern ~k s v =
-  match exploration with
-  | `Pure -> (
-    let c = Async_sim.Kernel.circuit kern in
-    let s1 = Circuit.apply_input_vector c s v in
-    let finals = Async_sim.Kernel.states_after ~guard kern ~k s1 in
-    let stables = List.filter (Circuit.is_stable c) finals in
-    match (finals, stables) with
-    | [ _ ], [ target ] -> Settles target
-    | _ -> Harvest stables)
-  | `Hybrid -> (
-    match Async_sim.Kernel.classify_vector ~max_frontier ~guard kern ~k s v with
-    | Async_sim.C_settles final -> Settles final
-    | Async_sim.C_invalid stables -> Harvest stables
-    | Async_sim.C_capped -> Nothing)
-
 let check_reset c =
   let reset =
     match Circuit.initial c with
@@ -123,20 +96,20 @@ let check_reset c =
 
 (* --- construction ----------------------------------------------------------- *)
 
-(* One worker-side result for one (state, vector) pair: the verdict
-   plus the transitions the classification spent, so the merge can
-   re-spend them against the shared guard in deterministic order.
-   Runs of [Nothing] verdicts fold their cost into the next
-   interesting pair ([carried]) instead of allocating an item each. *)
+(* One worker-side valid edge: its vector, its target, and the
+   transitions the classification spent, so the merge can re-spend
+   them against the shared guard in deterministic order.  An invalid
+   or capped pair contributes nothing but its cost, which folds into
+   the next valid pair ([carried]) instead of allocating an item. *)
 type item = {
-  carried : int;  (* transitions, this pair plus preceding boring ones *)
+  carried : int;  (* transitions, this pair plus preceding invalid ones *)
   vec_mask : int;
-  verdict : verdict;
+  target : bool array;
 }
 
 type state_task = {
   items : item list;  (* mask-ascending *)
-  residual : int;  (* transitions after the last interesting pair *)
+  residual : int;  (* transitions after the last valid pair *)
   worker_trip : Guard.reason option;  (* the task stopped early *)
 }
 
@@ -146,8 +119,7 @@ type state_task = {
    after a budget trip to one batch. *)
 let batch_states = 32
 
-let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
-    ?(guard = Guard.none) ?pool c =
+let build ?k ?(max_frontier = 20_000) ?(guard = Guard.none) ?pool c =
   Pool.with_pool ?pool ~jobs:1 @@ fun pool ->
   let k = match k with Some k -> k | None -> Structure.default_k c in
   let reset = check_reset c in
@@ -208,23 +180,18 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
            | _ -> ());
            fill_from_mask scratch mask;
            let verdict =
-             classify_pair ~exploration ~max_frontier ~guard:local kern ~k s
-               scratch
+             Async_sim.Kernel.classify_vector ~max_frontier ~guard:local kern ~k
+               s scratch
            in
            let now = Guard.transitions_used local in
-           let cost = now - !spent in
+           carried := !carried + (now - !spent);
            spent := now;
-           carried := !carried + cost;
            match verdict with
-           | Nothing -> ()
-           | Settles target ->
+           | Async_sim.C_settles target ->
              note_target target;
-             items := { carried = !carried; vec_mask = mask; verdict } :: !items;
+             items := { carried = !carried; vec_mask = mask; target } :: !items;
              carried := 0
-           | Harvest stables ->
-             List.iter note_target stables;
-             items := { carried = !carried; vec_mask = mask; verdict } :: !items;
-             carried := 0
+           | Async_sim.C_invalid | Async_sim.C_capped -> ()
          end
        done
      with Guard.Exhausted r ->
@@ -260,7 +227,7 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
        in
        (* Deterministic merge: walk states in frontier order and pairs
           in vector order, re-spending each recorded cost against the
-          shared guard before interning the pair's harvest.  Budget
+          shared guard before interning the pair's target.  Budget
           trips therefore land on the pair where a plain BFS trips; a
           mid-state trip drops that state's in-flight edges, and
           everything recorded before it is exact. *)
@@ -269,16 +236,11 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
            let task = tasks.(bi) in
            let out = ref [] in
            List.iter
-             (fun { carried; vec_mask; verdict } ->
+             (fun { carried; vec_mask; target } ->
                Guard.spend_transitions guard carried;
-               match verdict with
-               | Settles target ->
-                 let vec = Array.make n_in false in
-                 fill_from_mask vec vec_mask;
-                 out := { Cssg.vector = vec; target = enqueue target } :: !out
-               | Harvest stables ->
-                 List.iter (fun s' -> ignore (enqueue s')) stables
-               | Nothing -> ())
+               let vec = Array.make n_in false in
+               fill_from_mask vec vec_mask;
+               out := { Cssg.vector = vec; target = enqueue target } :: !out)
              task.items;
            Guard.spend_transitions guard task.residual;
            (match task.worker_trip with

@@ -1,18 +1,15 @@
 (** Explicit-state CSSG construction.
 
-    Enumerates stable states reachable in test mode from the circuit's
-    reset state.  Two strategies:
-
-    - [`Pure]: every (state, vector) pair is classified by exhaustive
-      unbounded-delay exploration ({!Satg_sim.Async_sim}), exactly as
-      the paper defines [TCR_k] — the oracle used to cross-check the
-      symbolic engine, exponential in the concurrency width;
-    - [`Hybrid] (default): the same verdicts through the early-exit
-      classifier {!Satg_sim.Async_sim.Kernel.classify_vector} (a second stable
-      outcome or a repeating frontier ends the analysis immediately),
-      capped at [max_frontier] interleaving states per layer.  A capped
-      pair is conservatively pruned and no TCSG nodes are harvested
-      from it; below the cap both strategies agree exactly.
+    A breadth-first search from the circuit's reset state over valid
+    edges.  Each (stable state, vector) pair is classified by the
+    early-exit classifier {!Satg_sim.Async_sim.Kernel.classify_vector}
+    (a second stable outcome or a repeating frontier ends the analysis
+    immediately), capped at [max_frontier] interleaving states per
+    layer.  Only a pair that settles confluently contributes: its edge,
+    and its target as a node.  An invalid pair (non-confluent, or still
+    unstable at [k]) or a capped one contributes nothing, so every
+    state of an untruncated graph is reachable from reset over valid
+    edges — the same graph {!Symbolic.to_cssg} enumerates.
 
     Note that a ternary-simulation shortcut would be {e unsound} here:
     ternary simulation certifies settling of every fair execution,
@@ -28,15 +25,15 @@ open Satg_pool
 
 val build :
   ?k:int ->
-  ?exploration:[ `Hybrid | `Pure ] ->
   ?max_frontier:int ->
   ?guard:Guard.t ->
   ?pool:Pool.t ->
   Circuit.t ->
   Cssg.t
 (** [k] defaults to {!Satg_circuit.Structure.default_k};
-    [max_frontier] (default 20_000) only limits [`Hybrid] fallback
-    exploration.
+    [max_frontier] (default 20_000) bounds the interleaving states of
+    one layer of one pair's exploration; a pair that exceeds it is
+    conservatively pruned.
 
     The BFS frontier is classified in fixed-size batches on [pool]
     (without one, on an inline width-1 pool that spawns no domains):

@@ -39,7 +39,6 @@ type t = {
   rel : rel;
   reachable : Bdd.t;  (* over x *)
   cssg : Bdd.t;  (* over (x, y) *)
-  cssg_sched : schedule;  (* CSSG as conjuncts, for scheduled images *)
   reset : bool array;
   truncated : Guard.reason option;
 }
@@ -50,6 +49,17 @@ type t = {
    below are rank-independent. *)
 let x_of t i = 3 * t.rank.(i)
 let y_of t i = (3 * t.rank.(i)) + 1
+let y_to_x v = if v mod 3 = 1 then v - 1 else v
+
+(* Sets over x-vars only: each x-state contributes exactly 2^(2n)
+   assignments of the free y/z variables, so the exact integer count
+   divides out without float rounding. *)
+let count_x_states m ~n set =
+  match Bdd.sat_count_int m ~nvars:(3 * n) set with
+  | Some cnt -> cnt asr (2 * n)
+  | None ->
+    let cnt = Bdd.sat_count m ~nvars:(3 * n) set in
+    int_of_float ((cnt /. (2.0 ** float_of_int (2 * n))) +. 0.5)
 
 let circuit t = t.circuit
 let k t = t.k
@@ -66,9 +76,7 @@ let rel_roots = function
   | Partitioned { excited_y; stable_y } -> stable_y :: Array.to_list excited_y
 
 (* Every handle a built [t] holds. *)
-let roots t =
-  t.stable :: t.r_input :: t.reachable :: t.cssg
-  :: (List.map fst (snd t.cssg_sched) @ rel_roots t.rel)
+let roots t = t.stable :: t.r_input :: t.reachable :: t.cssg :: rel_roots t.rel
 
 (* A safe point: no operation is in flight and [roots ()] names every
    handle the caller still needs.  The store is collected once
@@ -214,7 +222,6 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
     end;
     Guard.check_time guard
   in
-  let y_to_x v = if v mod 3 = 1 then v - 1 else v in
   (* Excitation over the next-state (y) rail, where the delta relation
      iterates; the x-rail stable set is a rename of its complement
      (each y sits one order position below its free x slot, so the
@@ -352,85 +359,30 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
     in
     iterate 0 t0
   in
-  let y_as_x = Bdd.permute m (fun v -> if v mod 3 = 1 then v - 1 else v) in
   let reset_bdd = reset_bdd_of () in
-  (* Sets over x-vars only: each x-state contributes exactly 2^(2n)
-     assignments of the free y/z variables, so the exact integer count
-     divides out without float rounding. *)
-  let count_states set =
-    match Bdd.sat_count_int m ~nvars:(3 * n) set with
-    | Some cnt -> cnt asr (2 * n)
-    | None ->
-      let cnt = Bdd.sat_count m ~nvars:(3 * n) set in
-      int_of_float ((cnt /. (2.0 ** float_of_int (2 * n))) +. 0.5)
+  let env_ranked =
+    List.sort (fun a b -> Stdlib.compare rank.(a) rank.(b)) (Array.to_list env)
   in
-  (* Frontier-only reachability: each ring images just the stable
-     states first reached by the previous one.  R_I and every delta
-     image distribute over ∨ (one gate fires per step, so an image is
-     a union of per-gate images), and [tcr] is exact per call, so the
-     union of the per-ring results is exactly TCR_k of the whole
-     reachable set, and no state is imaged twice.
-
-     Fail-soft: a tripped guard keeps the reachable set and the union
-     of the completed rings; the states of the ring in progress are
-     kept without edges.  That pair is a sound under-approximation of
-     the full graph — every state and edge in it is genuine — so the
-     CSSG pruning below still applies verbatim. *)
-  let truncated = ref None in
-  let rec reach_loop reach front t_acc =
-    match
-      try
-        let t = tcr ~live:[ reach; front; t_acc ] front in
-        let t_acc' = Bdd.or_ m t_acc t in
-        let new_stables =
-          y_as_x (Bdd.exists m ~vars:x_vars (Bdd.and_ m t stable_y))
-        in
-        let front' = Bdd.diff m new_stables reach in
-        let reach' = Bdd.or_ m reach front' in
-        let n_new = count_states front' in
-        if n_new > 0 then Guard.spend_states guard n_new;
-        Guard.check_time guard;
-        `Step (reach', front', t_acc')
-      with Guard.Exhausted r ->
-        truncated := Some r;
-        (* The guard stays tripped; detach it so salvaging the partial
-           result below (conflict pruning, CSSG conjunction) is not
-           re-tripped by the very probes that stopped the loop.  Also
-           freeze the variable order: salvage must stay cheap, and an
-           unguarded sifting pass over whatever the store grew to
-           before the trip could dwarf the budget that just expired. *)
-        Bdd.set_guard m Guard.none;
-        Bdd.disable_reorder m;
-        `Stop
-    with
-    | `Stop -> (reach, t_acc)
-    | `Step (reach', front', t_acc') ->
-      if Bdd.is_zero front' then (reach', t_acc')
-      else begin
-        safe_point m (fun () -> reach' :: front' :: t_acc' :: kept);
-        reach_loop reach' front' t_acc'
-      end
-  in
-  let reachable, tcr_final = reach_loop reset_bdd reset_bdd (Bdd.zero m) in
-  let tcr_xz = Bdd.permute m y_to_z tcr_final in
-  (* Non-confluence check, ∃z. TCR(x,z) ∧ X_I(z)=X_I(y) ∧ z≠y, run as a
-     clustered early-quantification schedule: the input equalities are
-     chunked along the rank order under [cluster_cap] nodes per
-     cluster, the disequality conjunct goes first (it is the last
-     mention of every gate's z, so those die immediately), and each
-     input's z dies at its own cluster.  The monolithic conjunct
-     X_I(z)=X_I(y) ∧ z≠y is never built. *)
-  let env_eq_chunks =
+  (* The valid edges of one ring's TCR_k(x, y): the pairs with y stable
+     that the non-confluence check ∃z. TCR(x,z) ∧ X_I(z)=X_I(y) ∧ z≠y
+     does not prune.  A source's TCR_k depends on that source alone, so
+     checking a ring on its own TCR_k is exact.
+     The check runs as a clustered early-quantification schedule: the
+     input equalities are chunked along the rank order under
+     [cluster_cap] nodes per cluster, the disequality conjunct goes
+     first (it is the last mention of every gate's z, so those die
+     immediately), and each input's z dies at its own cluster.  The
+     monolithic conjunct X_I(z)=X_I(y) ∧ z≠y is never built.  The
+     conjuncts are rebuilt in every ring rather than kept as roots: a
+     root would pin its nodes through every collection and sifting
+     pass, and after sifting [all_eq_yz] can be large (docs/PERF.md,
+     "One CSSG node set"). *)
+  let valid_edges t =
     let cap = max 16 cluster_cap in
-    let env_ranked =
-      List.sort
-        (fun a b -> Stdlib.compare rank.(a) rank.(b))
-        (Array.to_list env)
-    in
     let open_chunk, closed =
       List.fold_left
         (fun (acc, closed) e ->
-          let eq = Bdd.iff m (Bdd.var m (yv e)) (Bdd.var m (zv e)) in
+          let eq = eq_zy.(e) in
           match acc with
           | None -> (Some eq, closed)
           | Some b ->
@@ -439,23 +391,63 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
             else (Some b', closed))
         (None, []) env_ranked
     in
-    List.rev
-      (match open_chunk with None -> closed | Some b -> b :: closed)
+    let env_eq_chunks =
+      List.rev (match open_chunk with None -> closed | Some b -> b :: closed)
+    in
+    let all_eq_yz = Array.fold_left (Bdd.and_ m) (Bdd.one m) eq_zy in
+    let sched =
+      make_schedule m ~quant:z_vars (Bdd.not_ m all_eq_yz :: env_eq_chunks)
+    in
+    let conflict = run_schedule m sched (Bdd.permute m y_to_z t) in
+    Bdd.and_list m [ t; stable_y; Bdd.not_ m conflict ]
   in
-  let all_eq_yz = Array.fold_left (Bdd.and_ m) (Bdd.one m) eq_zy in
-  let conflict_sched =
-    make_schedule m ~quant:z_vars (Bdd.not_ m all_eq_yz :: env_eq_chunks)
+  (* Frontier-only reachability over valid edges: each ring images just
+     the states first reached by the previous ring's valid edges, keeps
+     its own valid edges, and takes their new targets as the next
+     frontier.  The CSSG is the union of the rings' edges, and the
+     reachable set is exactly the subgraph reachable from reset over
+     valid edges — the graph the explicit builder returns.  A stable
+     state that only a race or an unsettled interleaving reaches never
+     enters it.
+
+     Fail-soft: a tripped guard keeps the reachable set and the edges
+     of the completed rings; the states of the ring in progress are
+     kept without edges.  That pair is a sound under-approximation of
+     the full graph — every state and edge in it is genuine. *)
+  let truncated = ref None in
+  let rec reach_loop reach front cssg =
+    match
+      try
+        let t = tcr ~live:[ reach; front; cssg ] front in
+        let edges = valid_edges t in
+        let cssg' = Bdd.or_ m cssg edges in
+        let targets = Bdd.permute m y_to_x (Bdd.exists m ~vars:x_vars edges) in
+        let front' = Bdd.diff m targets reach in
+        let reach' = Bdd.or_ m reach front' in
+        let n_new = count_x_states m ~n front' in
+        if n_new > 0 then Guard.spend_states guard n_new;
+        Guard.check_time guard;
+        `Step (reach', front', cssg')
+      with Guard.Exhausted r ->
+        truncated := Some r;
+        (* The guard stays tripped; detach it so enumerating the partial
+           result is not re-tripped by the very probes that stopped the
+           loop.  Also freeze the variable order: an unguarded sifting
+           pass over whatever the store grew to before the trip could
+           dwarf the budget that just expired. *)
+        Bdd.set_guard m Guard.none;
+        Bdd.disable_reorder m;
+        `Stop
+    with
+    | `Stop -> (reach, cssg)
+    | `Step (reach', front', cssg') ->
+      if Bdd.is_zero front' then (reach', cssg')
+      else begin
+        safe_point m (fun () -> reach' :: front' :: cssg' :: kept);
+        reach_loop reach' front' cssg'
+      end
   in
-  let conflict = run_schedule m conflict_sched tcr_xz in
-  let not_conflict = Bdd.not_ m conflict in
-  let cssg = Bdd.and_list m [ tcr_final; stable_y; not_conflict ] in
-  (* The CSSG kept as conjuncts: forward images during justification
-     reuse the same early-quantification machinery as the build
-     (stable_y mentions no x variable, so every x dies by the second
-     conjunct). *)
-  let cssg_sched =
-    make_schedule m ~quant:x_vars [ tcr_final; not_conflict; stable_y ]
-  in
+  let reachable, cssg = reach_loop reset_bdd reset_bdd (Bdd.zero m) in
   {
     circuit = c;
     k;
@@ -467,7 +459,6 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
     rel;
     reachable;
     cssg;
-    cssg_sched;
     reset;
     truncated = !truncated;
   }
@@ -490,7 +481,6 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
       rel = Monolithic (Bdd.zero m);
       reachable = reset_bdd;
       cssg = Bdd.zero m;
-      cssg_sched = ([], [ (Bdd.zero m, List.init n (fun i -> 3 * i)) ]);
       reset;
       truncated = Some r;
     }
@@ -503,13 +493,7 @@ let live_nodes t =
     0
     (t.cssg :: t.reachable :: t.r_input :: rel_roots t.rel)
 
-let n_reachable t =
-  let n = Circuit.n_nodes t.circuit in
-  match Bdd.sat_count_int t.man ~nvars:(3 * n) t.reachable with
-  | Some count -> count asr (2 * n)
-  | None ->
-    let count = Bdd.sat_count t.man ~nvars:(3 * n) t.reachable in
-    int_of_float ((count /. (2.0 ** float_of_int (2 * n))) +. 0.5)
+let n_reachable t = count_x_states t.man ~n:(Circuit.n_nodes t.circuit) t.reachable
 
 let bdd_stats t = Bdd.stats t.man
 
@@ -552,10 +536,11 @@ let enumerate_states t set =
   |> List.sort_uniq Stdlib.compare
 
 (* One forward CSSG image: successors (over x) of a set of states
-   (over x), through the scheduled conjunct form of the relation. *)
+   (over x). *)
 let cssg_image t src_bdd =
-  let img = run_schedule t.man t.cssg_sched src_bdd in
-  Bdd.permute t.man (fun v -> if v mod 3 = 1 then v - 1 else v) img
+  let x_vars = List.init (Circuit.n_nodes t.circuit) (x_of t) in
+  let img = Bdd.and_exists t.man ~vars:x_vars src_bdd t.cssg in
+  Bdd.permute t.man y_to_x img
 
 let justify t ~target =
   let m = t.man in

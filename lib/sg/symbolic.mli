@@ -15,12 +15,13 @@
     ({!Bdd.collect_due}):
     - {!build}, before every [R_delta] image step of [TCR_k] and
       between reachability rings.  Its roots are the relations it has
-      built, the reachable set, the running union of [TCR_k], the
-      ring's frontier, and every step [TCR_k] has recorded so far.
+      built, the reachable set, the running union of the rings' valid
+      edges, the ring's frontier, and every step [TCR_k] has recorded
+      so far.
     - {!justify}, on entry.  Its roots are this instance's artefacts
       (the handles behind {!stable_set}, {!reachable},
-      {!cssg_relation}, [R_I], the transition relation and the CSSG
-      schedule) and [target].
+      {!cssg_relation}, [R_I] and the transition relation) and
+      [target].
 
     So those artefacts, and a justify target, always survive.  Any
     other handle of {!man} — from {!gate_function}, {!state_to_bdd} or
@@ -60,17 +61,24 @@ val build :
     kept as the reference oracle for benchmarks and conformance runs;
     both styles produce identical graphs.
 
-    Reachability is frontier-only: each ring computes [TCR_k] from just
-    the stable states first reached by the previous ring, and [TCR_k]
-    of the reachable set is kept as the union of the per-ring results
-    (the image distributes over union, so the union is exact).  The
-    loop stops when a ring reaches no new stable state.
+    Reachability is frontier-only and runs over valid edges.  Each
+    ring computes [TCR_k] from just the states first reached by the
+    previous ring, runs the non-confluence check on that [TCR_k] alone
+    (a source's [TCR_k] depends on that source only, so the check is
+    exact per ring), and keeps the ring's valid edges.  The targets of
+    those edges not reached before are the next frontier; the loop
+    stops when a ring reaches no new state.  The CSSG is the union of
+    the rings' edges, and {!reachable} is the subgraph reachable from
+    reset over valid edges — the graph {!Explicit.build} returns.  It
+    leaves out every stable state reached only inside an invalid pair,
+    non-confluent or still unstable at [k].
 
     [cluster_cap] (default {!default_cluster_cap}) is used only by the
     non-confluence check [∃z. TCR_k(x, z) ∧ X_I(z) = X_I(y) ∧ z ≠ y]:
     the primary-input equalities are chunked along the rank order into
     conjuncts of at most [cluster_cap] nodes, and the check runs as an
-    early-quantification schedule over them.
+    early-quantification schedule over them.  The conjuncts are
+    rebuilt in every ring, never kept across rings.
 
     [reorder] (default {!Bdd.Reorder_none}) enables sifting-based
     dynamic variable reordering inside the manager.
@@ -120,12 +128,15 @@ val stable_set : t -> Bdd.t
 (** All stable states, over present variables. *)
 
 val reachable : t -> Bdd.t
-(** Stable states reachable in test mode from reset (present vars). *)
+(** The CSSG's states (present vars): the stable states reachable from
+    reset over valid edges.  In a truncated build, also the states of
+    the ring in progress, which have no edges. *)
 
 val n_reachable : t -> int
 
 val cssg_relation : t -> Bdd.t
-(** Valid edges over (present, next) variables. *)
+(** Valid edges out of the {!reachable} states, over (present, next)
+    variables. *)
 
 val gate_function : t -> int -> Bdd.t
 (** The gate's instantaneous function over present variables. *)

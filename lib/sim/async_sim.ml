@@ -8,7 +8,7 @@ type outcome =
 
 type classification =
   | C_settles of bool array
-  | C_invalid of bool array list
+  | C_invalid
   | C_capped
 
 exception Frontier_limit
@@ -277,7 +277,6 @@ module Kernel = struct
     fan : int array;  (* gather scratch for gates wider than one word *)
     mutable cur : set;
     mutable nxt : set;
-    stables : set;
     mutable hist : int array;  (* stored small frontiers: hash + state words each *)
     mutable hist_len : int;
     mutable metas : int array;  (* per stored frontier: fingerprint, count, offset *)
@@ -324,7 +323,6 @@ module Kernel = struct
       fan = Array.make (Array.fold_left (fun m g -> max m g.fw) 1 gates) 0;
       cur = new_set stride;
       nxt = new_set stride;
-      stables = new_set stride;
       hist = Array.make 64 0;
       hist_len = 0;
       metas = Array.make 24 0;
@@ -631,28 +629,24 @@ module Kernel = struct
         end)
       v;
     push_candidate t t.cur;
-    clear_set t.stables;
     t.hist_len <- 0;
     t.n_metas <- 0;
-    let stable_list () = sorted_states t t.stables in
     let rec go i =
       let cur = t.cur in
       Guard.spend_transitions guard cur.count;
-      for e = 0 to cur.count - 1 do
-        if is_stable_entry t cur.data (e * t.stride) then add_entry t t.stables cur e
-      done;
-      if t.stables.count >= 2 then
-        (* Two distinct final stable states are already reachable. *)
-        C_invalid (stable_list ())
+      if cur.count - cur.unstable >= 2 then
+        (* Two distinct stable outcomes: [step] carries every stable
+           entry forward, so both are reachable at the end of the cycle. *)
+        C_invalid
       else if cur.count > max_frontier then C_capped
       else if cur.unstable = 0 then
         (* Single stable state (cardinality 1 since stables < 2). *)
         C_settles (decode t cur.data 0)
-      else if i >= k then C_invalid (stable_list ())
+      else if i >= k then C_invalid
       else if cur.count <= 4096 && seen_before t then
         (* Cycle detection (cheap only while the frontier is small): a
            repeated frontier that is not all-stable never settles. *)
-        C_invalid (stable_list ())
+        C_invalid
       else begin
         if cur.count <= 4096 then remember t;
         step t ~limit:max_int;

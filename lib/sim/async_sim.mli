@@ -30,10 +30,10 @@ type outcome =
 
 type classification =
   | C_settles of bool array  (** unique stable outcome within budget *)
-  | C_invalid of bool array list
-      (** non-confluent, oscillating or over budget; carries the stable
-          states observed along the way (TCSG node harvest), sorted by
-          [Stdlib.compare] *)
+  | C_invalid
+      (** non-confluent, oscillating or over budget: no CSSG edge, and
+          none of the stable states the interleavings pass through
+          enters the graph through this pair *)
   | C_capped  (** frontier limit hit before a verdict *)
 
 exception Frontier_limit
@@ -60,9 +60,10 @@ end
     - Every state in a frontier carries an excitation word per 63
       gates.  Firing a gate flips one state bit and re-evaluates only
       that gate and its readers.
-    - Frontiers and harvested stable states live in open-addressing
-      sets keyed by a Zobrist hash, reused from layer to layer and from
-      search to search.
+    - Frontiers live in open-addressing sets keyed by a Zobrist hash,
+      reused from layer to layer and from search to search.  Each set
+      counts its unstable members, so the number of stable outcomes a
+      layer holds is read off in O(1).
 
     A kernel owns mutable scratch memory: it must not be shared between
     domains.  Compile one per worker. *)
@@ -101,9 +102,11 @@ module Kernel : sig
     classification
   (** [classify_vector t ~k s v] decides the CSSG validity of applying
       [v] to the stable state [s], with early exits: a second distinct
-      stable state, or a frontier of at most 4096 states that repeats an
-      earlier layer of the same search (order-independent fingerprint,
-      confirmed by exact set equality), ends the analysis immediately.
+      stable state in a layer (stable states persist from layer to
+      layer, so both stay reachable at step [k]), or a frontier of at
+      most 4096 states that repeats an earlier layer of the same search
+      (order-independent fingerprint, confirmed by exact set equality),
+      ends the analysis immediately.
       Agrees with {!apply_vector} wherever both give a verdict.
       [guard] is charged like in {!states_after}, once per layer.
       @raise Invalid_argument if [s] is not stable.
@@ -146,5 +149,8 @@ val reachable_stable_states :
   Circuit.t -> k:int -> from:bool array list -> bool array list
 (** All stable states reachable in test mode when {e every} input
     vector (valid or not) may be applied; the union of all settling
-    results.  Used by fault activation to know where signals can rest.
+    results.  A superset of the CSSG's node set: it also holds the
+    stable states that only races reach, into which no test can drive
+    the circuit.  Used to print the test-mode view
+    ([examples/cssg_walkthrough.ml]) and by tests.
     Bounded exploration: states are accumulated to a fixed point. *)

@@ -12,7 +12,7 @@ let key_of ~netlist ~universe ~config =
      request.  [format] guards against wire-format or semantics
      changes across versions of this code. *)
   Cache.key_of_parts
-    (("format", "1")
+    (("format", "2")
     :: ("netlist", Digest.to_hex (Digest.string netlist))
     :: Satg_core.Session.config_fields ~universe config)
 

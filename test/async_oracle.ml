@@ -2,8 +2,7 @@
    is a set of '0'/'1' strings and every visited state re-evaluates every
    gate.  Slow, and obviously the unbounded gate-delay semantics; the
    packed kernel of [Satg_sim.Async_sim] must agree with it on verdicts,
-   harvested lists and their order, [Frontier_limit] points and guard
-   charges. *)
+   [Frontier_limit] points and guard charges. *)
 
 open Satg_guard
 open Satg_circuit
@@ -63,35 +62,33 @@ let classify_vector ?(max_frontier = max_int) ?(guard = Guard.none) c ~k s v =
   if not (Circuit.is_stable c s) then
     invalid_arg "Async_sim.classify_vector: state not stable";
   let s1 = Circuit.apply_input_vector c s v in
+  (* Every stable state seen in any layer so far; the kernel counts
+     only the current layer's, which the self-loop makes the same. *)
   let stables = Hashtbl.create 4 in
-  let harvest frontier =
+  let note_stables frontier =
     StringSet.iter
       (fun sk ->
         if (not (Hashtbl.mem stables sk)) && Circuit.is_stable c (state_of_key sk)
         then Hashtbl.replace stables sk ())
       frontier
   in
-  let stable_list () =
-    Hashtbl.fold (fun sk () acc -> state_of_key sk :: acc) stables []
-    |> List.sort Stdlib.compare
-  in
   let seen_frontiers = Hashtbl.create 16 in
   let rec go i frontier =
     Guard.spend_transitions guard (StringSet.cardinal frontier);
-    harvest frontier;
+    note_stables frontier;
     if Hashtbl.length stables >= 2 then
       (* Two distinct final stable states are already reachable. *)
-      C_invalid (stable_list ())
+      C_invalid
     else if StringSet.cardinal frontier > max_frontier then C_capped
     else if all_stable c fire_all frontier then
       (* Single stable state (cardinality 1 since stables < 2). *)
       C_settles (state_of_key (StringSet.choose frontier))
-    else if i >= k then C_invalid (stable_list ())
+    else if i >= k then C_invalid
     else if StringSet.cardinal frontier <= 4096 then begin
       (* Cycle detection (cheap only while the frontier is small): a
          repeated frontier that is not all-stable never settles. *)
       let key = String.concat ";" (StringSet.elements frontier) in
-      if Hashtbl.mem seen_frontiers key then C_invalid (stable_list ())
+      if Hashtbl.mem seen_frontiers key then C_invalid
       else begin
         Hashtbl.replace seen_frontiers key ();
         go (i + 1) (step_frontier c fire_all frontier)

@@ -4,7 +4,15 @@
    pair that exceeds it is classified.  [Satg_sg.Explicit.build]
    classifies the frontier in batches on a domain pool and merges them
    on the caller; at every pool width it must produce this graph: the
-   same states, numbering, edges and truncation reason. *)
+   same states, numbering, edges and truncation reason.
+
+   Only a valid edge's target enters the graph, so an untruncated graph
+   is the subgraph reachable from reset over valid edges.  [`Pure]
+   classifies each pair by the paper's definition of [TCR_k] directly:
+   every state the interleavings reach in exactly [k] firings, with no
+   early exit and no frontier cap.  It is the reference the early-exit
+   classifier ([`Hybrid], the one [Explicit.build] uses) and the
+   symbolic engine are checked against. *)
 
 open Satg_guard
 open Satg_circuit
@@ -13,23 +21,20 @@ open Satg_sg
 
 let vector n mask = Array.init n (fun b -> mask land (1 lsl b) <> 0)
 
-(* [`Settles target] is a valid edge; [`Harvest stables] an invalid
-   pair whose reachable stable states still enter the graph;
-   [`Nothing] a pair the hybrid classifier capped. *)
+(* [Some target] is a valid edge; [None] an invalid pair, or one the
+   hybrid classifier capped. *)
 let classify ~exploration ~max_frontier ~guard kern c ~k s v =
   match exploration with
   | `Pure -> (
-    let finals =
+    match
       Async_sim.Kernel.states_after ~guard kern ~k (Circuit.apply_input_vector c s v)
-    in
-    match (finals, List.filter (Circuit.is_stable c) finals) with
-    | [ _ ], [ target ] -> `Settles target
-    | _, stables -> `Harvest stables)
+    with
+    | [ target ] when Circuit.is_stable c target -> Some target
+    | _ -> None)
   | `Hybrid -> (
     match Async_sim.Kernel.classify_vector ~max_frontier ~guard kern ~k s v with
-    | Async_sim.C_settles target -> `Settles target
-    | Async_sim.C_invalid stables -> `Harvest stables
-    | Async_sim.C_capped -> `Nothing)
+    | Async_sim.C_settles target -> Some target
+    | Async_sim.C_invalid | Async_sim.C_capped -> None)
 
 let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
     ?(guard = Guard.none) c =
@@ -68,10 +73,9 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
          let v = vector n_in mask in
          if v <> current then
            match classify ~exploration ~max_frontier ~guard kern c ~k s v with
-           | `Settles target ->
+           | Some target ->
              out := { Cssg.vector = v; target = enqueue target } :: !out
-           | `Harvest stables -> List.iter (fun s' -> ignore (enqueue s')) stables
-           | `Nothing -> ()
+           | None -> ()
        done;
        Hashtbl.replace edges i (List.rev !out)
      done
@@ -86,3 +90,18 @@ let build ?k ?(exploration = `Hybrid) ?(max_frontier = 20_000)
 (* Everything the contract compares, in one string: [Cssg.pp] prints
    the truncation reason, every state in id order and every edge. *)
 let dump g = Format.asprintf "%a" Cssg.pp g
+
+(* What two builders must agree on, whatever their numbering: the
+   sorted states and the sorted labelled edges (source, vector,
+   target), as strings. *)
+let canonical g =
+  let c = Cssg.circuit g in
+  let str i = Circuit.state_to_string c (Cssg.state g i) in
+  let vec v = String.init (Array.length v) (fun j -> if v.(j) then '1' else '0') in
+  let ids = List.init (Cssg.n_states g) Fun.id in
+  ( List.sort Stdlib.compare (List.map str ids),
+    List.concat_map
+      (fun i ->
+        List.map (fun e -> (str i, vec e.Cssg.vector, str e.Cssg.target)) (Cssg.successors g i))
+      ids
+    |> List.sort Stdlib.compare )

@@ -3,7 +3,7 @@
    feedback we assert that
 
    - ternary simulation is sound w.r.t. exhaustive exploration,
-   - the explicit (pure and hybrid) and symbolic CSSG engines agree,
+   - the explicit and symbolic CSSG engines give the reference graph,
    - the pooled explicit build equals the reference BFS under budgets,
    - bit-parallel fault simulation equals scalar ternary simulation,
    - the netlist text format round-trips behaviour exactly. *)
@@ -144,27 +144,13 @@ let prop_ternary_sound =
                 |> List.for_all (fun s -> s = b)))
           (all_vectors (Circuit.n_inputs c)))
 
-(* --- P2: explicit engines and symbolic engine agree ------------------------ *)
+(* --- P2: the explicit and symbolic engines agree ------------------------- *)
 
-let canonical g =
-  let c = Cssg.circuit g in
-  let states =
-    List.init (Cssg.n_states g) (fun i ->
-        Circuit.state_to_string c (Cssg.state g i))
-    |> List.sort Stdlib.compare
-  in
-  let edges =
-    List.concat
-      (List.init (Cssg.n_states g) (fun i ->
-           List.map
-             (fun e ->
-               ( Circuit.state_to_string c (Cssg.state g i),
-                 Circuit.state_to_string c (Cssg.state g e.Cssg.target) ))
-             (Cssg.successors g i)))
-    |> List.sort Stdlib.compare
-  in
-  (states, edges)
+let canonical = Cssg_oracle.canonical
 
+(* The whole graph, with no restriction: the build, the symbolic
+   engine and the pure-exploration reference all return the subgraph
+   reachable from reset over valid edges. *)
 let prop_engines_agree =
   QCheck.Test.make ~name:"random circuits: explicit = symbolic CSSG" ~count:60
     spec_arb (fun spec ->
@@ -172,10 +158,20 @@ let prop_engines_agree =
       | None -> QCheck.assume_fail ()
       | Some c ->
         let k = Structure.default_k c in
-        let pure = Explicit.build ~exploration:`Pure ~k c in
-        let hybrid = Explicit.build ~exploration:`Hybrid ~k c in
-        let sym = Symbolic.to_cssg (Symbolic.build ~k c) in
-        canonical pure = canonical sym && canonical pure = canonical hybrid)
+        let reference = canonical (Cssg_oracle.build ~exploration:`Pure ~k c) in
+        canonical (Explicit.build ~k c) = reference
+        && canonical (Symbolic.to_cssg (Symbolic.build ~k c)) = reference)
+
+(* These seeds draw circuits with stable states that only a race
+   reaches: a builder that keeps any of them disagrees with the rest. *)
+let pinned_engines_agree =
+  List.map
+    (fun seed ->
+      let name, speed, run =
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) prop_engines_agree
+      in
+      (Printf.sprintf "%s (seed %d)" name seed, speed, run))
+    [ 866660442; 3 ]
 
 (* Reordering is invisible semantically: the sifted build must produce
    the identical CSSG partition (states, edges) and reachable count.
@@ -204,10 +200,7 @@ let prop_reorder_agrees =
    unguarded build's allocation can trip anywhere: while the relations
    are built, inside a ring, or after one or more completed rings.
    Untruncated, the graph must be the explicit one; truncated, it must
-   be a sub-graph of it that keeps the reset state.  The reference is
-   pure exploration: like the symbolic engine it keeps the stable
-   states reached only through non-confluent vectors, which the hybrid
-   mode's early exits may skip. *)
+   be a sub-graph of it that keeps the reset state. *)
 let prop_salvage_sound =
   QCheck.Test.make
     ~name:"random circuits: symbolic salvage under random budgets" ~count:100
@@ -218,9 +211,7 @@ let prop_salvage_sound =
       | Some c ->
         let module Guard = Satg_guard.Guard in
         let k = Structure.default_k c in
-        let full_states, full_edges =
-          canonical (Explicit.build ~exploration:`Pure ~k c)
-        in
+        let full_states, full_edges = canonical (Explicit.build ~k c) in
         let cost =
           (Symbolic.bdd_stats (Symbolic.build ~k c)).Satg_bdd.Bdd.peak_nodes
         in
@@ -524,5 +515,6 @@ let qcheck_cases =
       prop_exact_dominates_when_settled;
       prop_timed_matches_exact_on_valid_edges;
     ]
+  @ pinned_engines_agree
 
 let suites = [ ("random_circuits", qcheck_cases) ]

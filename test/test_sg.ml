@@ -8,29 +8,7 @@ open Satg_bench
 let fixtures =
   [ Figures.fig1a; Figures.fig1b; Figures.celem_handshake; Figures.mutex_latch ]
 
-(* Canonical, comparable representation of a CSSG: sorted states and
-   sorted (src-state, vector, dst-state) triples, all as strings. *)
-let canonical g =
-  let c = Cssg.circuit g in
-  let states =
-    List.init (Cssg.n_states g) (fun i ->
-        Circuit.state_to_string c (Cssg.state g i))
-    |> List.sort Stdlib.compare
-  in
-  let edges =
-    List.concat
-      (List.init (Cssg.n_states g) (fun i ->
-           List.map
-             (fun e ->
-               ( Circuit.state_to_string c (Cssg.state g i),
-                 String.init
-                   (Array.length e.Cssg.vector)
-                   (fun j -> if e.Cssg.vector.(j) then '1' else '0'),
-                 Circuit.state_to_string c (Cssg.state g e.Cssg.target) ))
-             (Cssg.successors g i)))
-    |> List.sort Stdlib.compare
-  in
-  (states, edges)
+let canonical = Cssg_oracle.canonical
 
 let test_explicit_celem () =
   let c = Figures.celem_handshake () in
@@ -62,10 +40,22 @@ let test_explicit_fig1a () =
     let y = Option.get (Circuit.find_node c "y") in
     Alcotest.(check bool) "y set after 11" true (Cssg.state g j).(y)
   | None -> Alcotest.fail "11 should be a valid vector");
-  (* The non-confluent outcomes are still nodes of the graph (paper
-     figure 2 keeps s1), but not deterministically reachable unless some
-     valid path leads there. *)
-  Alcotest.(check bool) "has extra nodes" true (Cssg.n_states g > 2)
+  (* The race's two outcomes are nodes all the same: valid edges enter
+     them from other states (10 from 000000 and from 000001).  A state
+     that only a race reaches would not be. *)
+  Alcotest.(check bool) "has extra nodes" true (Cssg.n_states g > 2);
+  let open Satg_sim in
+  match Async_sim.apply_vector c ~k:(Cssg.k g) (Cssg.state g reset) [| true; false |] with
+  | Async_sim.Non_confluent finals ->
+    List.iter
+      (fun s ->
+        match Cssg.id_of_state g s with
+        | Some i ->
+          Alcotest.(check bool) "race outcome reachable over valid edges" true
+            (Cssg.deterministically_reachable g i)
+        | None -> Alcotest.fail "race outcome missing")
+      finals
+  | _ -> Alcotest.fail "10 should race from reset"
 
 let test_explicit_fig1b_no_edges () =
   let c = Figures.fig1b () in
@@ -91,11 +81,9 @@ let test_explicit_mutex () =
   | None -> Alcotest.fail "10 should be valid from reset")
 
 let test_smaller_k_fewer_edges () =
-  (* k only matters under pure exploration: the hybrid ternary shortcut
-     certifies eventual settling regardless of the budget. *)
   let c = Figures.celem_handshake () in
-  let big = Explicit.build ~exploration:`Pure ~k:(Structure.default_k c) c in
-  let small = Explicit.build ~exploration:`Pure ~k:1 c in
+  let big = Explicit.build ~k:(Structure.default_k c) c in
+  let small = Explicit.build ~k:1 c in
   Alcotest.(check bool) "k=1 loses edges" true
     (Cssg.n_edges small < Cssg.n_edges big);
   (* k=1 keeps single-buffer-flip transitions that settle in one step. *)
@@ -147,21 +135,15 @@ let test_symbolic_matches_explicit () =
     (fun (make, pure) ->
       let c = make () in
       let k = Structure.default_k c in
-      (* Both exploration strategies must agree with the symbolic
-         engine; pure exploration takes seconds on pipeline3, so the
-         workload netlists check the hybrid one only. *)
-      let hyb = Explicit.build ~exploration:`Hybrid ~k c in
-      let exp =
-        if not pure then hyb
-        else begin
-          let exp = Explicit.build ~exploration:`Pure ~k c in
-          let se, ee = canonical exp and sh, eh = canonical hyb in
-          Alcotest.(check (list string)) (Circuit.name c ^ ": hybrid states") se sh;
-          Alcotest.(check int) (Circuit.name c ^ ": hybrid edges")
-            (List.length ee) (List.length eh);
-          exp
-        end
-      in
+      (* The build and the symbolic engine must give the reference
+         classifier's graph; pure exploration takes seconds on
+         pipeline3, so the workload netlists skip it. *)
+      let exp = Explicit.build ~k c in
+      if pure then
+        Alcotest.(check bool)
+          (Circuit.name c ^ ": pure-exploration graph")
+          true
+          (canonical (Cssg_oracle.build ~exploration:`Pure ~k c) = canonical exp);
       List.iter
         (fun (style, tag) ->
           let name = Circuit.name c ^ " " ^ tag in

@@ -126,25 +126,55 @@ let test_redundant_family_shape () =
         (coverage e >= 95.0))
     clean
 
-let test_symbolic_agrees_on_small_benchmarks () =
-  (* Cross-check the BDD engine against the explicit one on the
-     smaller synthesized circuits too (not just the figure fixtures). *)
+(* The 46 table netlists (Table 1's complex-gate and Table 2's
+   bounded-delay synthesis of every suite STG), the decomposed
+   pipeline3 (eight of the ten stable states it reaches in test mode
+   are reached only through races) and the families conformance
+   ladder. *)
+let corpus () =
+  let ok name = function Ok c -> c | Error m -> Alcotest.failf "%s: %s" name m in
+  List.concat_map
+    (fun e ->
+      [
+        (e.Suite.name ^ "/si", ok e.Suite.name (Suite.speed_independent e));
+        (e.Suite.name ^ "/bd", ok e.Suite.name (Suite.bounded_delay e));
+      ])
+    (Suite.all ())
+  @ ( "pipeline3/decomposed",
+      let e = ok "pipeline3" (Suite.generate "pipeline" ~n:3) in
+      ok "pipeline3" (Synth.decomposed e.Suite.stg) )
+    :: List.map Test_families.build Test_families.instances
+
+let test_symbolic_agrees_on_benchmarks () =
+  (* Whole graphs: the build, the BDD engine and the pure-exploration
+     reference.  trimos-send/bd is left out: its symbolic build takes
+     seconds and its pure exploration minutes. *)
   List.iter
-    (fun nm ->
-      let e = Option.get (Suite.find nm) in
-      match Suite.speed_independent e with
-      | Error m -> Alcotest.failf "%s: %s" nm m
-      | Ok c ->
+    (fun (name, c) ->
+      if name <> "trimos-send/bd" then begin
         let k = Structure.default_k c in
-        let exp = Explicit.build ~exploration:`Pure ~k c in
-        let sym = Symbolic.build ~k c in
-        Alcotest.(check int)
-          (nm ^ " state count")
-          (Cssg.n_states exp)
-          (Symbolic.n_reachable sym);
-        let gs = Symbolic.to_cssg sym in
-        Alcotest.(check int) (nm ^ " edges") (Cssg.n_edges exp) (Cssg.n_edges gs))
-    [ "hazard"; "rcv-setup"; "vbe6a"; "converta"; "dff"; "nowick" ]
+        let graph = Cssg_oracle.canonical (Explicit.build ~k c) in
+        Alcotest.(check bool) (name ^ " explicit = bdd") true
+          (graph = Cssg_oracle.canonical (Symbolic.to_cssg (Symbolic.build ~k c)));
+        Alcotest.(check bool) (name ^ " explicit = pure reference") true
+          (graph = Cssg_oracle.canonical (Cssg_oracle.build ~exploration:`Pure ~k c))
+      end)
+    (corpus ())
+
+let test_every_state_reachable_over_valid_edges () =
+  (* No builder keeps a state that only a race reaches: every state of
+     a complete graph is reachable from reset over valid edges. *)
+  List.iter
+    (fun (name, c) ->
+      let g = Explicit.build c in
+      Alcotest.(check bool) (name ^ " complete") true (Cssg.truncated g = None);
+      List.iter
+        (fun i ->
+          if not (Cssg.deterministically_reachable g i) then
+            Alcotest.failf "%s: state %s is not reachable over valid edges" name
+              (Circuit.state_to_string c (Cssg.state g i)))
+        (List.init (Cssg.n_states g) Fun.id))
+    (corpus ())
 
 let test_three_phase_sequences_replay_exactly () =
   (* Every three-phase test found on a redundant circuit must replay
@@ -180,7 +210,9 @@ let suites =
         Alcotest.test_case "cssgs alive" `Quick test_all_cssgs_alive;
         Alcotest.test_case "SI output-sa 100%" `Slow test_si_output_stuck_at_full_coverage;
         Alcotest.test_case "redundant family shape" `Slow test_redundant_family_shape;
-        Alcotest.test_case "symbolic agrees (benchmarks)" `Slow test_symbolic_agrees_on_small_benchmarks;
+        Alcotest.test_case "symbolic agrees (benchmarks)" `Slow test_symbolic_agrees_on_benchmarks;
+        Alcotest.test_case "every state valid-edge reachable" `Quick
+          test_every_state_reachable_over_valid_edges;
         Alcotest.test_case "3-phase replays exactly" `Slow test_three_phase_sequences_replay_exactly;
       ] );
   ]
