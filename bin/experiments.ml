@@ -332,9 +332,10 @@ let ablation_bdd () =
                   Table.cell_int (Symbolic.n_reachable sym);
                 ])
             (orderings c);
-          (* one in-place Rudell pass over the default order's manager *)
+          (* one in-place Rudell pass, rooted at the default order's
+             artefacts *)
           let sifted = Symbolic.build c in
-          Satg_bdd.Bdd.sift (Symbolic.man sifted);
+          Symbolic.sift sifted;
           Table.add_row table
             [
               e.Suite.name; "sifted";

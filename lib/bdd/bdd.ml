@@ -10,8 +10,9 @@
      is hashed inline and compared against the struct-of-arrays store.
      The table grows at 3/4 occupancy.  Tombstones exist only because
      dynamic reordering rewrites nodes in place (the key of a
-     rewritten node changes, so its old bucket must die); a manager
-     that never reorders never produces one.
+     rewritten node changes, so its old bucket must die) and frees the
+     nodes its swaps orphan; a manager that never reorders never
+     produces one.
    - All operation results share one fixed-size direct-mapped cache
      (CUDD-style): a flat int array of 4-int entries
      [key1; key2; key3; result], where key1 packs the first operand
@@ -31,7 +32,8 @@
    sifting): a swap rewrites only the upper level's nodes whose
    children live at the lower level, preserving what every node id
    *denotes* — external handles and op-cache entries stay valid across
-   a reorder.
+   a reorder.  A pass frees only nodes no pinned node reaches, and none
+   of those is in the op cache.
 
    Garbage collection is mark-and-sweep from explicit roots
    ([collect]): nodes unreachable from the roots go onto a free list
@@ -39,7 +41,8 @@
    survivors and the op cache is cleared (its entries name dead ids).
    Survivors keep their ids, so a rooted handle stays valid; a dead id
    is reused by a later [mk].  Nothing collects implicitly — only the
-   owner of the roots knows which handles are still held. *)
+   owner of the roots knows which handles are still held; a sifting
+   pass given roots collects down to them first. *)
 
 open Satg_guard
 
@@ -75,6 +78,7 @@ type man = {
   (* unique table: open addressing, bucket = node id + 1, 0 = empty,
      -1 = tombstone (left behind by in-place reordering) *)
   mutable table : int array;
+  mutable spare : int array;  (* the last table a same-size rehash left *)
   mutable umask : int;  (* Array.length table - 1 (power of two) *)
   mutable ulimit : int;  (* rehash threshold: 3/4 of the buckets *)
   mutable u_entries : int;  (* live keys in the table *)
@@ -91,8 +95,7 @@ type man = {
   mutable var_at : int array;  (* level -> variable *)
   mutable level_of : int array;  (* variable -> level *)
   mutable reorder : reorder_mode;
-  mutable reorder_trigger : int;  (* auto-sift when n_nodes crosses this *)
-  mutable reorder_bound : int;  (* remaining automatic passes *)
+  mutable reorder_trigger : int;  (* auto-sift when [in_use] crosses this *)
   mutable in_reorder : bool;
   mutable reorders : int;
   mutable swaps : int;
@@ -156,6 +159,7 @@ let create ?unique_size ?cache_size ?cache_threshold ?(guard = Guard.none)
     live_after_gc = 0;
     collections = 0;
     table = Array.make usize 0;
+    spare = [||];
     umask = usize - 1;
     ulimit = usize * 3 / 4;
     u_entries = 0;
@@ -171,7 +175,6 @@ let create ?unique_size ?cache_size ?cache_threshold ?(guard = Guard.none)
     level_of = Array.init (max 1 nvars) Fun.id;
     reorder = Reorder_none;
     reorder_trigger = 4096;
-    reorder_bound = max_int;
     in_reorder = false;
     reorders = 0;
     swaps = 0;
@@ -229,14 +232,23 @@ let grow m =
     m.high_of <- extend m.high_of (-1)
   end
 
-(* Rebuild from the old table (never from the store: nodes orphaned by
-   reordering stay out).  Doubles only when live keys justify it —
-   otherwise same size, purging tombstones. *)
+(* Rebuild from the old table, whose keys are exactly the nodes in use.
+   Doubles only when live keys justify it — otherwise same size,
+   purging tombstones.  A sifting pass deletes keys at every swap, so
+   it rehashes at the same size again and again: the old table is kept
+   as the next one's buffer instead of becoming garbage each time. *)
 let rehash m =
   let old = m.table in
   let osize = m.umask + 1 in
   let size = if m.u_entries * 8 >= osize * 3 then osize * 2 else osize in
-  let table = Array.make size 0 in
+  let table =
+    if Array.length m.spare = size then begin
+      Array.fill m.spare 0 size 0;
+      m.spare
+    end
+    else Array.make size 0
+  in
+  m.spare <- (if size = osize then old else [||]);
   let mask = size - 1 in
   for s = 0 to osize - 1 do
     let e = old.(s) in
@@ -264,12 +276,10 @@ let mk m v l h =
     let rec probe i tomb =
       let e = m.table.(i) in
       if e = 0 then begin
-        (* miss: allocate in place, from the free list unless a sifting
-           pass is running ([swap_core] finds its fresh nodes above the
-           bump pointer) *)
+        (* miss: allocate in place, from the free list first *)
         Guard.tick m.guard;
         let id =
-          if m.free >= 0 && not m.in_reorder then begin
+          if m.free >= 0 then begin
             let id = m.free in
             m.free <- m.low_of.(id);
             m.n_free <- m.n_free - 1;
@@ -500,181 +510,6 @@ and ite_node m f g h =
   let r1 = ite_rec m f1 g1 h1 in
   mk m v r0 r1
 
-(* --- dynamic reordering --------------------------------------------------- *)
-
-(* Swap the variables at adjacent levels [l] (upper, var u) and [l+1]
-   (lower, var v), in place.  Only u-nodes with a v-child change: node
-   (u, f0, f1) becomes (v, mk(u, f0|v=0, f1|v=0), mk(u, f0|v=1, f1|v=1))
-   — same id, same denoted function.  Nobody else moves: u-nodes
-   without a v-child just find themselves one level lower, v-nodes'
-   parents (all at levels < l) and children (all at levels > l+1) are
-   untouched.  Key collisions cannot happen: a rewritten key always has
-   a u-labeled child (both [mk]s collapsing would mean f0 = f1), which
-   no pre-existing v-node key can mention, and two rewritten nodes
-   denote distinct functions.
-
-   [u_ids] is a conservative superset of the ids labeled [u] (stale
-   entries are filtered by a [var_of] check).  Returns
-   (kept_u_ids, fresh_u_ids, moved_to_v_ids) for bucket maintenance;
-   the fresh ids are read off the bump pointer, which is exact under
-   [sift] because [mk] bypasses the free list while a pass runs
-   ([swap_adjacent] discards the lists).
-   The whole swap runs with whatever guard is installed; sifting
-   installs [Guard.none] and probes the real guard between swaps, so a
-   swap is atomic and a trip always lands on a consistent order. *)
-let swap_core m u_ids l =
-  let u = m.var_at.(l) and v = m.var_at.(l + 1) in
-  let n0 = m.n_nodes in
-  let kept = ref [] and moved = ref [] in
-  List.iter
-    (fun id ->
-      if m.var_of.(id) = u then begin
-        let f0 = m.low_of.(id) and f1 = m.high_of.(id) in
-        let v0 = f0 >= 2 && m.var_of.(f0) = v in
-        let v1 = f1 >= 2 && m.var_of.(f1) = v in
-        if v0 || v1 then begin
-          delete_key m id;
-          let f00 = if v0 then m.low_of.(f0) else f0 in
-          let f01 = if v0 then m.high_of.(f0) else f0 in
-          let f10 = if v1 then m.low_of.(f1) else f1 in
-          let f11 = if v1 then m.high_of.(f1) else f1 in
-          let c0 = mk m u f00 f10 in
-          let c1 = mk m u f01 f11 in
-          m.var_of.(id) <- v;
-          m.low_of.(id) <- c0;
-          m.high_of.(id) <- c1;
-          insert_key m id;
-          moved := id :: !moved
-        end
-        else kept := id :: !kept
-      end)
-    u_ids;
-  let fresh = List.init (m.n_nodes - n0) (fun i -> n0 + i) in
-  m.var_at.(l) <- v;
-  m.var_at.(l + 1) <- u;
-  m.level_of.(u) <- l + 1;
-  m.level_of.(v) <- l;
-  m.swaps <- m.swaps + 1;
-  (!kept, fresh, !moved)
-
-let all_ids_of_var m u =
-  let acc = ref [] in
-  for id = m.n_nodes - 1 downto 2 do
-    if m.var_of.(id) = u then acc := id :: !acc
-  done;
-  !acc
-
-let swap_adjacent m l =
-  if l < 0 || l >= m.n_vars - 1 then invalid_arg "Bdd.swap_adjacent: level";
-  let saved = m.guard in
-  m.guard <- Guard.none;
-  Fun.protect
-    ~finally:(fun () -> m.guard <- saved)
-    (fun () ->
-      let u = m.var_at.(l) in
-      ignore (swap_core m (all_ids_of_var m u) l))
-
-(* One Rudell pass: visit variables in decreasing live-node-count
-   order; walk each to the bottom then the top by adjacent swaps,
-   tracking the live-key count, and park it at the smallest position
-   seen.  A walk direction aborts once the table grows past 1.2× the
-   best size seen for this variable (the standard max-growth cutoff).
-   The size measured is the unique table's key count, which includes
-   any garbage not collected before the pass and the nodes the swaps
-   themselves orphan: a pass never collects, and it allocates only
-   above the bump pointer, skipping free slots.  The caller's guard is
-   probed between swaps, and the nodes a swap allocates are charged
-   to its transition budget (the same
-   allocation-proportional rule the symbolic build uses), so a
-   states/transitions-only guard bounds reordering work too — without
-   the charge, sifting a large store under a small budget could stall
-   indefinitely, since [Guard.tick] alone only watches the deadline.
-   A trip re-raises with the order consistent, which is what lets a
-   sift inside a guarded symbolic build degrade to a
-   truncated-but-sound graph instead of corrupting the manager. *)
-exception Abort_direction
-
-let sift m =
-  if m.in_reorder || m.n_vars < 2 then ()
-  else begin
-    m.in_reorder <- true;
-    let saved = m.guard in
-    m.guard <- Guard.none;
-    let t0 = Sys.time () in
-    Fun.protect
-      ~finally:(fun () ->
-        m.guard <- saved;
-        m.in_reorder <- false;
-        m.reorder_time <- m.reorder_time +. (Sys.time () -. t0))
-      (fun () ->
-        (* conservative var -> ids buckets, maintained across swaps *)
-        let buckets = Array.make m.n_vars [] in
-        for id = m.n_nodes - 1 downto 2 do
-          let v = m.var_of.(id) in
-          if v <> free_var then buckets.(v) <- id :: buckets.(v)
-        done;
-        let live_count v =
-          List.fold_left
-            (fun acc id -> if m.var_of.(id) = v then acc + 1 else acc)
-            0 buckets.(v)
-        in
-        let do_swap l =
-          let u = m.var_at.(l) and v = m.var_at.(l + 1) in
-          let kept, fresh, moved = swap_core m buckets.(u) l in
-          buckets.(u) <- List.rev_append fresh kept;
-          buckets.(v) <- List.rev_append moved buckets.(v)
-        in
-        let charged = ref m.allocs in
-        let probe () =
-          if m.allocs > !charged then begin
-            let d = m.allocs - !charged in
-            charged := m.allocs;
-            Guard.spend_transitions saved d
-          end;
-          Guard.tick saved
-        in
-        let vars =
-          List.sort
-            (fun a b ->
-              let ca = live_count a and cb = live_count b in
-              if ca <> cb then Stdlib.compare cb ca else Stdlib.compare a b)
-            (List.init m.n_vars Fun.id)
-        in
-        List.iter
-          (fun v ->
-            probe ();
-            let best = ref m.u_entries in
-            let best_l = ref m.level_of.(v) in
-            let walk step stop =
-              try
-                while m.level_of.(v) <> stop do
-                  probe ();
-                  let l = m.level_of.(v) in
-                  do_swap (if step > 0 then l else l - 1);
-                  let s = m.u_entries in
-                  if s < !best || (s = !best && m.level_of.(v) < !best_l)
-                  then begin
-                    best := s;
-                    best_l := m.level_of.(v)
-                  end
-                  else if s * 5 > !best * 6 then raise Abort_direction
-                done
-              with Abort_direction -> ()
-            in
-            walk 1 (m.n_vars - 1);
-            walk (-1) 0;
-            (* park at the best level seen *)
-            while m.level_of.(v) < !best_l do
-              do_swap m.level_of.(v)
-            done;
-            while m.level_of.(v) > !best_l do
-              do_swap (m.level_of.(v) - 1)
-            done)
-          vars;
-        m.reorders <- m.reorders + 1;
-        m.reorder_trigger <- max m.reorder_trigger (2 * in_use m))
-  end
-
 (* --- garbage collection --------------------------------------------------- *)
 
 (* Mark from [roots], thread every unmarked slot onto the free list
@@ -722,15 +557,280 @@ let collect_due m =
   let used = in_use m in
   used > 1 lsl 16 && used > 2 * m.live_after_gc
 
+(* --- dynamic reordering --------------------------------------------------- *)
+
+(* Bookkeeping that lives for one reordering pass, indexed by slot and
+   grown with the store.  [refs] is a node's parent count in the store
+   plus its pins: a pinned node never drops to zero, an unpinned one is
+   freed the moment its last parent lets go.  [next]/[prev] thread each
+   variable's nodes into a doubly linked list headed at [head] (-1 ends
+   a list), so a swap walks exactly the upper variable's nodes, and
+   relabelling or freeing a node relinks it in O(1) without allocating.
+   A slot is on at most one list, so no node is visited twice. *)
+type pass = {
+  mutable refs : int array;
+  mutable next : int array;
+  mutable prev : int array;
+  head : int array;
+}
+
+let link p v id =
+  let h = p.head.(v) in
+  p.next.(id) <- h;
+  p.prev.(id) <- -1;
+  if h >= 0 then p.prev.(h) <- id;
+  p.head.(v) <- id
+
+let unlink p v id =
+  let n = p.next.(id) and pr = p.prev.(id) in
+  if pr >= 0 then p.next.(pr) <- n else p.head.(v) <- n;
+  if n >= 0 then p.prev.(n) <- pr
+
+(* Count every node's parents and list it under its variable;
+   [pin_all] also pins every node in the store. *)
+let start_pass m ~pin_all =
+  let cap = Array.length m.var_of in
+  let p =
+    {
+      refs = Array.make cap 0;
+      next = Array.make cap (-1);
+      prev = Array.make cap (-1);
+      head = Array.make m.n_vars (-1);
+    }
+  in
+  for id = m.n_nodes - 1 downto 2 do
+    let v = m.var_of.(id) in
+    if v <> free_var then begin
+      let l = m.low_of.(id) and h = m.high_of.(id) in
+      p.refs.(l) <- p.refs.(l) + 1;
+      p.refs.(h) <- p.refs.(h) + 1;
+      if pin_all then p.refs.(id) <- p.refs.(id) + 1;
+      link p v id
+    end
+  done;
+  p
+
+let fit p m =
+  let cap = Array.length m.var_of in
+  if Array.length p.refs < cap then begin
+    let extend a =
+      let a' = Array.make cap 0 in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    p.refs <- extend p.refs;
+    p.next <- extend p.next;
+    p.prev <- extend p.prev
+  end
+
+let acquire p id = p.refs.(id) <- p.refs.(id) + 1
+
+(* Drop one reference.  A node left with none leaves the unique table,
+   its variable's list and the store (onto the free list), and releases
+   its children in turn (one level deeper per call, so the depth is
+   bounded by the variable count).  No op-cache entry can name it: a
+   pass frees only nodes it created itself, or — after the collection
+   of a rooted pass, which clears the cache — nodes the roots no longer
+   reach. *)
+let rec release m p id =
+  if id >= 2 then begin
+    let r = p.refs.(id) - 1 in
+    p.refs.(id) <- r;
+    if r = 0 then begin
+      delete_key m id;
+      unlink p m.var_of.(id) id;
+      let l = m.low_of.(id) and h = m.high_of.(id) in
+      m.var_of.(id) <- free_var;
+      m.low_of.(id) <- m.free;
+      m.high_of.(id) <- -1;
+      m.free <- id;
+      m.n_free <- m.n_free + 1;
+      release m p l;
+      release m p h
+    end
+  end
+
+(* Swap the variables at adjacent levels [l] (upper, var u) and [l+1]
+   (lower, var v), in place.  Only u-nodes with a v-child change: node
+   (u, f0, f1) becomes (v, mk(u, f0|v=0, f1|v=0), mk(u, f0|v=1, f1|v=1))
+   — same id, same denoted function.  Nobody else moves: u-nodes
+   without a v-child just find themselves one level lower, v-nodes'
+   parents (all at levels < l) and children (all at levels > l+1) are
+   untouched.  Key collisions cannot happen: a rewritten key always has
+   a u-labeled child (both [mk]s collapsing would mean f0 = f1), which
+   no pre-existing v-node key can mention, and two rewritten nodes
+   denote distinct functions.
+
+   A rewritten node acquires its new children before it releases its
+   old ones, so a v-node the swap orphans is freed at once (with
+   whatever below it only that v-node held), and [mk] may hand its slot
+   to a u-node made later in the same swap.  A node [mk] allocates is
+   known by the allocation counter moving; it takes its references to
+   its children and joins the head of u's list, ahead of the walk,
+   which never needs to visit it (its children lie below v).  The walk
+   saves each successor before it touches a node; the swap frees only
+   nodes below u, so that successor stays on the list.
+   The whole swap runs with whatever guard is installed; sifting
+   installs [Guard.none] and probes the real guard between swaps, so a
+   swap is atomic and a trip always lands on a consistent order. *)
+let swap_core m p l =
+  let u = m.var_at.(l) and v = m.var_at.(l + 1) in
+  let child lo hi =
+    let a = m.allocs in
+    let c = mk m u lo hi in
+    if m.allocs > a then begin
+      fit p m;
+      acquire p lo;
+      acquire p hi;
+      link p u c
+    end;
+    acquire p c;
+    c
+  in
+  let cur = ref p.head.(u) in
+  while !cur >= 0 do
+    let id = !cur in
+    cur := p.next.(id);
+    let f0 = m.low_of.(id) and f1 = m.high_of.(id) in
+    let v0 = f0 >= 2 && m.var_of.(f0) = v in
+    let v1 = f1 >= 2 && m.var_of.(f1) = v in
+    if v0 || v1 then begin
+      delete_key m id;
+      let f00 = if v0 then m.low_of.(f0) else f0 in
+      let f01 = if v0 then m.high_of.(f0) else f0 in
+      let f10 = if v1 then m.low_of.(f1) else f1 in
+      let f11 = if v1 then m.high_of.(f1) else f1 in
+      let c0 = child f00 f10 in
+      let c1 = child f01 f11 in
+      unlink p u id;
+      m.var_of.(id) <- v;
+      m.low_of.(id) <- c0;
+      m.high_of.(id) <- c1;
+      insert_key m id;
+      link p v id;
+      release m p f0;
+      release m p f1
+    end
+  done;
+  m.var_at.(l) <- v;
+  m.var_at.(l + 1) <- u;
+  m.level_of.(u) <- l + 1;
+  m.level_of.(v) <- l;
+  m.swaps <- m.swaps + 1
+
+let swap_adjacent m l =
+  if l < 0 || l >= m.n_vars - 1 then invalid_arg "Bdd.swap_adjacent: level";
+  let saved = m.guard in
+  m.guard <- Guard.none;
+  Fun.protect
+    ~finally:(fun () -> m.guard <- saved)
+    (fun () -> swap_core m (start_pass m ~pin_all:true) l)
+
+(* One Rudell pass: visit variables in decreasing node-count order;
+   walk each to the bottom then the top by adjacent swaps, tracking the
+   unique table's key count, and park it at the smallest position seen
+   — a strictly smaller one, so a tie never moves a variable.  A walk
+   direction aborts once the table grows past 1.2× the best size seen
+   for this variable (the standard max-growth cutoff).
+
+   The pass's reference counts free what its swaps orphan, so the key
+   count is the live size of the pinned nodes, and it depends on the
+   order alone: parking lands exactly on the best size seen.  With
+   [roots], the store is collected down to them and only they are
+   pinned, so the pass minimises the size of the caller's functions.
+   Without, every node in the store is pinned — the automatic trigger
+   inside an operation cannot see the caller's handles — and the pass
+   never ends with more nodes in use than it started with.
+
+   The caller's guard is probed between swaps, and the nodes a swap
+   allocates are charged to its transition budget (the same
+   allocation-proportional rule the symbolic build uses), so a
+   states/transitions-only guard bounds reordering work too — without
+   the charge, sifting a large store under a small budget could stall
+   indefinitely, since [Guard.tick] alone only watches the deadline.
+   A trip re-raises with the order consistent, which is what lets a
+   sift inside a guarded symbolic build degrade to a
+   truncated-but-sound graph instead of corrupting the manager. *)
+exception Abort_direction
+
+let sift ?roots m =
+  if m.in_reorder || m.n_vars < 2 then ()
+  else begin
+    Option.iter (collect m) roots;
+    let p = start_pass m ~pin_all:(roots = None) in
+    Option.iter (List.iter (acquire p)) roots;
+    m.in_reorder <- true;
+    let saved = m.guard in
+    m.guard <- Guard.none;
+    let t0 = Sys.time () in
+    Fun.protect
+      ~finally:(fun () ->
+        m.guard <- saved;
+        m.in_reorder <- false;
+        m.reorder_time <- m.reorder_time +. (Sys.time () -. t0))
+      (fun () ->
+        let count = Array.make m.n_vars 0 in
+        for id = 2 to m.n_nodes - 1 do
+          let v = m.var_of.(id) in
+          if v <> free_var then count.(v) <- count.(v) + 1
+        done;
+        let charged = ref m.allocs in
+        let probe () =
+          if m.allocs > !charged then begin
+            let d = m.allocs - !charged in
+            charged := m.allocs;
+            Guard.spend_transitions saved d
+          end;
+          Guard.tick saved
+        in
+        let vars =
+          List.sort
+            (fun a b ->
+              if count.(a) <> count.(b) then Stdlib.compare count.(b) count.(a)
+              else Stdlib.compare a b)
+            (List.init m.n_vars Fun.id)
+        in
+        List.iter
+          (fun v ->
+            probe ();
+            let best = ref m.u_entries in
+            let best_l = ref m.level_of.(v) in
+            let walk step stop =
+              try
+                while m.level_of.(v) <> stop do
+                  probe ();
+                  let l = m.level_of.(v) in
+                  swap_core m p (if step > 0 then l else l - 1);
+                  let s = m.u_entries in
+                  if s < !best then begin
+                    best := s;
+                    best_l := m.level_of.(v)
+                  end
+                  else if s * 5 > !best * 6 then raise Abort_direction
+                done
+              with Abort_direction -> ()
+            in
+            walk 1 (m.n_vars - 1);
+            walk (-1) 0;
+            (* park at the best level seen *)
+            while m.level_of.(v) < !best_l do
+              swap_core m p m.level_of.(v)
+            done;
+            while m.level_of.(v) > !best_l do
+              swap_core m p (m.level_of.(v) - 1)
+            done)
+          vars;
+        m.reorders <- m.reorders + 1;
+        m.reorder_trigger <- max m.reorder_trigger (2 * in_use m))
+  end
+
 let set_reorder m mode = m.reorder <- mode
 let reorder_mode m = m.reorder
-let set_reorder_bound m n = m.reorder_bound <- n
 let disable_reorder m = m.reorder <- Reorder_none
 
 let maybe_reorder m =
   if
     m.reorder == Reorder_sift && (not m.in_reorder)
-    && m.reorders < m.reorder_bound
     && in_use m >= m.reorder_trigger
   then sift m
 

@@ -21,9 +21,10 @@
     inside [mk]/[apply], so resource limits can interrupt a runaway
     symbolic computation mid-recursion.
 
-    Memory is reclaimed only by {!collect}, a mark-and-sweep from
-    roots the caller names: nothing collects implicitly, because only
-    the caller knows which handles it still holds. *)
+    Memory is reclaimed by {!collect}, a mark-and-sweep from roots the
+    caller names, and by a sifting pass, which frees the nodes its own
+    swaps orphan.  Nothing else collects: only the caller knows which
+    handles it still holds. *)
 
 open Satg_guard
 
@@ -183,36 +184,50 @@ val collect_due : man -> bool
 type reorder_mode = Reorder_none | Reorder_sift
 
 val set_reorder : man -> reorder_mode -> unit
-(** Under [Reorder_sift], a sifting pass fires automatically at public
-    operation entry points once the store crosses a growth trigger
-    (2× the post-reorder size; initial trigger 4096 nodes).  Triggers
-    depend only on the operation sequence, so runs are deterministic;
-    the BDD phase of the engine is sequential, so they are also
-    [-j]-independent. *)
+(** Under [Reorder_sift], an unrooted {!sift} pass fires automatically
+    at public operation entry points once the store crosses a growth
+    trigger (2× the nodes in use after the last pass; initial trigger
+    4096 nodes).  An operation cannot see the caller's handles, so the
+    pass pins every node in the store: it frees only what its own swaps
+    create, and never ends with more nodes in use than it started with.
+    Triggers depend only on the operation sequence, so runs are
+    deterministic; the BDD phase of the engine is sequential, so they
+    are also [-j]-independent. *)
 
 val reorder_mode : man -> reorder_mode
-
-val set_reorder_bound : man -> int -> unit
-(** Cap the number of {e automatic} sifting passes (default:
-    unlimited).  Explicit {!sift} calls are not counted against it. *)
 
 val disable_reorder : man -> unit
 (** Shorthand for [set_reorder m Reorder_none] — e.g. to freeze the
     order around code that must not see it move. *)
 
-val sift : man -> unit
+val sift : ?roots:t list -> man -> unit
 (** One Rudell sifting pass: each variable (largest first) walks the
-    order by in-place adjacent-level swaps and parks at the position
-    minimising the unique table's key count, with the standard 1.2×
-    max-growth cutoff per direction.  That count includes garbage not
-    yet collected: {!collect} first to size the live functions only.
-    A pass never collects, and allocates only fresh slots above the
-    store's high-water mark.  Handles remain valid.  The manager's guard
-    is probed {e between} swaps (each swap is atomic) and charged one
+    order by in-place adjacent-level swaps, with the standard 1.2×
+    max-growth cutoff per direction, and parks at the position with the
+    fewest nodes in use — only if that is strictly fewer than where it
+    started, so a tie never moves it.
+
+    The pass keeps reference counts for its own duration: a node one
+    of its swaps orphans is freed at once, its slot goes onto the free
+    list, and later swaps of the same pass reuse it.  So the size it
+    scores is the live size of the {e pinned} nodes, which depends on
+    the order alone.
+    - With [roots], the store is first collected down to them, as by
+      {!collect} (every other handle is dead afterwards), and only the
+      roots are pinned: the pass minimises exactly the size of the
+      caller's functions.
+    - Without, every node in the store is pinned, garbage included; the
+      pass frees only nodes it made, and it never ends with more nodes
+      in use than it started with.  This is the form the automatic
+      trigger runs.
+
+    Handles that survive keep their functions.  The manager's guard is
+    probed {e between} swaps (each swap is atomic) and charged one
     transition per node the swaps allocate (counted as allocations,
-    like {!node_count}), so both a deadline and a
-    transition budget bound reordering work; a trip raises
-    {!Guard.Exhausted} with the manager consistent. *)
+    like {!node_count}), so both a deadline and a transition budget
+    bound reordering work; a trip raises {!Guard.Exhausted} with the
+    manager consistent.
+    @raise Invalid_argument if a root is already dead. *)
 
 val swap_adjacent : man -> int -> unit
 (** Swap the variables at levels [l] and [l+1] in place.  Exposed for
@@ -233,12 +248,13 @@ type stats = {
   live_nodes : int;
       (** nodes in use: unique-table entries + terminals, that is the
           survivors of the last {!collect} plus everything allocated
-          since.  Below [peak_nodes] once a collection has freed slots
-          that have not been refilled. *)
+          since, less what sifting passes freed.  Below [peak_nodes]
+          once a collection or a pass has freed slots that have not
+          been refilled. *)
   peak_nodes : int;
       (** the store's high-water mark (its bump pointer): never were
-          more slots in use at once.  Without a collection, every node
-          ever allocated. *)
+          more slots in use at once.  Without a collection or a sifting
+          pass, every node ever allocated. *)
   n_vars : int;
   unique_buckets : int;  (** open-addressing bucket count *)
   unique_buckets_init : int;  (** bucket count chosen at {!create} *)

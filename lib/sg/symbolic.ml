@@ -495,6 +495,8 @@ let live_nodes t =
 
 let n_reachable t = count_x_states t.man ~n:(Circuit.n_nodes t.circuit) t.reachable
 
+let sift t = Bdd.sift ~roots:(roots t) t.man
+
 let bdd_stats t = Bdd.stats t.man
 
 let with_guard t g f =

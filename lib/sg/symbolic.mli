@@ -23,10 +23,13 @@
       {!cssg_relation}, [R_I] and the transition relation) and
       [target].
 
+    {!sift} collects down to the same artefacts before it reorders.
+
     So those artefacts, and a justify target, always survive.  Any
     other handle of {!man} — from {!gate_function}, {!state_to_bdd} or
-    the caller's own operations — may be dead once {!justify} returns,
-    unless it was the target.  No other call collects. *)
+    the caller's own operations — may be dead once {!justify} or
+    {!sift} returns, unless it was the target.  No other call
+    collects. *)
 
 open Satg_guard
 open Satg_circuit
@@ -110,6 +113,13 @@ val truncated : t -> Guard.reason option
 val live_nodes : t -> int
 (** Total BDD nodes of the retained artefacts (transition relations,
     reachable set, CSSG relation) — the variable-ordering metric. *)
+
+val sift : t -> unit
+(** One rooted sifting pass ({!Bdd.sift} with roots) over this
+    instance's artefacts — the handles {!justify} collects to.  The
+    pass minimises their shared node count and leaves nothing else in
+    the store; any other handle of {!man} is dead afterwards.  The
+    graph, and every artefact's function, are unchanged. *)
 
 val circuit : t -> Circuit.t
 val k : t -> int

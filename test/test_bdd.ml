@@ -537,35 +537,55 @@ let eval_pairs n assign =
   let rec go i = i < n && ((assign i && assign (n + i)) || go (i + 1)) in
   go 0
 
+(* A rooted pass sizes the caller's function alone: [f] reaches the
+   linear form (2 nodes per pair) and nothing else stays in the store. *)
 let test_sift_explicit () =
   let n = 6 in
   let m = Bdd.create ~nvars:(2 * n) () in
   let f = interleaved_pairs m n in
   let before = Bdd.size m f in
   let s0 = Bdd.stats m in
-  Bdd.sift m;
+  Bdd.sift ~roots:[ f ] m;
   let s1 = Bdd.stats m in
   let after = Bdd.size m f in
   Alcotest.(check bool)
     (Printf.sprintf "size shrank (%d -> %d)" before after)
     true (after < before);
+  Alcotest.(check int) "linear form" (2 * n) after;
+  Alcotest.(check int) "only f and the terminals live" (after + 2)
+    s1.Bdd.live_nodes;
   Alcotest.(check int) "one pass counted" (s0.Bdd.reorders + 1) s1.Bdd.reorders;
   Alcotest.(check bool) "swaps counted" true (s1.Bdd.swaps > s0.Bdd.swaps);
   Alcotest.(check bool) "reorder time counted" true
     (s1.Bdd.reorder_seconds >= 0.0);
-  for mask = 0 to (1 lsl (2 * n)) - 1 do
-    let assign v = mask land (1 lsl v) <> 0 in
-    if Bdd.eval m f assign <> eval_pairs n assign then
-      Alcotest.failf "semantics changed at mask %d" mask
-  done;
-  (* canonicity survives the reorder *)
-  Alcotest.(check bool) "rebuild physically equal" true
-    (Bdd.equal (interleaved_pairs m n) f)
+  let semantics m f =
+    for mask = 0 to (1 lsl (2 * n)) - 1 do
+      let assign v = mask land (1 lsl v) <> 0 in
+      if Bdd.eval m f assign <> eval_pairs n assign then
+        Alcotest.failf "semantics changed at mask %d" mask
+    done;
+    (* canonicity survives the reorder *)
+    Alcotest.(check bool) "rebuild physically equal" true
+      (Bdd.equal (interleaved_pairs m n) f)
+  in
+  semantics m f;
+  (* An unrooted pass pins the whole store, the intermediate results of
+     the build included: it may move variables, but never ends with
+     more nodes in use than it started with. *)
+  let m = Bdd.create ~nvars:(2 * n) () in
+  let f = interleaved_pairs m n in
+  let live0 = (Bdd.stats m).Bdd.live_nodes in
+  Bdd.sift m;
+  let live1 = (Bdd.stats m).Bdd.live_nodes in
+  Alcotest.(check bool)
+    (Printf.sprintf "unrooted pass does not grow (%d -> %d)" live0 live1)
+    true (live1 <= live0);
+  semantics m f
 
 (* Automatic reordering: build the pair function big enough to cross
    the 4096-node growth trigger under [Reorder_sift]; a pass must have
-   fired, and the function must still be right.  With the pass budget
-   pinned to zero the same build must not reorder at all. *)
+   fired, and the function must still be right.  With reordering
+   disabled the same build must not reorder at all. *)
 let test_auto_reorder_trigger () =
   let n = 13 in
   let build_with setup =
@@ -588,12 +608,6 @@ let test_auto_reorder_trigger () =
     if Bdd.eval m f assign <> eval_pairs n assign then
       Alcotest.failf "auto-reorder changed semantics at mask %d" mask
   done;
-  let m0, _ =
-    build_with (fun m ->
-        Bdd.set_reorder m Bdd.Reorder_sift;
-        Bdd.set_reorder_bound m 0)
-  in
-  Alcotest.(check int) "bound 0 means no passes" 0 (Bdd.stats m0).Bdd.reorders;
   let mn, _ = build_with (fun m -> Bdd.disable_reorder m) in
   Alcotest.(check int) "disabled means no passes" 0 (Bdd.stats mn).Bdd.reorders
 
@@ -691,7 +705,8 @@ let test_collect () =
 
 (* Random programs over a pool of handles, each paired with its truth
    table over [n_gc_vars] variables.  [Collect] keeps a random subset
-   of the pool as roots and drops the rest from the pool. *)
+   of the pool as roots and drops the rest from the pool; so does a
+   rooted [Sift], while an unrooted one keeps the whole pool. *)
 let n_gc_vars = 5
 
 type gc_op =
@@ -699,30 +714,35 @@ type gc_op =
   | Gc_ite of int * int * int
   | Gc_flip of int * int * int  (* var, two pool entries *)
   | Gc_quant of bool * int * int  (* exists?, var, pool entry *)
-  | Gc_sift
+  | Gc_sift of bool list option  (* roots' keep flags, or unrooted *)
   | Gc_collect of bool list  (* keep flags, cycled over the pool *)
 
 let gc_op_gen ~sift =
   let open QCheck.Gen in
   let idx = int_bound 1000 in
+  let keep_flags = list_size (int_range 1 8) bool in
   frequency
     ([
        (6, map3 (fun o a b -> Gc_bin (o, a, b)) (int_bound 2) idx idx);
        (2, map3 (fun f g h -> Gc_ite (f, g, h)) idx idx idx);
        (2, map3 (fun v a b -> Gc_flip (v, a, b)) (int_bound (n_gc_vars - 1)) idx idx);
        (2, map3 (fun e v a -> Gc_quant (e, v, a)) bool (int_bound (n_gc_vars - 1)) idx);
-       (2, map (fun keep -> Gc_collect keep) (list_size (int_range 1 8) bool));
+       (2, map (fun keep -> Gc_collect keep) keep_flags);
      ]
-    @ if sift then [ (1, return Gc_sift) ] else [])
+    @ if sift then [ (1, map (fun roots -> Gc_sift roots) (option keep_flags)) ]
+      else [])
+
+let flags_print keep =
+  "[" ^ String.concat "" (List.map (fun b -> if b then "1" else "0") keep) ^ "]"
 
 let gc_op_print = function
   | Gc_bin (o, a, b) -> Printf.sprintf "bin%d(%d,%d)" o a b
   | Gc_ite (f, g, h) -> Printf.sprintf "ite(%d,%d,%d)" f g h
   | Gc_flip (v, a, b) -> Printf.sprintf "flip%d(%d,%d)" v a b
   | Gc_quant (e, v, a) -> Printf.sprintf "%s%d(%d)" (if e then "ex" else "all") v a
-  | Gc_sift -> "sift"
-  | Gc_collect keep ->
-    "collect[" ^ String.concat "" (List.map (fun b -> if b then "1" else "0") keep) ^ "]"
+  | Gc_sift None -> "sift"
+  | Gc_sift (Some keep) -> "sift" ^ flags_print keep
+  | Gc_collect keep -> "collect" ^ flags_print keep
 
 let gc_prog_arb ~sift =
   QCheck.make
@@ -748,9 +768,24 @@ let survivors_intact m pool =
       tt_of (Bdd.eval m f) = tt && Bdd.equal (of_tt m tt) f)
     pool
 
-(* Run a program; after every collection (and at the end) each pooled
-   handle must still denote its truth table, and rebuilding that table
-   from scratch must return the very same handle. *)
+(* Internal nodes reachable from any of [roots], shared ones once. *)
+let shared_size m roots =
+  let seen = Hashtbl.create 64 in
+  let rec go t =
+    if (not (Bdd.is_zero t || Bdd.is_one t)) && not (Hashtbl.mem seen t) then begin
+      Hashtbl.replace seen t ();
+      go (Bdd.low m t);
+      go (Bdd.high m t)
+    end
+  in
+  List.iter go roots;
+  Hashtbl.length seen
+
+(* Run a program; after every collection and rooted pass (and at the
+   end) each pooled handle must still denote its truth table, and
+   rebuilding that table from scratch must return the very same handle.
+   A rooted pass leaves exactly the roots' nodes in use; an unrooted
+   one never leaves more in use than it found. *)
 let run_gc_prog m ops =
   let var_pool () =
     List.init n_gc_vars (fun v ->
@@ -759,6 +794,10 @@ let run_gc_prog m ops =
   let pool = ref (var_pool ()) in
   let pick i = List.nth !pool (i mod List.length !pool) in
   let push f = pool := !pool @ [ (f, tt_of (Bdd.eval m f)) ] in
+  let keep_of keep =
+    let flags = Array.of_list keep in
+    List.filteri (fun i _ -> flags.(i mod Array.length flags)) !pool
+  in
   let ok = ref true in
   List.iter
     (fun op ->
@@ -775,12 +814,20 @@ let run_gc_prog m ops =
       | Gc_quant (e, v, a) ->
         let fa, _ = pick a in
         push ((if e then Bdd.exists else Bdd.forall) m ~vars:[ v ] fa)
-      | Gc_sift -> Bdd.sift m
+      | Gc_sift None ->
+        let before = (Bdd.stats m).Bdd.live_nodes in
+        Bdd.sift m;
+        if (Bdd.stats m).Bdd.live_nodes > before then ok := false
+      | Gc_sift (Some keep) ->
+        let kept = keep_of keep in
+        let roots = List.map fst kept in
+        Bdd.sift ~roots m;
+        if (Bdd.stats m).Bdd.live_nodes <> shared_size m roots + 2 then
+          ok := false;
+        if not (survivors_intact m kept) then ok := false;
+        pool := if kept = [] then var_pool () else kept
       | Gc_collect keep ->
-        let flags = Array.of_list keep in
-        let kept =
-          List.filteri (fun i _ -> flags.(i mod Array.length flags)) !pool
-        in
+        let kept = keep_of keep in
         let before = (Bdd.stats m).Bdd.live_nodes in
         Bdd.collect m (List.map fst kept);
         let s = Bdd.stats m in

@@ -98,7 +98,15 @@ let test_engines_agree () =
         (partition bdd_cap1);
       Alcotest.(check (list (pair string string)))
         (nm ^ ": explicit = sat") (partition exp) (partition sat);
-      Alcotest.(check bool) (nm ^ ": complete run") false (Engine.partial exp))
+      Alcotest.(check bool) (nm ^ ": complete run") false (Engine.partial exp);
+      (* sifting frees what its swaps orphan, so it stays within 2x of
+         the unsifted store *)
+      let peak r = (Option.get r.Engine.bdd_stats).Satg_bdd.Bdd.peak_nodes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: bdd+sift peak %d <= 2 x %d" nm (peak bdd_sift)
+           (peak bdd))
+        true
+        (peak bdd_sift <= 2 * peak bdd))
     instances
 
 let test_jobs_determinism () =
