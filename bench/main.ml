@@ -315,528 +315,6 @@ let fault_sim_bench path =
     (Parallel_sim.n_words pack)
     scalar_seconds scalar_pps speedup
 
-(* --- BDD engine throughput -------------------------------------------------- *)
-
-(* Head-to-head: the int-packed manager (open-addressing unique table,
-   direct-mapped shared op cache) versus the pre-rewrite design
-   (tuple-keyed Hashtbl unique table, one unbounded Hashtbl cache per
-   operation), kept here as the frozen baseline.  Both sides run the
-   same netlist-derived workload through a shared formula builder, so
-   the logical work is identical; the result goes to BENCH_bdd.json. *)
-
-module Legacy = struct
-  type t = {
-    mutable var_ : int array;
-    mutable low : int array;
-    mutable high : int array;
-    mutable n : int;
-    unique : (int * int * int, int) Hashtbl.t;
-    and_c : (int * int, int) Hashtbl.t;
-    or_c : (int * int, int) Hashtbl.t;
-    xor_c : (int * int, int) Hashtbl.t;
-    not_c : (int, int) Hashtbl.t;
-    ite_c : (int * int * int, int) Hashtbl.t;
-    mutable ops : int;  (* cache probes, the apply-throughput unit *)
-  }
-
-  let create () =
-    let var_ = Array.make 1024 max_int in
-    {
-      var_;
-      low = Array.make 1024 (-1);
-      high = Array.make 1024 (-1);
-      n = 2;
-      unique = Hashtbl.create 1024;
-      and_c = Hashtbl.create 256;
-      or_c = Hashtbl.create 256;
-      xor_c = Hashtbl.create 256;
-      not_c = Hashtbl.create 256;
-      ite_c = Hashtbl.create 256;
-      ops = 0;
-    }
-
-  let grow m =
-    let cap = 2 * Array.length m.var_ in
-    let g a def =
-      let b = Array.make cap def in
-      Array.blit a 0 b 0 m.n;
-      b
-    in
-    m.var_ <- g m.var_ max_int;
-    m.low <- g m.low (-1);
-    m.high <- g m.high (-1)
-
-  let mk m v l h =
-    if l = h then l
-    else
-      match Hashtbl.find_opt m.unique (v, l, h) with
-      | Some u -> u
-      | None ->
-        if m.n >= Array.length m.var_ then grow m;
-        let u = m.n in
-        m.n <- u + 1;
-        m.var_.(u) <- v;
-        m.low.(u) <- l;
-        m.high.(u) <- h;
-        Hashtbl.add m.unique (v, l, h) u;
-        u
-
-  let level m u = if u < 2 then max_int else m.var_.(u)
-  let var m v = mk m v 0 1
-
-  let rec not_ m a =
-    if a < 2 then 1 - a
-    else begin
-      m.ops <- m.ops + 1;
-      match Hashtbl.find_opt m.not_c a with
-      | Some r -> r
-      | None ->
-        let r = mk m m.var_.(a) (not_ m m.low.(a)) (not_ m m.high.(a)) in
-        Hashtbl.add m.not_c a r;
-        r
-    end
-
-  let rec apply m op cache a b =
-    let shortcut =
-      match op with
-      | `And ->
-        if a = 0 || b = 0 then Some 0
-        else if a = 1 then Some b
-        else if b = 1 then Some a
-        else if a = b then Some a
-        else None
-      | `Or ->
-        if a = 1 || b = 1 then Some 1
-        else if a = 0 then Some b
-        else if b = 0 then Some a
-        else if a = b then Some a
-        else None
-      | `Xor ->
-        if a = 0 then Some b
-        else if b = 0 then Some a
-        else if a = 1 then Some (not_ m b)
-        else if b = 1 then Some (not_ m a)
-        else if a = b then Some 0
-        else None
-    in
-    match shortcut with
-    | Some r -> r
-    | None -> begin
-      m.ops <- m.ops + 1;
-      let key = if a <= b then (a, b) else (b, a) in
-      match Hashtbl.find_opt cache key with
-      | Some r -> r
-      | None ->
-        let va = level m a and vb = level m b in
-        let v = min va vb in
-        let a0, a1 = if va = v then (m.low.(a), m.high.(a)) else (a, a) in
-        let b0, b1 = if vb = v then (m.low.(b), m.high.(b)) else (b, b) in
-        let r = mk m v (apply m op cache a0 b0) (apply m op cache a1 b1) in
-        Hashtbl.add cache key r;
-        r
-    end
-
-  let and_ m a b = apply m `And m.and_c a b
-  let or_ m a b = apply m `Or m.or_c a b
-  let xor_ m a b = apply m `Xor m.xor_c a b
-
-  let rec ite m f g h =
-    if f = 1 then g
-    else if f = 0 then h
-    else if g = h then g
-    else begin
-      m.ops <- m.ops + 1;
-      match Hashtbl.find_opt m.ite_c (f, g, h) with
-      | Some r -> r
-      | None ->
-        let v = min (level m f) (min (level m g) (level m h)) in
-        let cof u = if level m u = v then (m.low.(u), m.high.(u)) else (u, u) in
-        let f0, f1 = cof f in
-        let g0, g1 = cof g in
-        let h0, h1 = cof h in
-        let r = mk m v (ite m f0 g0 h0) (ite m f1 g1 h1) in
-        Hashtbl.add m.ite_c (f, g, h) r;
-        r
-    end
-end
-
-(* Manager-agnostic boolean constructors, so both engines build the
-   exact same formulas. *)
-type 'b bool_ops = {
-  b_zero : 'b;
-  b_one : 'b;
-  b_var : int -> 'b;
-  b_and : 'b -> 'b -> 'b;
-  b_or : 'b -> 'b -> 'b;
-  b_xor : 'b -> 'b -> 'b;
-  b_not : 'b -> 'b;
-  b_ite : 'b -> 'b -> 'b -> 'b;
-}
-
-(* A gate's output function over current-value variables (var 2i for
-   node i; 2i+1 is reserved for its next value). *)
-let func_formula ops c gid =
-  let fanin = Circuit.fanins c gid in
-  let in_ p = ops.b_var (2 * fanin.(p)) in
-  let fold op unit_ =
-    let acc = ref unit_ in
-    Array.iteri (fun p _ -> acc := op !acc (in_ p)) fanin;
-    !acc
-  in
-  match Circuit.func c gid with
-  | Gatefunc.Buf -> in_ 0
-  | Gatefunc.Not -> ops.b_not (in_ 0)
-  | Gatefunc.And -> fold ops.b_and ops.b_one
-  | Gatefunc.Or -> fold ops.b_or ops.b_zero
-  | Gatefunc.Nand -> ops.b_not (fold ops.b_and ops.b_one)
-  | Gatefunc.Nor -> ops.b_not (fold ops.b_or ops.b_zero)
-  | Gatefunc.Xor -> fold ops.b_xor ops.b_zero
-  | Gatefunc.Xnor -> ops.b_not (fold ops.b_xor ops.b_zero)
-  | Gatefunc.Mux -> ops.b_ite (in_ 0) (in_ 1) (in_ 2)
-  | Gatefunc.Celem ->
-    let all = fold ops.b_and ops.b_one in
-    let any = fold ops.b_or ops.b_zero in
-    ops.b_or all (ops.b_and (ops.b_var (2 * gid)) any)
-  | Gatefunc.Const b -> if b then ops.b_one else ops.b_zero
-  | Gatefunc.Sop cover ->
-    List.fold_left
-      (fun acc cube ->
-        let term = ref ops.b_one in
-        Array.iteri
-          (fun p l ->
-            match l with
-            | Cube.D -> ()
-            | Cube.T -> term := ops.b_and !term (in_ p)
-            | Cube.F -> term := ops.b_and !term (ops.b_not (in_ p)))
-          (Cube.lits cube);
-        ops.b_or acc !term)
-      ops.b_zero (Cover.cubes cover)
-
-(* The workload: build the circuit's transition relation
-   (next(g) <-> f_g over all gates) and its excitation set, then a few
-   ite mixes of the two — the same shapes the symbolic CSSG engine
-   produces, deterministic per netlist. *)
-let bdd_workload ops c =
-  let iff a b = ops.b_not (ops.b_xor a b) in
-  let gates = Circuit.gates c in
-  let delta =
-    Array.fold_left
-      (fun acc gid ->
-        ops.b_and acc (iff (ops.b_var ((2 * gid) + 1)) (func_formula ops c gid)))
-      ops.b_one gates
-  in
-  let excited =
-    Array.fold_left
-      (fun acc gid ->
-        ops.b_or acc (ops.b_xor (ops.b_var (2 * gid)) (func_formula ops c gid)))
-      ops.b_zero gates
-  in
-  ignore (ops.b_ite excited delta (ops.b_not delta));
-  ignore (ops.b_and delta (ops.b_not excited))
-
-let packed_run c =
-  let m = Bdd.create ~nvars:(2 * Circuit.n_nodes c) () in
-  bdd_workload
-    {
-      b_zero = Bdd.zero m;
-      b_one = Bdd.one m;
-      b_var = Bdd.var m;
-      b_and = Bdd.and_ m;
-      b_or = Bdd.or_ m;
-      b_xor = Bdd.xor_ m;
-      b_not = Bdd.not_ m;
-      b_ite = Bdd.ite m;
-    }
-    c;
-  Bdd.stats m
-
-let legacy_run c =
-  let m = Legacy.create () in
-  bdd_workload
-    {
-      b_zero = 0;
-      b_one = 1;
-      b_var = Legacy.var m;
-      b_and = Legacy.and_ m;
-      b_or = Legacy.or_ m;
-      b_xor = Legacy.xor_ m;
-      b_not = Legacy.not_ m;
-      b_ite = Legacy.ite m;
-    }
-    c;
-  m
-
-let bdd_netlists =
-  [
-    "examples/netlists/celem_handshake.cct";
-    "examples/netlists/mutex_latch.cct";
-    "examples/netlists/ring_storm.cct";
-    "examples/netlists/toggle_farm.cct";
-  ]
-
-(* --- partitioned vs monolithic symbolic builds ------------------------------ *)
-
-(* Style and reorder head-to-heads through [Symbolic.build] itself, in
-   three regimes.  The two small circuits run to completion — every
-   style × reorder combination must agree on the reachable count, and
-   the rows show reordering is free below the sifting trigger.
-   ring_storm runs under a states-only cap, so both styles perform the
-   same semantic work before tripping and the comparison isolates the
-   image pipeline: partitioned never materialises R_delta, which shows
-   up as a several-fold smaller retained-node footprint (asserted
-   here; the per-step relational products cost somewhat more, recorded
-   honestly in the timings).  toggle_farm runs under the full
-   deterministic caps, where monolithic burns most of its budget
-   constructing R_delta before the first image — the time-to-budget
-   win for the partitioned form.  Lands in the "symbolic" section of
-   BENCH_bdd.json. *)
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-type sym_cell = {
-  sc_style : string;
-  sc_reorder : string;
-  sc_seconds : float;
-  sc_reachable : int;
-  sc_truncated : bool;
-  sc_live : int;
-  sc_reorders : int;
-  sc_swaps : int;
-}
-
-let sym_cell c ~style ~reorder ~guard_of =
-  let st_name = match style with `Partitioned -> "partitioned" | `Monolithic -> "monolithic" in
-  let ro_name = match reorder with Bdd.Reorder_none -> "none" | Bdd.Reorder_sift -> "sift" in
-  let t, seconds =
-    timed (fun () -> Symbolic.build ~style ~reorder ~guard:(guard_of ()) c)
-  in
-  let st = Symbolic.bdd_stats t in
-  {
-    sc_style = st_name;
-    sc_reorder = ro_name;
-    sc_seconds = seconds;
-    sc_reachable = Symbolic.n_reachable t;
-    sc_truncated = Symbolic.truncated t <> None;
-    sc_live = Symbolic.live_nodes t;
-    sc_reorders = st.Bdd.reorders;
-    sc_swaps = st.Bdd.swaps;
-  }
-
-let sym_cell_json indent cell =
-  Printf.sprintf
-    {|%s{ "style": "%s", "reorder": "%s", "seconds": %.6f,
-%s  "reachable": %d, "truncated": %b, "live_nodes": %d,
-%s  "reorders": %d, "swaps": %d }|}
-    indent cell.sc_style cell.sc_reorder cell.sc_seconds indent
-    cell.sc_reachable cell.sc_truncated cell.sc_live indent cell.sc_reorders
-    cell.sc_swaps
-
-let sym_print cell =
-  Printf.printf
-    "  %-11s %-4s: %8.4f s  reachable=%d%s live=%d  (%d reorders, %d swaps)\n"
-    cell.sc_style cell.sc_reorder cell.sc_seconds cell.sc_reachable
-    (if cell.sc_truncated then " (truncated)" else "")
-    cell.sc_live cell.sc_reorders cell.sc_swaps
-
-(* The deterministic caps shared with the SAT race and the CI
-   backend-agreement job. *)
-let sat_cap_states = 500
-let sat_cap_transitions = 200_000
-
-let symbolic_style_bench () =
-  (* Regime 1: uncapped small circuits, full style × reorder grid. *)
-  let complete_rows =
-    List.map
-      (fun path ->
-        let c = load_netlist path in
-        let cells =
-          List.map
-            (fun (style, reorder) ->
-              sym_cell c ~style ~reorder ~guard_of:(fun () ->
-                  Satg_guard.Guard.none))
-            [
-              (`Partitioned, Bdd.Reorder_none);
-              (`Partitioned, Bdd.Reorder_sift);
-              (`Monolithic, Bdd.Reorder_none);
-              (`Monolithic, Bdd.Reorder_sift);
-            ]
-        in
-        Printf.printf "symbolic (%s): uncapped\n" (Circuit.name c);
-        List.iter sym_print cells;
-        (match cells with
-        | first :: rest ->
-          List.iter
-            (fun cl ->
-              if cl.sc_reachable <> first.sc_reachable || cl.sc_truncated then
-                failwith
-                  (Printf.sprintf
-                     "%s: %s/%s disagrees on reachable states (%d vs %d)"
-                     (Circuit.name c) cl.sc_style cl.sc_reorder cl.sc_reachable
-                     first.sc_reachable))
-            rest
-        | [] -> assert false);
-        Printf.sprintf
-          {|      { "circuit": "%s",
-        "cells": [
-%s
-        ] }|}
-          (Circuit.name c)
-          (String.concat ",\n" (List.map (sym_cell_json "          ") cells)))
-      [
-        "examples/netlists/celem_handshake.cct";
-        "examples/netlists/mutex_latch.cct";
-      ]
-  in
-  (* Regime 2: ring_storm under a states-only cap — equal semantic work
-     on both sides, relation footprint is the partitioned win. *)
-  let ring_cap = sat_cap_states in
-  let ring =
-    let c = load_netlist "examples/netlists/ring_storm.cct" in
-    let guard_of () = Satg_guard.Guard.create ~max_states:ring_cap () in
-    let part = sym_cell c ~style:`Partitioned ~reorder:Bdd.Reorder_none ~guard_of in
-    let mono = sym_cell c ~style:`Monolithic ~reorder:Bdd.Reorder_none ~guard_of in
-    Printf.printf "symbolic (%s): states cap %d\n" (Circuit.name c) ring_cap;
-    sym_print part;
-    sym_print mono;
-    if part.sc_reachable <> mono.sc_reachable then
-      failwith
-        (Printf.sprintf "%s: styles disagree under equal state cap (%d vs %d)"
-           (Circuit.name c) part.sc_reachable mono.sc_reachable);
-    if mono.sc_live < part.sc_live then
-      failwith
-        (Printf.sprintf
-           "%s: monolithic retained fewer nodes than partitioned (%d < %d)"
-           (Circuit.name c) mono.sc_live part.sc_live);
-    Printf.printf "  footprint ratio (mono/part): %.2fx\n"
-      (float_of_int mono.sc_live /. float_of_int part.sc_live);
-    Printf.sprintf
-      {|      "circuit": "ring_storm",
-      "max_states": %d,
-      "partitioned": %s,
-      "monolithic": %s,
-      "footprint_ratio": %.2f|}
-      ring_cap
-      (sym_cell_json "" part |> String.trim)
-      (sym_cell_json "" mono |> String.trim)
-      (float_of_int mono.sc_live /. float_of_int part.sc_live)
-  in
-  (* Regime 3: toggle_farm under the full deterministic caps —
-     time-to-budget, where relation construction itself is on the
-     clock. *)
-  let toggle =
-    let c = load_netlist "examples/netlists/toggle_farm.cct" in
-    let guard_of () =
-      Satg_guard.Guard.create ~max_states:sat_cap_states
-        ~max_transitions:sat_cap_transitions ()
-    in
-    let part = sym_cell c ~style:`Partitioned ~reorder:Bdd.Reorder_none ~guard_of in
-    let mono = sym_cell c ~style:`Monolithic ~reorder:Bdd.Reorder_none ~guard_of in
-    let part_sift = sym_cell c ~style:`Partitioned ~reorder:Bdd.Reorder_sift ~guard_of in
-    Printf.printf "symbolic (%s): caps %d states / %d transitions\n"
-      (Circuit.name c) sat_cap_states sat_cap_transitions;
-    sym_print part;
-    sym_print mono;
-    sym_print part_sift;
-    Printf.printf "  time-to-budget speedup (mono/part): %.2fx\n"
-      (mono.sc_seconds /. part.sc_seconds);
-    Printf.sprintf
-      {|      "circuit": "toggle_farm",
-      "caps": { "max_states": %d, "max_transitions": %d },
-      "partitioned": %s,
-      "monolithic": %s,
-      "partitioned_sift": %s,
-      "time_to_budget_speedup": %.2f|}
-      sat_cap_states sat_cap_transitions
-      (sym_cell_json "" part |> String.trim)
-      (sym_cell_json "" mono |> String.trim)
-      (sym_cell_json "" part_sift |> String.trim)
-      (mono.sc_seconds /. part.sc_seconds)
-  in
-  Printf.sprintf
-    {|  "symbolic": {
-    "complete": [
-%s
-    ],
-    "ring_storm_states_cap": {
-%s
-    },
-    "toggle_farm_full_caps": {
-%s
-    }
-  }|}
-    (String.concat ",\n" complete_rows)
-    ring toggle
-
-let bdd_engine_bench () =
-  let row path =
-    let c = load_netlist path in
-    (* Fresh manager per repetition on both sides: cold caches each
-       time, so the comparison is build throughput, not cache replay. *)
-    let stats = packed_run c in
-    let legacy = legacy_run c in
-    let packed_ops = Bdd.apply_ops stats in
-    let legacy_ops = legacy.Legacy.ops in
-    let packed_seconds = time_thunk (fun () -> ignore (packed_run c)) in
-    let legacy_seconds = time_thunk (fun () -> ignore (legacy_run c)) in
-    let packed_ops_s = float_of_int packed_ops /. packed_seconds in
-    let legacy_ops_s = float_of_int legacy_ops /. legacy_seconds in
-    let speedup = legacy_seconds /. packed_seconds in
-    Printf.printf
-      "bdd engine (%s): %d vars\n\
-      \  packed: %8.5f s  (%12.1f apply ops/s, peak %d nodes, %.1f%% cache hits)\n\
-      \  legacy: %8.5f s  (%12.1f apply ops/s, peak %d nodes)\n\
-      \  speedup: %.2fx\n"
-      (Circuit.name c)
-      (2 * Circuit.n_nodes c)
-      packed_seconds packed_ops_s stats.Bdd.peak_nodes
-      (100.0 *. Bdd.cache_hit_rate stats)
-      legacy_seconds legacy_ops_s legacy.Legacy.n speedup;
-    Printf.sprintf
-      {|    {
-      "circuit": "%s",
-      "nvars": %d,
-      "packed": { "seconds": %.6f, "apply_ops": %d, "ops_per_sec": %.1f,
-                  "peak_nodes": %d, "cache_hit_rate": %.4f,
-                  "unique_buckets_init": %d, "cache_threshold": %d },
-      "legacy": { "seconds": %.6f, "apply_ops": %d, "ops_per_sec": %.1f,
-                  "peak_nodes": %d },
-      "speedup": %.2f
-    }|}
-      (Circuit.name c)
-      (2 * Circuit.n_nodes c)
-      packed_seconds packed_ops packed_ops_s stats.Bdd.peak_nodes
-      (Bdd.cache_hit_rate stats) stats.Bdd.unique_buckets_init
-      stats.Bdd.cache_threshold legacy_seconds legacy_ops legacy_ops_s
-      legacy.Legacy.n speedup
-    |> fun json -> (json, speedup)
-  in
-  let rows = List.map row bdd_netlists in
-  let max_speedup =
-    List.fold_left (fun acc (_, s) -> Float.max acc s) 0.0 rows
-  in
-  let symbolic_json = symbolic_style_bench () in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "bdd_engine",
-  "circuits": [
-%s
-  ],
-%s,
-  "max_speedup": %.2f
-}
-|}
-      (String.concat ",\n" (List.map fst rows))
-      symbolic_json max_speedup
-  in
-  let oc = open_out "BENCH_bdd.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "max speedup: %.2fx  -> BENCH_bdd.json\n" max_speedup
-
 (* --- SAT vs BDD deterministic-phase head-to-head ---------------------------- *)
 
 (* The two justification/differentiation backends race through the full
@@ -850,99 +328,10 @@ let bdd_engine_bench () =
 let sat_netlists =
   [ "examples/netlists/ring_storm.cct"; "examples/netlists/toggle_farm.cct" ]
 
-(* Fresh-solver-per-fault vs one long-lived incremental solver, raced
-   over the full fault universe of the pipeline family at n = 1..8.
-   Per size: both modes must produce the identical per-fault partition,
-   the incremental engine must have spawned exactly one solver
-   instance, and the row records the retention counters (reused shared
-   clauses, deletions) next to the raw timings.  The rows land in the
-   "incremental_ladder" section of BENCH_sat.json. *)
-let sat_incremental_sizes = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let sat_incremental_ladder () =
-  List.map
-    (fun n ->
-      let entry =
-        match Suite.generate "pipeline" ~n with
-        | Ok e -> e
-        | Error m -> failwith (Printf.sprintf "pipeline n=%d: %s" n m)
-      in
-      let c =
-        match Synth.complex_gate entry.Suite.stg with
-        | Ok c -> c
-        | Error m -> failwith (entry.Suite.name ^ ": synth: " ^ m)
-      in
-      let g = Explicit.build c in
-      let faults = Fault.universe_input_sa c @ Fault.universe_output_sa c in
-      let sweep incremental =
-        let se = Sat_engine.create ~incremental g in
-        let statuses =
-          List.map
-            (fun f ->
-              match Three_phase.find_test ~backend:(Sat_engine.backend se) g f with
-              | Some seq -> `Detected (List.length seq)
-              | None -> `Undetected
-              | exception Satg_guard.Guard.Exhausted _ -> `Aborted)
-            faults
-        in
-        (statuses, Sat_engine.stats se)
-      in
-      let time incremental =
-        time_thunk (fun () -> ignore (sweep incremental))
-      in
-      let fresh_st, fresh = sweep false in
-      let incr_st, incr = sweep true in
-      let fresh_seconds = time false in
-      let incr_seconds = time true in
-      if fresh_st <> incr_st then
-        failwith
-          (Printf.sprintf
-             "pipeline n=%d: incremental and fresh partitions differ" n);
-      if incr.Satg_sat.Sat.instances <> 1 then
-        failwith
-          (Printf.sprintf "pipeline n=%d: incremental spawned %d instances" n
-             incr.Satg_sat.Sat.instances);
-      let detected =
-        List.length
-          (List.filter (function `Detected _ -> true | _ -> false) incr_st)
-      in
-      let speedup = fresh_seconds /. incr_seconds in
-      Printf.printf
-        "sat incremental (pipeline n=%d): %d faults, %d detected\n\
-        \  fresh: %8.4f s  (%d instances, %d solves, %d conflicts)\n\
-        \  incr : %8.4f s  (%d instances, %d solves, %d reused shared, %d \
-         deleted)\n\
-        \  partitions agree: true   speedup: %.2fx\n"
-        n (List.length faults) detected fresh_seconds
-        fresh.Satg_sat.Sat.instances fresh.Satg_sat.Sat.solves
-        fresh.Satg_sat.Sat.conflicts incr_seconds incr.Satg_sat.Sat.instances
-        incr.Satg_sat.Sat.solves incr.Satg_sat.Sat.reused_shared
-        incr.Satg_sat.Sat.deleted_clauses speedup;
-      Printf.sprintf
-        {|    {
-      "family": "pipeline",
-      "n": %d,
-      "n_faults": %d,
-      "detected": %d,
-      "fresh": { "seconds": %.6f, "instances": %d, "solves": %d,
-                 "decisions": %d, "propagations": %d, "conflicts": %d,
-                 "learned": %d },
-      "incremental": { "seconds": %.6f, "instances": %d, "solves": %d,
-                       "decisions": %d, "propagations": %d,
-                       "reused_shared": %d, "reused_learned": %d,
-                       "deleted_clauses": %d },
-      "partitions_agree": true,
-      "speedup": %.2f
-    }|}
-        n (List.length faults) detected fresh_seconds
-        fresh.Satg_sat.Sat.instances fresh.Satg_sat.Sat.solves
-        fresh.Satg_sat.Sat.decisions fresh.Satg_sat.Sat.propagations
-        fresh.Satg_sat.Sat.conflicts fresh.Satg_sat.Sat.learned incr_seconds
-        incr.Satg_sat.Sat.instances incr.Satg_sat.Sat.solves
-        incr.Satg_sat.Sat.decisions incr.Satg_sat.Sat.propagations
-        incr.Satg_sat.Sat.reused_shared incr.Satg_sat.Sat.reused_learned
-        incr.Satg_sat.Sat.deleted_clauses speedup)
-    sat_incremental_sizes
+(* The deterministic caps shared with the domain-pool bench and the CI
+   backend-agreement job. *)
+let sat_cap_states = 500
+let sat_cap_transitions = 200_000
 
 let sat_engine_bench () =
   let row path =
@@ -1024,21 +413,16 @@ let sat_engine_bench () =
       (Engine.aborted sift_r) agree speedup
   in
   let rows = List.map row sat_netlists in
-  let ladder = sat_incremental_ladder () in
   let json =
     Printf.sprintf
       {|{
   "bench": "sat_engine",
   "circuits": [
 %s
-  ],
-  "incremental_ladder": [
-%s
   ]
 }
 |}
       (String.concat ",\n" rows)
-      (String.concat ",\n" ladder)
   in
   let oc = open_out "BENCH_sat.json" in
   output_string oc json;
@@ -1416,140 +800,24 @@ let families_bench () =
   close_out oc;
   Printf.printf "-> BENCH_families.json\n"
 
-(* --- persistent-service latency: warm hits vs cold misses ------------------ *)
-
-(* Forks a real daemon (the [satg serve] library, not the binary) on a
-   private socket and measures request latency through the full wire
-   path: protocol round trips with no ATPG behind them ("ping"), one
-   cold miss that pays parse + CSSG build + fault search, then the
-   identical request repeated against the warm content-addressed store
-   (zero fault searches).  The bench *fails* unless the cold request
-   misses and every warm repeat hits, so the numbers cannot silently
-   measure the wrong path.  Results (plus [host_cores] — measured, not
-   assumed) go to BENCH_serve.json. *)
-
-let serve_bench () =
-  let module Proto = Satg_server.Proto in
-  let module Client = Satg_server.Client in
-  let host_cores = Domain.recommended_domain_count () in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "satg-bench-serve-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let socket = Filename.concat dir "satg.sock" in
-  let pid = Unix.fork () in
-  if pid = 0 then (
-    (* child: the daemon *)
-    try
-      let service = Satg_server.Service.create () in
-      match Satg_server.Server.serve ~socket service with
-      | Ok () -> Unix._exit 0
-      | Error _ -> Unix._exit 1
-    with _ -> Unix._exit 2);
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
-      (try Sys.remove socket with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let request req =
-    match Client.one_shot ~retry_for:10. ~socket req with
-    | Ok r -> r
-    | Error m -> failwith ("serve bench: " ^ m)
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let circuit_name = "master-read" in
-  let netlist =
-    Parser.to_string (get_circuit Suite.speed_independent circuit_name)
-  in
-  let atpg =
-    Proto.Atpg
-      { netlist; universe = Session.Both; config = Engine.default_config }
-  in
-  let ping_runs = 50 in
-  let ping_total, () =
-    time (fun () ->
-        for _ = 1 to ping_runs do
-          match request Proto.Stats with
-          | Proto.Stats_r _ -> ()
-          | _ -> failwith "serve bench: expected stats"
-        done)
-  in
-  let cold_s, cold_hit =
-    time (fun () ->
-        match request atpg with
-        | Proto.Result { hit; _ } -> hit
-        | _ -> failwith "serve bench: expected a settled result")
-  in
-  if cold_hit then failwith "serve bench: cold request must miss";
-  let warm_runs = 20 in
-  let warm_total, warm_hits =
-    time (fun () ->
-        let hits = ref 0 in
-        for _ = 1 to warm_runs do
-          match request atpg with
-          | Proto.Result { hit = true; _ } -> incr hits
-          | Proto.Result { hit = false; _ } ->
-            failwith "serve bench: warm repeat missed the store"
-          | _ -> failwith "serve bench: expected a settled result"
-        done;
-        !hits)
-  in
-  if warm_hits <> warm_runs then failwith "serve bench: lost warm hits";
-  let ping_each = ping_total /. float_of_int ping_runs in
-  let warm_each = warm_total /. float_of_int warm_runs in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "serve",
-  "host_cores": %d,
-  "circuit": "%s",
-  "ping": { "runs": %d, "seconds_each": %.6f },
-  "cold": { "seconds": %.6f, "hit": false },
-  "warm": { "runs": %d, "seconds_each": %.6f, "hit": true },
-  "cold_over_warm": %.1f
-}
-|}
-      host_cores circuit_name ping_runs ping_each cold_s warm_runs warm_each
-      (cold_s /. warm_each)
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "cold %.6fs  warm %.6fs/req  ping %.6fs/req  -> BENCH_serve.json\n"
-    cold_s warm_each ping_each
-
 (* [--fault-sim [FILE.cct]] runs only the parallel fault-sim
-   throughput bench, [--bdd] only the BDD engine head-to-head, [--sat]
-   (alias [--sat-incremental]) the SAT-vs-BDD backend race plus the
-   fresh-vs-incremental solver ladder — together they produce
-   BENCH_sat.json — [--domains] only the domain-pool scaling + intern
-   benches (the CI smoke jobs), and [--serve] the daemon warm-vs-cold
-   latency bench; the default runs the full bechamel suite and then
-   every throughput bench. *)
+   throughput bench, [--sat] the SAT-vs-BDD backend race
+   (BENCH_sat.json), [--domains] only the domain-pool scaling + intern
+   benches and [--families] the family size ladder (the CI smoke
+   jobs); the default runs the full bechamel suite and then every
+   throughput bench. *)
 let () =
   let argv = Array.to_list Sys.argv in
   match argv with
   | _ :: "--fault-sim" :: rest ->
     let path = match rest with p :: _ -> p | [] -> default_netlist in
     fault_sim_bench path
-  | _ :: "--bdd" :: _ -> bdd_engine_bench ()
-  | _ :: "--sat" :: _ | _ :: "--sat-incremental" :: _ -> sat_engine_bench ()
+  | _ :: "--sat" :: _ -> sat_engine_bench ()
   | _ :: "--domains" :: _ -> domains_bench ()
   | _ :: "--families" :: _ -> families_bench ()
-  | _ :: "--serve" :: _ -> serve_bench ()
   | _ ->
     run_bechamel ();
     fault_sim_bench default_netlist;
-    bdd_engine_bench ();
     sat_engine_bench ();
     domains_bench ();
-    families_bench ();
-    serve_bench ()
+    families_bench ()

@@ -28,10 +28,6 @@ open Satg_bench
 open Satg_inject
 open Satg_store
 
-(* [Session] below is the durable store's session (cache keys, journal);
-   the pure run/render layer both the CLI and the daemon share lives in
-   [Satg_core.Session]. *)
-module Core_session = Satg_core.Session
 module Proto = Satg_server.Proto
 
 let exit_partial = 2
@@ -239,9 +235,9 @@ let universe_arg =
     value
     & opt
         (enum
-           [ ("input", Core_session.Input); ("output", Core_session.Output);
-             ("both", Core_session.Both) ])
-        Core_session.Input
+           [ ("input", Session.Input); ("output", Session.Output);
+             ("both", Session.Both) ])
+        Session.Input
     & info [ "universe"; "u" ] ~doc:"Fault universe.")
 
 let no_random_arg =
@@ -328,12 +324,12 @@ let atpg_cmd =
              run (timing aside).  Requires $(b,--cache-dir).")
   in
   (* Live, cached and daemon-served runs all render through
-     [Core_session.render], so their stdout is diffable byte for byte
+     [Session.render], so their stdout is diffable byte for byte
      (the recorded cpu time travels with the summary — goldens strip
      timing anyway). *)
   let print_result c verbose stats r =
-    Core_session.render ~verbose Format.std_formatter c
-      (Core_session.summary_of_result r);
+    Session.render ~verbose Format.std_formatter c
+      (Session.summary_of_result r);
     (if stats then
        match (r.Engine.bdd_stats, r.Engine.sat_stats) with
        | Some s, _ -> Format.printf "%a@." Satg_bdd.Bdd.pp_stats s
@@ -350,9 +346,9 @@ let atpg_cmd =
     if Engine.partial r then exit exit_partial
   in
   let print_cached c verbose stats (p : Codec.result_payload) =
-    Core_session.render ~verbose Format.std_formatter c p;
+    Session.render ~verbose Format.std_formatter c p;
     if stats then Format.printf "engine stats: n/a (cached result)@.";
-    if Core_session.degraded p then exit exit_partial
+    if Session.degraded p then exit exit_partial
   in
   let run file universe no_random seed verbose engine no_collapse stats k
       jobs timeout max_states max_transitions reorder cluster_cap cache_dir
@@ -369,7 +365,7 @@ let atpg_cmd =
     let guard = Guard.create ?timeout ?max_states ?max_transitions () in
     drain_on_signal guard;
     let engine_run ?settled ?on_outcome ~cleanup () =
-      try Core_session.run ~guard ?settled ?on_outcome ~config c universe with
+      try Session.run ~guard ?settled ?on_outcome ~config c universe with
       | Inject.Injected m ->
         cleanup ();
         or_die (Error ("injected fault: " ^ m))
@@ -388,15 +384,15 @@ let atpg_cmd =
         or_die (Error "--resume needs --cache-dir (or SATG_CACHE_DIR)");
       print_result c verbose stats (engine_run ~cleanup:(fun () -> ()) ())
     | Some dir -> (
-      let key = Session.key_of ~netlist:(read_file file) ~universe ~config in
-      match Session.cached ~dir ~key with
+      let key = Durable.key_of ~netlist:(read_file file) ~universe ~config in
+      match Durable.cached ~dir ~key with
       | Some p ->
         Printf.eprintf
           "[store] hit %s: settled result served, 0 fault searches\n%!" key;
         print_cached c verbose stats p
       | None ->
         let t =
-          match Session.start ~resume ~dir ~key () with
+          match Durable.start ~resume ~dir ~key () with
           | r -> or_die r
           | exception Inject.Injected m ->
             or_die (Error ("injected fault: " ^ m))
@@ -404,29 +400,29 @@ let atpg_cmd =
         if resume then
           Printf.eprintf
             "[store] resume %s: %d fault classes settled from journal\n%!"
-            key (Session.settled_count t);
+            key (Durable.settled_count t);
         let cleanup () =
           (* the journal appends are already durable; a failure while
              sealing must not mask the error being reported *)
-          try Session.finish t ~keep:true
+          try Durable.finish t ~keep:true
           with e ->
             Printf.eprintf "[store] cleanup failed: %s\n%!"
               (Printexc.to_string e)
         in
         let r =
-          engine_run ~settled:(Session.settled t)
-            ~on_outcome:(Session.record t) ~cleanup ()
+          engine_run ~settled:(Durable.settled t)
+            ~on_outcome:(Durable.record t) ~cleanup ()
         in
-        let complete = Session.cacheable r in
+        let complete = Durable.cacheable r in
         (* never publish while the injection harness is armed: the
            outcomes may carry injected budget trips that a clean rerun
            would not reproduce *)
         (if complete && not (Inject.enabled ()) then
-           try Session.publish ~dir ~key (Session.payload_of_result r)
+           try Durable.publish ~dir ~key (Session.summary_of_result r)
            with e ->
              Printf.eprintf "[store] publish failed: %s\n%!"
                (Printexc.to_string e));
-        (match Session.finish t ~keep:(not complete) with
+        (match Durable.finish t ~keep:(not complete) with
         | () -> ()
         | exception Inject.Injected m ->
           or_die (Error ("injected fault: " ^ m))
@@ -572,7 +568,7 @@ let check_cmd =
     | Error m -> or_die (Error m));
     (* the success report is the session layer's, shared with the
        daemon's [check] kind *)
-    print_string (Core_session.check_report c)
+    print_string (Session.check_report c)
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Validate a netlist and print structural stats.")
@@ -793,13 +789,13 @@ let effective_timeout ~deadline_ms ~timeout =
   | None -> timeout
 
 (* Renders exactly like the one-shot [atpg] path — both run through
-   [Core_session.render] — and returns the member's exit code. *)
+   [Session.render] — and returns the member's exit code. *)
 let print_response c verbose = function
   | Proto.Result { hit; payload } ->
     if hit then
       Printf.eprintf "[client] hit: settled result served, 0 fault searches\n%!";
-    Core_session.render ~verbose Format.std_formatter c payload;
-    if Core_session.degraded payload then exit_partial else 0
+    Session.render ~verbose Format.std_formatter c payload;
+    if Session.degraded payload then exit_partial else 0
   | r -> client_die r
 
 let client_atpg_cmd =

@@ -2,7 +2,9 @@
    0 = terminal false, 1 = terminal true, >= 2 internal.  The variable
    of a terminal is [terminal_var], larger than any real variable.
 
-   The hot paths (mk / apply / ite / not) are allocation-free:
+   The hot paths (mk / apply / ite / not / flip) are allocation-free:
+   every loop is a top-level recursion that takes its state as
+   arguments, so no call builds a closure.
 
    - The unique table is open addressing with linear probing over one
      int array.  A bucket holds [node id + 1] (0 = empty, -1 =
@@ -18,8 +20,6 @@
      [key1; key2; key3; result], where key1 packs the first operand
      and the op tag ((a lsl 3) lor op).  Collisions simply overwrite
      (lossy); correctness never depends on the cache, only speed.
-     Below [cache_threshold] store nodes the cache is not even probed:
-     tiny workloads lose more to the probe than they gain from hits.
    - [Guard.tick] is probed on every cache miss and node allocation,
      so a deadline (or an already-tripped guard) aborts a runaway
      symbolic computation from *inside* the recursion instead of
@@ -86,7 +86,6 @@ type man = {
   (* shared direct-mapped op cache: 4 ints per entry *)
   cache : int array;
   cmask : int;  (* entry count - 1 (power of two) *)
-  cache_threshold : int;  (* skip cache probing while n_nodes < this *)
   hits : int array;  (* per op tag *)
   misses : int array;
   mutable n_vars : int;
@@ -118,14 +117,9 @@ let mix a b c =
   h lxor (h lsr 32)
 
 (* Table sizes scale with the variable count unless the caller pins
-   them: a 10-var manager used to pay for (and zero) the same 256 KiB
-   op cache as a 100-var one, which is exactly why the packed manager
-   lost to a plain Hashtbl on small circuits.  The cache-probe skip
-   applies only to auto-sized managers — explicit sizes mean the
-   caller knows the workload. *)
-let create ?unique_size ?cache_size ?cache_threshold ?(guard = Guard.none)
-    ~nvars () =
-  let auto = cache_size = None in
+   them: a 10-var manager does not pay for (and zero) the same 256 KiB
+   op cache as a 100-var one. *)
+let create ?unique_size ?cache_size ?(guard = Guard.none) ~nvars () =
   let usize =
     let wanted =
       match unique_size with
@@ -141,11 +135,6 @@ let create ?unique_size ?cache_size ?cache_threshold ?(guard = Guard.none)
       | None -> max 256 (min 8192 (nvars * nvars))
     in
     pow2_ge wanted 256
-  in
-  let threshold =
-    match cache_threshold with
-    | Some t -> t
-    | None -> if auto then 64 else 0
   in
   let cap = max 64 (min 1024 (4 * nvars)) in
   {
@@ -166,7 +155,6 @@ let create ?unique_size ?cache_size ?cache_threshold ?(guard = Guard.none)
     u_used = 0;
     cache = Array.make (csize * 4) (-1);
     cmask = csize - 1;
-    cache_threshold = threshold;
     hits = Array.make n_ops 0;
     misses = Array.make n_ops 0;
     n_vars = nvars;
@@ -270,81 +258,84 @@ let rehash m =
    collected. *)
 let in_use m = m.n_nodes - m.n_free
 
-let mk m v l h =
-  if l = h then l
-  else begin
-    let rec probe i tomb =
-      let e = m.table.(i) in
-      if e = 0 then begin
-        (* miss: allocate in place, from the free list first *)
-        Guard.tick m.guard;
-        let id =
-          if m.free >= 0 then begin
-            let id = m.free in
-            m.free <- m.low_of.(id);
-            m.n_free <- m.n_free - 1;
-            id
-          end
-          else begin
-            grow m;
-            let id = m.n_nodes in
-            m.n_nodes <- id + 1;
-            id
-          end
-        in
-        m.allocs <- m.allocs + 1;
-        m.var_of.(id) <- v;
-        m.low_of.(id) <- l;
-        m.high_of.(id) <- h;
-        let slot = if tomb >= 0 then tomb else i in
-        m.table.(slot) <- id + 1;
-        m.u_entries <- m.u_entries + 1;
-        if slot = i then begin
-          m.u_used <- m.u_used + 1;
-          if m.u_used >= m.ulimit then rehash m
-        end;
+(* Find (var, low, high) from bucket [i], or allocate it in place —
+   from the free list first — at the first tombstone passed or at the
+   empty bucket that ends the probe.  This probe and the two below
+   take their state as arguments: a local [let rec] closing over it
+   would be allocated on every call. *)
+let rec mk_probe m v l h i tomb =
+  let e = m.table.(i) in
+  if e = 0 then begin
+    Guard.tick m.guard;
+    let id =
+      if m.free >= 0 then begin
+        let id = m.free in
+        m.free <- m.low_of.(id);
+        m.n_free <- m.n_free - 1;
         id
       end
-      else if e = -1 then
-        probe ((i + 1) land m.umask) (if tomb >= 0 then tomb else i)
-      else
-        let n = e - 1 in
-        if m.var_of.(n) = v && m.low_of.(n) = l && m.high_of.(n) = h then n
-        else probe ((i + 1) land m.umask) tomb
+      else begin
+        grow m;
+        let id = m.n_nodes in
+        m.n_nodes <- id + 1;
+        id
+      end
     in
-    probe (mix v l h land m.umask) (-1)
+    m.allocs <- m.allocs + 1;
+    m.var_of.(id) <- v;
+    m.low_of.(id) <- l;
+    m.high_of.(id) <- h;
+    let slot = if tomb >= 0 then tomb else i in
+    m.table.(slot) <- id + 1;
+    m.u_entries <- m.u_entries + 1;
+    if slot = i then begin
+      m.u_used <- m.u_used + 1;
+      if m.u_used >= m.ulimit then rehash m
+    end;
+    id
   end
+  else if e = -1 then
+    mk_probe m v l h ((i + 1) land m.umask) (if tomb >= 0 then tomb else i)
+  else
+    let n = e - 1 in
+    if m.var_of.(n) = v && m.low_of.(n) = l && m.high_of.(n) = h then n
+    else mk_probe m v l h ((i + 1) land m.umask) tomb
+
+let mk m v l h =
+  if l = h then l else mk_probe m v l h (mix v l h land m.umask) (-1)
+
+let rec insert_probe m id i tomb =
+  let e = m.table.(i) in
+  if e = 0 then begin
+    let slot = if tomb >= 0 then tomb else i in
+    m.table.(slot) <- id + 1;
+    m.u_entries <- m.u_entries + 1;
+    if slot = i then begin
+      m.u_used <- m.u_used + 1;
+      if m.u_used >= m.ulimit then rehash m
+    end
+  end
+  else if e = -1 then
+    insert_probe m id ((i + 1) land m.umask) (if tomb >= 0 then tomb else i)
+  else insert_probe m id ((i + 1) land m.umask) tomb
 
 (* Insert an existing (rewritten) node under its current key. *)
 let insert_key m id =
-  let rec probe i tomb =
-    let e = m.table.(i) in
-    if e = 0 then begin
-      let slot = if tomb >= 0 then tomb else i in
-      m.table.(slot) <- id + 1;
-      m.u_entries <- m.u_entries + 1;
-      if slot = i then begin
-        m.u_used <- m.u_used + 1;
-        if m.u_used >= m.ulimit then rehash m
-      end
-    end
-    else if e = -1 then
-      probe ((i + 1) land m.umask) (if tomb >= 0 then tomb else i)
-    else probe ((i + 1) land m.umask) tomb
-  in
-  probe (mix m.var_of.(id) m.low_of.(id) m.high_of.(id) land m.umask) (-1)
+  let i = mix m.var_of.(id) m.low_of.(id) m.high_of.(id) land m.umask in
+  insert_probe m id i (-1)
+
+let rec delete_probe m id i =
+  let e = m.table.(i) in
+  if e = id + 1 then begin
+    m.table.(i) <- -1;
+    m.u_entries <- m.u_entries - 1
+  end
+  else if e <> 0 then delete_probe m id ((i + 1) land m.umask)
 
 (* Tombstone the bucket holding [id] (keyed by its *current* triple). *)
 let delete_key m id =
-  let rec probe i =
-    let e = m.table.(i) in
-    if e = id + 1 then begin
-      m.table.(i) <- -1;
-      m.u_entries <- m.u_entries - 1
-    end
-    else if e <> 0 then probe ((i + 1) land m.umask)
-  in
-  probe (mix m.var_of.(id) m.low_of.(id) m.high_of.(id) land m.umask)
+  let i = mix m.var_of.(id) m.low_of.(id) m.high_of.(id) land m.umask in
+  delete_probe m id i
 
 let var m v =
   if v < 0 || v >= m.n_vars then invalid_arg "Bdd.var: out of range";
@@ -375,11 +366,6 @@ let high m t =
 
 let rec not_rec m t =
   if t < 2 then t lxor 1
-  else if m.n_nodes < m.cache_threshold then begin
-    m.misses.(op_not) <- m.misses.(op_not) + 1;
-    Guard.tick m.guard;
-    mk m m.var_of.(t) (not_rec m m.low_of.(t)) (not_rec m m.high_of.(t))
-  end
   else begin
     let idx = (mix op_not t 0 land m.cmask) * 4 in
     let c = m.cache in
@@ -402,30 +388,23 @@ let rec not_rec m t =
 
 (* [a] and [b] are internal and a < b (callers normalise). *)
 let rec apply_slow m op a b =
-  if m.n_nodes < m.cache_threshold then begin
-    m.misses.(op) <- m.misses.(op) + 1;
-    Guard.tick m.guard;
-    apply_node m op a b
+  let idx = (mix op a b land m.cmask) * 4 in
+  let c = m.cache in
+  let k1 = (a lsl 3) lor op in
+  if c.(idx) = k1 && c.(idx + 1) = b then begin
+    m.hits.(op) <- m.hits.(op) + 1;
+    c.(idx + 3)
   end
   else begin
-    let idx = (mix op a b land m.cmask) * 4 in
-    let c = m.cache in
-    let k1 = (a lsl 3) lor op in
-    if c.(idx) = k1 && c.(idx + 1) = b then begin
-      m.hits.(op) <- m.hits.(op) + 1;
-      c.(idx + 3)
-    end
-    else begin
-      m.misses.(op) <- m.misses.(op) + 1;
-      Guard.tick m.guard;
-      let r = apply_node m op a b in
-      (* recompute the slot: a rehash-free op, but [apply_node] may
-         have evicted this entry — rewriting is harmless either way *)
-      c.(idx) <- k1;
-      c.(idx + 1) <- b;
-      c.(idx + 3) <- r;
-      r
-    end
+    m.misses.(op) <- m.misses.(op) + 1;
+    Guard.tick m.guard;
+    let r = apply_node m op a b in
+    (* recompute the slot: a rehash-free op, but [apply_node] may
+       have evicted this entry — rewriting is harmless either way *)
+    c.(idx) <- k1;
+    c.(idx + 1) <- b;
+    c.(idx + 3) <- r;
+    r
   end
 
 and apply_node m op a b =
@@ -468,11 +447,6 @@ let rec ite_rec m f g h =
   else if g = h then g
   else if g = 1 && h = 0 then f
   else if g = 0 && h = 1 then not_rec m f
-  else if m.n_nodes < m.cache_threshold then begin
-    m.misses.(op_ite) <- m.misses.(op_ite) + 1;
-    Guard.tick m.guard;
-    ite_node m f g h
-  end
   else begin
     let idx = (mix f g h land m.cmask) * 4 in
     let c = m.cache in
@@ -881,11 +855,6 @@ and flip_norm m v a b =
   let la = m.level_of.(m.var_of.(a)) and lb = lvl m b in
   let l = if la <= lb then la else lb in
   if l > m.level_of.(v) then apply_rec m op_and a b
-  else if m.n_nodes < m.cache_threshold then begin
-    m.misses.(op_flip) <- m.misses.(op_flip) + 1;
-    Guard.tick m.guard;
-    flip_node m v a b la lb l
-  end
   else begin
     let idx = (mix ((a lsl 3) lor op_flip) b v land m.cmask) * 4 in
     let c = m.cache in
@@ -1263,7 +1232,6 @@ type stats = {
   unique_buckets_init : int;
   unique_load : float;
   cache_slots : int;
-  cache_threshold : int;
   reorders : int;
   swaps : int;
   reorder_seconds : float;
@@ -1292,7 +1260,6 @@ let stats (m : man) =
     unique_buckets_init = m.unique_init;
     unique_load = float_of_int m.u_entries /. float_of_int (m.umask + 1);
     cache_slots = m.cmask + 1;
-    cache_threshold = m.cache_threshold;
     reorders = m.reorders;
     swaps = m.swaps;
     reorder_seconds = m.reorder_time;
@@ -1328,13 +1295,13 @@ let pp_stats fmt s =
   Format.fprintf fmt
     "@[<v>bdd: %d nodes (peak %d), %d vars, %d collections@,\
      unique table: %d buckets (init %d), load %.3f@,\
-     op cache: %d slots (threshold %d), hit rate %.3f@,\
+     op cache: %d slots, hit rate %.3f@,\
      reorder: %d passes, %d swaps, %.3f s@,\
      and %d/%d  or %d/%d  xor %d/%d  not %d/%d  ite %d/%d  flip %d/%d \
      (hits/misses)@]"
     s.live_nodes s.peak_nodes s.n_vars s.collections s.unique_buckets
     s.unique_buckets_init
-    s.unique_load s.cache_slots s.cache_threshold (cache_hit_rate s)
+    s.unique_load s.cache_slots (cache_hit_rate s)
     s.reorders s.swaps s.reorder_seconds s.and_hits s.and_misses s.or_hits
     s.or_misses s.xor_hits s.xor_misses s.not_hits s.not_misses s.ite_hits
     s.ite_misses s.flip_hits s.flip_misses

@@ -39,7 +39,6 @@ type t
 val create :
   ?unique_size:int ->
   ?cache_size:int ->
-  ?cache_threshold:int ->
   ?guard:Guard.t ->
   nvars:int ->
   unit ->
@@ -48,13 +47,11 @@ val create :
     [unique_size] seeds the unique-table bucket count and [cache_size]
     fixes the operation-cache entry count (both rounded up to powers
     of two; the op cache never grows).  When omitted, both are derived
-    from [nvars], so a 10-variable manager no longer pays for the
-    tables of a 100-variable workload.  [cache_threshold] is the store
-    size below which operations skip cache probing entirely (default:
-    64 for auto-sized managers, 0 when [cache_size] is given).  Every
-    [mk]/[apply] cache miss probes [guard] (default {!Guard.none}), so
-    a deadline or an already-tripped guard raises {!Guard.Exhausted}
-    from inside the recursion. *)
+    from [nvars], so a 10-variable manager does not pay for the
+    tables of a 100-variable workload.  Every operation probes the op
+    cache, and every [mk]/[apply] cache miss probes [guard] (default
+    {!Guard.none}), so a deadline or an already-tripped guard raises
+    {!Guard.Exhausted} from inside the recursion. *)
 
 val set_guard : man -> Guard.t -> unit
 (** Swap the guard probed by the hot paths — e.g. to run per-fault
@@ -260,7 +257,6 @@ type stats = {
   unique_buckets_init : int;  (** bucket count chosen at {!create} *)
   unique_load : float;  (** live keys / buckets, < 0.75 by construction *)
   cache_slots : int;  (** op-cache entry count (fixed at {!create}) *)
-  cache_threshold : int;  (** store size below which the cache is skipped *)
   reorders : int;  (** completed sifting passes *)
   swaps : int;  (** adjacent-level swaps performed *)
   reorder_seconds : float;  (** CPU time spent reordering *)
@@ -283,7 +279,7 @@ val stats : man -> stats
 
 val apply_ops : stats -> int
 (** Total op-cache lookups (hits + misses over every op) — the
-    "apply operations" counted by the throughput benchmark. *)
+    benchmark's [bdd.apply_ops] count. *)
 
 val cache_hit_rate : stats -> float
 

@@ -5,9 +5,9 @@ module Sat = Satg_sat.Sat
 module Cnf = Satg_cnf.Cnf
 
 (* The long-lived core: one solver holding the good-machine time-frame
-   unrolling (shared by justification and, incrementally, by every
-   differentiation call), its edge vectors, BFS distances for the
-   product-to-good frame offset, and the hash-consing table. *)
+   unrolling (shared by justification and every differentiation call),
+   its edge vectors, BFS distances for the product-to-good frame
+   offset, and the hash-consing table. *)
 type core = {
   sat : Sat.t;
   good : Cnf.Unroller.t;
@@ -16,15 +16,9 @@ type core = {
   defs : Cnf.Defs.t;
 }
 
-type t = {
-  g : Cssg.t;
-  incremental : bool;
-  mutable core : core option;
-  mutable retired : Sat.stats;  (* from discarded fresh-mode solvers *)
-}
+type t = { g : Cssg.t; mutable core : core option }
 
-let create ?(incremental = true) g =
-  { g; incremental; core = None; retired = Sat.zero_stats }
+let create g = { g; core = None }
 
 let build_core g =
   let sat = Sat.create () in
@@ -110,29 +104,21 @@ let justify t guard target =
    encoding is complete for exact-length queries despite the dynamic
    graph.
 
-   Incremental mode shares the core solver across faults: the product
-   clauses (and the per-depth disjunction indicators) are guarded by a
-   per-fault activation literal, product frame [f] is linked to good
-   frame [dist(start) + f] so the shared good-machine clauses and any
-   learned clauses over them constrain every fault's search, and the
-   whole group is retired (clauses deleted, variables undecidable)
-   before the next fault arrives.  Fresh mode (the bench baseline and
-   the differential-testing oracle) builds a throwaway solver per call,
-   exactly the pre-incremental behaviour. *)
+   Every fault shares the core solver: the product clauses (and the
+   per-depth disjunction indicators) are guarded by a per-fault
+   activation literal, product frame [f] is linked to good frame
+   [dist(start) + f] so the shared good-machine clauses and any learned
+   clauses over them constrain every fault's search, and the whole
+   group is retired (clauses deleted, variables undecidable) before the
+   next fault arrives. *)
 let differentiate t guard config fm ~start ~fstates =
   let g = t.g in
   let cr = core t in
-  let sat, act, defs, l0 =
-    if t.incremental then begin
-      Sat.set_guard cr.sat guard;
-      let a = Sat.new_act cr.sat in
-      (cr.sat, Some a, cr.defs, max 0 cr.gdist.(start))
-    end
-    else
-      let s = Sat.create ~guard () in
-      (s, None, Cnf.Defs.create s, 0)
-  in
-  let unr = Cnf.Unroller.create ?act sat in
+  let sat = cr.sat and defs = cr.defs in
+  Sat.set_guard sat guard;
+  let act = Sat.new_act sat in
+  let l0 = max 0 cr.gdist.(start) in
+  let unr = Cnf.Unroller.create ~act sat in
   let key2pid = Async_sim.Words.Tbl.create 256 in
   let info = Hashtbl.create 256 in (* pid -> (good state, faulty set) *)
   let evec = Hashtbl.create 256 in (* unroller edge id -> vector *)
@@ -171,32 +157,23 @@ let differentiate t guard config fm ~start ~fstates =
      distance.  This is what lets learned clauses over the shared good
      frames transfer between faults. *)
   let link_frames upto =
-    match act with
-    | None -> ()
-    | Some a ->
-      Cnf.Unroller.ensure_frames cr.good ~upto:(l0 + upto);
-      for f = !linked_upto to upto do
-        for pid = 0 to Cnf.Unroller.n_states unr - 1 do
-          match Cnf.Unroller.state_lit unr ~frame:f pid with
-          | None -> ()
-          | Some p ->
-            let i, _ = Hashtbl.find info pid in
-            (match Cnf.Unroller.state_lit cr.good ~frame:(l0 + f) i with
-            | Some sg -> Sat.add_clause ~act:a sat [ Sat.neg p; sg ]
-            | None -> ())
-        done
-      done;
-      linked_upto := upto + 1
-  in
-  let assumptions ind =
-    match act with None -> [ ind ] | Some a -> [ Sat.act_lit sat a; ind ]
+    Cnf.Unroller.ensure_frames cr.good ~upto:(l0 + upto);
+    for f = !linked_upto to upto do
+      for pid = 0 to Cnf.Unroller.n_states unr - 1 do
+        match Cnf.Unroller.state_lit unr ~frame:f pid with
+        | None -> ()
+        | Some p ->
+          let i, _ = Hashtbl.find info pid in
+          (match Cnf.Unroller.state_lit cr.good ~frame:(l0 + f) i with
+          | Some sg -> Sat.add_clause ~act sat [ Sat.neg p; sg ]
+          | None -> ())
+      done
+    done;
+    linked_upto := upto + 1
   in
   let cleanup () =
-    match act with
-    | None -> t.retired <- Sat.add_stats t.retired (Sat.stats sat)
-    | Some a ->
-      Cnf.Defs.release defs a;
-      Cnf.Unroller.retire unr
+    Cnf.Defs.release defs act;
+    Cnf.Unroller.retire unr
   in
   (try
      let depth = ref 0 in
@@ -234,12 +211,13 @@ let differentiate t guard config fm ~start ~fstates =
          Cnf.Unroller.ensure_frames unr ~upto:d;
          link_frames d;
          let ind =
-           Cnf.Defs.or_ ?act defs
+           Cnf.Defs.or_ ~act defs
              (List.filter_map
                 (fun pid -> Cnf.Unroller.state_lit unr ~frame:d pid)
                 !fresh_diff)
          in
-         if Sat.solve ~assumptions:(assumptions ind) sat then begin
+         let assumptions = [ Sat.act_lit sat act; ind ] in
+         if Sat.solve ~assumptions sat then begin
            let final =
              List.find
                (fun pid ->
@@ -277,9 +255,7 @@ let backend t =
   }
 
 let stats t =
-  match t.core with
-  | None -> t.retired
-  | Some c -> Sat.add_stats t.retired (Sat.stats c.sat)
+  match t.core with None -> Sat.zero_stats | Some c -> Sat.stats c.sat
 
 let defs_stats t =
   match t.core with

@@ -25,16 +25,13 @@
     exactly the explicit product BFS's state space, so the
     detected/undetected partition provably coincides.
 
-    In the default incremental mode each fault's product clauses are
-    guarded by a per-fault activation literal on the shared solver:
-    product frame [f] is linked to good frame [dist(start) + f] (every
-    product path is a good path shifted by the activation state's BFS
-    distance), so learned clauses over the shared good frames carry
-    over between faults; when the fault retires, its activation is
-    {!Satg_sat.Sat.retire}d — clauses deleted, variables taken out of
-    the branching heap.  [create ~incremental:false] restores the
-    throwaway-solver-per-fault behaviour (the bench baseline and the
-    differential-testing oracle).
+    Each fault's product clauses are guarded by a per-fault activation
+    literal on the shared solver: product frame [f] is linked to good
+    frame [dist(start) + f] (every product path is a good path shifted
+    by the activation state's BFS distance), so learned clauses over
+    the shared good frames carry over between faults; when the fault
+    retires, its activation is {!Satg_sat.Sat.retire}d — clauses
+    deleted, variables taken out of the branching heap.
 
     Product-graph truncation at [max_product_states] is fail-soft: if
     the cap was hit and no differentiating sequence was found, the call
@@ -51,20 +48,16 @@ open Satg_sg
 
 type t
 
-val create : ?incremental:bool -> Cssg.t -> t
-(** Lazy: no clauses are generated until the first query.
-    [incremental] (default [true]) selects the shared-solver
-    activation-literal mode; [false] builds a fresh solver per
-    differentiation call. *)
+val create : Cssg.t -> t
+(** Lazy: no clauses are generated until the first query. *)
 
 val backend : t -> Three_phase.backend
 (** Plug into {!Three_phase.find_test}. *)
 
 val stats : t -> Satg_sat.Sat.stats
-(** Counters accumulated over every solver this engine spawned: in
-    incremental mode the one shared instance ([instances = 1]); in
-    fresh mode the shared justification instance plus one per
-    differentiation call — the [--stats] payload for [--engine sat]. *)
+(** Counters of the engine's one solver ([instances = 1] once a query
+    has run, all zero before) — the [--stats] payload for
+    [--engine sat]. *)
 
 val defs_stats : t -> int * int
 (** [(defined, interned)] from the hash-consing table: fresh Tseitin

@@ -136,9 +136,9 @@ type t = {
   mutable deleted_clauses : int;
 }
 
-let create ?(guard = Guard.none) () =
+let create () =
   {
-    guard;
+    guard = Guard.none;
     arena = Array.make 1024 0;
     arena_top = 0;
     nvars = 0;

@@ -50,7 +50,9 @@ val var_of : lit -> int
 val sign_of : lit -> bool
 (** [true] iff the literal is the positive occurrence. *)
 
-val create : ?guard:Guard.t -> unit -> t
+val create : unit -> t
+(** An empty solver under {!Satg_guard.Guard.none}; {!set_guard}
+    installs a budget. *)
 
 val set_guard : t -> Guard.t -> unit
 (** Swap the hot-path guard (per-fault budgets in the ATPG engine). *)

@@ -4,7 +4,6 @@ module Guard = Satg_guard.Guard
 module Pool = Satg_pool.Pool
 module Cssg = Satg_sg.Cssg
 module Explicit = Satg_sg.Explicit
-module Store = Satg_store.Session
 module Inject = Satg_inject.Inject
 
 type counters = {
@@ -120,7 +119,7 @@ let warm_lookup t key =
     match t.cache_dir with
     | None -> None
     | Some dir -> (
-      match Store.cached ~dir ~key with
+      match Satg_store.Durable.cached ~dir ~key with
       | Some p ->
         Hashtbl.replace t.warm key p;
         Some p
@@ -131,7 +130,7 @@ let warm_store t key payload =
   match t.cache_dir with
   | None -> ()
   | Some dir -> (
-    try Store.publish ~dir ~key payload
+    try Satg_store.Durable.publish ~dir ~key payload
     with Sys_error _ | Unix.Unix_error _ | Inject.Injected _ -> ())
 
 (* --- CSSG sharing ----------------------------------------------------------- *)
@@ -182,7 +181,8 @@ let run_atpg t ~memo (a : Proto.atpg_request) =
   | Error m -> failure t "parse" m
   | Ok c -> (
     let key =
-      Store.key_of ~netlist:a.Proto.netlist ~universe:a.Proto.universe ~config
+      Satg_store.Durable.key_of ~netlist:a.Proto.netlist
+        ~universe:a.Proto.universe ~config
     in
     match warm_lookup t key with
     | Some payload ->
@@ -202,7 +202,7 @@ let run_atpg t ~memo (a : Proto.atpg_request) =
       let payload = Session.summary_of_result r in
       (* cacheable = reproducible: deterministic budget trips qualify,
          wall-clock/drain aborts and injected failures do not *)
-      if Store.cacheable r && not (Inject.enabled ()) then
+      if Satg_store.Durable.cacheable r && not (Inject.enabled ()) then
         warm_store t key payload;
       respond_result t ~hit:false payload)
 

@@ -15,10 +15,10 @@
 
     {2 Warm store}
 
-    Results keyed by {!Satg_store.Session.key_of} — netlist bytes
+    Results keyed by {!Satg_store.Durable.key_of} — netlist bytes
     plus the exhaustive {!Satg_core.Session.config_fields} — are kept
     in memory (and, with [cache_dir], in the durable object store).
-    Only {!Satg_store.Session.cacheable} results are stored: a
+    Only {!Satg_store.Durable.cacheable} results are stored: a
     deterministically budget-capped run is reproducible and therefore
     cacheable; a wall-clock or drain abort is not.  A hit is served
     with zero fault searches and [hit = true] on the wire.

@@ -4,29 +4,25 @@ open Satg_circuit
 open Satg_bdd
 open Satg_inject
 
-(* The delta-step transition relation.  [Monolithic] is the paper's
-   literal construction: one BDD for R_delta over (z, y) — every
-   per-gate disjunct carries an explicit frame-equality product — and
-   images are a single relational product against it.  [Partitioned]
-   never forms it: the relation stays one small conjunct per gate
-   (its excitation, fanin-local support), and the image pushes early
-   quantification to its limit.  Under interleaved single-gate firing
-   the frame conjunct ∏_{i≠g}(y_i = z_i) quantifies each frame
-   variable out at the very equality that mentions it — an identity
-   rename — and the firing gate's own ∃z_g against (y_g = ¬z_g) is a
-   one-variable cofactor exchange: the gate-g disjunct of the image is
-   [Bdd.flip_var ~var:y_g T excited_g], fused so that T ∧ excited_g is
-   never built.  No frame BDD is ever built, no relational product is
-   ever run, and no intermediate result carries a dead variable. *)
+(* The delta-step transition relation, partitioned: the paper's R_delta
+   (§4.2) is never formed as one BDD.  The relation stays one small
+   conjunct per gate (its excitation, fanin-local support), and the
+   image pushes early quantification to its limit.  Under interleaved
+   single-gate firing the frame conjunct ∏_{i≠g}(y_i = z_i) quantifies
+   each frame variable out at the very equality that mentions it — an
+   identity rename — and the firing gate's own ∃z_g against
+   (y_g = ¬z_g) is a one-variable cofactor exchange: the gate-g
+   disjunct of the image is [Bdd.flip_var ~var:y_g T excited_g], fused
+   so that T ∧ excited_g is never built.  No frame BDD is ever built,
+   no relational product is ever run, and no intermediate result
+   carries a dead variable. *)
 type schedule = int list * (Bdd.t * int list) list
 
-type rel =
-  | Monolithic of Bdd.t  (* R_delta over (z, y), pre-renamed for iteration *)
-  | Partitioned of {
-      excited_y : Bdd.t array;
-          (* per gate, in gate order: excitation over the y rail *)
-      stable_y : Bdd.t;  (* the stable self-loop disjunct's one conjunct *)
-    }
+type rel = {
+  excited_y : Bdd.t array;
+      (* per gate, in gate order: excitation over the y rail *)
+  stable_y : Bdd.t;  (* the stable self-loop disjunct's one conjunct *)
+}
 
 type t = {
   circuit : Circuit.t;
@@ -64,16 +60,12 @@ let count_x_states m ~n set =
 let circuit t = t.circuit
 let k t = t.k
 let man t = t.man
-let stable_set t = t.stable
 let reachable t = t.reachable
-let cssg_relation t = t.cssg
 let truncated t = t.truncated
 
 let default_cluster_cap = 1024
 
-let rel_roots = function
-  | Monolithic r -> [ r ]
-  | Partitioned { excited_y; stable_y } -> stable_y :: Array.to_list excited_y
+let rel_roots r = r.stable_y :: Array.to_list r.excited_y
 
 (* Every handle a built [t] holds. *)
 let roots t = t.stable :: t.r_input :: t.reachable :: t.cssg :: rel_roots t.rel
@@ -128,8 +120,6 @@ let func_bdd m c var_of gid =
         Bdd.or_ m acc !term)
       (Bdd.zero m) (Cover.cubes cover)
 
-let gate_function t gid = func_bdd t.man t.circuit (x_of t) gid
-
 (* --- clustered early-quantification schedules ---------------------------- *)
 
 (* A schedule evaluates [∃ quant. src ∧ c1 ∧ ... ∧ cm] left to right,
@@ -164,7 +154,7 @@ let run_schedule m ((unseen, steps) : schedule) src =
 
 (* --- construction -------------------------------------------------------- *)
 
-let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
+let build ?k ?node_order ?(reorder = Bdd.Reorder_none)
     ?(cluster_cap = default_cluster_cap) ?(guard = Guard.none) c =
   let k = match k with Some k -> k | None -> Structure.default_k c in
   let reset =
@@ -254,51 +244,7 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
   let r_input = Bdd.and_list m [ stable; gates_eq; Bdd.not_ m env_all_eq ] in
   let z_vars = List.init n zv in
   let x_vars = List.init n xv in
-  let rel =
-    match style with
-    | `Monolithic ->
-      (* The paper's literal R_delta over (z, y): excitation rebuilt on
-         the z rail, every firing disjunct carrying an explicit
-         frame-equality product (prefix.(r) = equality of the first r
-         nodes in rank order). *)
-      let excited_z =
-        Array.map
-          (fun gid -> Bdd.xor_ m (func_bdd m c zv gid) (Bdd.var m (zv gid)))
-          gates
-      in
-      let stable_z =
-        Array.fold_left
-          (fun acc e -> Bdd.and_ m acc (Bdd.not_ m e))
-          (Bdd.one m) excited_z
-      in
-      let prefix = Array.make (n + 1) (Bdd.one m) in
-      for r = 0 to n - 1 do
-        prefix.(r + 1) <- Bdd.and_ m prefix.(r) eq_zy.(node_of_rank.(r))
-      done;
-      let suffix = Array.make (n + 1) (Bdd.one m) in
-      for r = n - 1 downto 0 do
-        suffix.(r) <- Bdd.and_ m suffix.(r + 1) eq_zy.(node_of_rank.(r))
-      done;
-      let all_eq_zy = prefix.(n) in
-      let fire_disjuncts =
-        Array.to_list
-          (Array.mapi
-             (fun idx gid ->
-               let flip =
-                 Bdd.iff m (Bdd.var m (yv gid))
-                   (Bdd.not_ m (Bdd.var m (zv gid)))
-               in
-               let r = rank.(gid) in
-               let frame = Bdd.and_ m prefix.(r) suffix.(r + 1) in
-               Bdd.and_list m [ excited_z.(idx); flip; frame ])
-             gates)
-      in
-      Monolithic
-        (Bdd.or_ m
-           (Bdd.or_list m fire_disjuncts)
-           (Bdd.and_ m stable_z all_eq_zy))
-    | `Partitioned -> Partitioned { excited_y; stable_y }
-  in
+  let rel = { excited_y; stable_y } in
   (* What the rest of the build reads; a collection at a safe point
      keeps these plus the reachability loop's own live sets. *)
   let kept =
@@ -317,16 +263,12 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
      {!Bdd.flip_var}, which flips the conjunction without building it.
      No frame BDD, no relational product. *)
   let delta_image t =
-    match rel with
-    | Monolithic r_zy ->
-      Bdd.and_exists m ~vars:z_vars (Bdd.permute m y_to_z t) r_zy
-    | Partitioned { excited_y; stable_y } ->
-      let img = ref (Bdd.and_ m t stable_y) in
-      Array.iteri
-        (fun idx gid ->
-          img := Bdd.or_ m !img (Bdd.flip_var m ~var:(yv gid) t excited_y.(idx)))
-        gates;
-      !img
+    let img = ref (Bdd.and_ m t stable_y) in
+    Array.iteri
+      (fun idx gid ->
+        img := Bdd.or_ m !img (Bdd.flip_var m ~var:(yv gid) t excited_y.(idx)))
+      gates;
+    !img
   in
   (* The frontier sequence t_{i+1} = F(t_i) is deterministic, so it is
      eventually periodic; unstable states bouncing around a ring make
@@ -464,7 +406,7 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
   }
   with Guard.Exhausted r ->
     (* The budget died before the relations existed (the guard inside
-       the manager can now trip during R_delta construction itself).
+       the manager can trip while they are built).
        Degrade to the smallest sound result: the reset state with no
        edges — every state and edge it contains is genuine. *)
     Bdd.set_guard m Guard.none;
@@ -478,7 +420,7 @@ let build ?k ?node_order ?(style = `Partitioned) ?(reorder = Bdd.Reorder_none)
       node_of_rank;
       stable = reset_bdd;
       r_input = Bdd.zero m;
-      rel = Monolithic (Bdd.zero m);
+      rel = { excited_y = [||]; stable_y = Bdd.zero m };
       reachable = reset_bdd;
       cssg = Bdd.zero m;
       reset;

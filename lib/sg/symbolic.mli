@@ -3,6 +3,8 @@
     k-step test-cycle relation [TCR_k] by k-fold [R_delta] images, and
     the non-confluence pruning by the pair-splitting check
     [∃ s''. TCR_k(s, s'') ∧ X_I(s'') = X_I(s') ∧ s'' ≠ s'].
+    [R_delta] is kept partitioned, one conjunct per gate, and never
+    formed as one BDD (see {!build}).
 
     Each circuit node owns three adjacent BDD variables (present, next,
     auxiliary) at its {e rank} in the variable order; the rank
@@ -19,17 +21,15 @@
       edges, the ring's frontier, and every step [TCR_k] has recorded
       so far.
     - {!justify}, on entry.  Its roots are this instance's artefacts
-      (the handles behind {!stable_set}, {!reachable},
-      {!cssg_relation}, [R_I] and the transition relation) and
-      [target].
+      (the stable set, {!reachable}, the CSSG edge relation, [R_I] and
+      the transition relation's conjuncts) and [target].
 
     {!sift} collects down to the same artefacts before it reorders.
 
     So those artefacts, and a justify target, always survive.  Any
-    other handle of {!man} — from {!gate_function}, {!state_to_bdd} or
-    the caller's own operations — may be dead once {!justify} or
-    {!sift} returns, unless it was the target.  No other call
-    collects. *)
+    other handle of {!man} — from {!state_to_bdd} or the caller's own
+    operations — may be dead once {!justify} or {!sift} returns,
+    unless it was the target.  No other call collects. *)
 
 open Satg_guard
 open Satg_circuit
@@ -42,7 +42,6 @@ val default_cluster_cap : int
 val build :
   ?k:int ->
   ?node_order:int array ->
-  ?style:[ `Partitioned | `Monolithic ] ->
   ?reorder:Bdd.reorder_mode ->
   ?cluster_cap:int ->
   ?guard:Guard.t ->
@@ -51,18 +50,14 @@ val build :
 (** [node_order] maps each node id to its rank in the variable order
     (default: creation order, which interleaves inputs and gates).
 
-    [style] selects the transition-relation representation (default
-    [`Partitioned]).  The partitioned form keeps one excitation
-    conjunct per gate over the next-state rail, plus the conjunct of
-    stability, and images a set [T] as
+    The transition relation is partitioned: one excitation conjunct
+    per gate over the next-state rail, plus the conjunct of stability.
+    A set [T] is imaged as
     [(T ∧ stable) ∨ ⋁_g flip_{y_g}(T ∧ excited_g)]: one gate fires per
     step, so each per-gate relational product collapses to a
     one-variable cofactor exchange ({!Bdd.flip_var}, which never builds
     the conjunction).  No frame-equality BDD and no [and_exists]
-    schedule is involved.  [`Monolithic] is the paper's literal
-    single-BDD [R_delta], imaged by one relational product per step —
-    kept as the reference oracle for benchmarks and conformance runs;
-    both styles produce identical graphs.
+    schedule is involved.
 
     Reachability is frontier-only and runs over valid edges.  Each
     ring computes [TCR_k] from just the states first reached by the
@@ -134,22 +129,12 @@ val with_guard : t -> Guard.t -> (unit -> 'a) -> 'a
     (restored on return or exception) — how per-fault budgets govern
     symbolic justification inside the three-phase engine. *)
 
-val stable_set : t -> Bdd.t
-(** All stable states, over present variables. *)
-
 val reachable : t -> Bdd.t
 (** The CSSG's states (present vars): the stable states reachable from
     reset over valid edges.  In a truncated build, also the states of
     the ring in progress, which have no edges. *)
 
 val n_reachable : t -> int
-
-val cssg_relation : t -> Bdd.t
-(** Valid edges out of the {!reachable} states, over (present, next)
-    variables. *)
-
-val gate_function : t -> int -> Bdd.t
-(** The gate's instantaneous function over present variables. *)
 
 val state_to_bdd : t -> bool array -> Bdd.t
 (** Minterm over present variables. *)

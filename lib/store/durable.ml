@@ -39,8 +39,6 @@ let cacheable (r : Engine.result) =
          | Testset.Detected _ | Testset.Undetected -> true)
        r.Engine.outcomes
 
-let payload_of_result = Satg_core.Session.summary_of_result
-
 let publish ~dir ~key payload =
   Cache.publish ~dir key (Codec.result_to_string payload)
 

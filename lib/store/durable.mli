@@ -52,8 +52,6 @@ val cacheable : Engine.result -> bool
     ([Timeout]) or operator ([Interrupt]) aborts do not — a rerun
     could legitimately do better. *)
 
-val payload_of_result : Engine.result -> Codec.result_payload
-
 val publish : dir:string -> key:string -> Codec.result_payload -> unit
 (** Atomically install the payload in the object store
     (write-tmp→fsync→rename; concurrent publishers of the same key

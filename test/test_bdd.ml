@@ -145,9 +145,7 @@ let test_sat_count_exact () =
     (Bdd.sat_count_int m ~nvars:10 (Bdd.one m))
 
 let test_stats () =
-  (* Explicit sizes pin the original large-cache semantics: with
-     [cache_size] given the probe-skip threshold defaults to 0, so the
-     replay below really is pure cache hits. *)
+  (* A cache large enough that the replay below is pure cache hits. *)
   let m = Bdd.create ~cache_size:8192 ~nvars:8 () in
   let f = ref (Bdd.zero m) in
   for v = 0 to 7 do
@@ -177,6 +175,41 @@ let test_stats () =
     (Bdd.apply_ops s2 >= s2.Bdd.xor_hits + s2.Bdd.xor_misses);
   let rate = Bdd.cache_hit_rate s2 in
   Alcotest.(check bool) "hit rate in [0,1]" true (rate >= 0.0 && rate <= 1.0)
+
+(* The hot paths allocate nothing.  Once a formula's nodes exist, a
+   rebuild with the op cache cleared runs every operation, cache probe
+   and unique-table probe again but creates no node, so any minor word
+   it takes is a closure or a box on the hot path.  Reading
+   [Gc.minor_words] may box its result; an empty interval measures
+   that and is subtracted. *)
+let n_alloc_vars = 16
+
+let alloc_formula m =
+  let f = ref (Bdd.one m) in
+  for v = 0 to n_alloc_vars - 1 do
+    let x = Bdd.var m v and y = Bdd.nvar m ((v + 5) mod n_alloc_vars) in
+    let s = Bdd.var m ((v + 3) mod n_alloc_vars) in
+    let g = Bdd.ite m s (Bdd.xor_ m !f x) (Bdd.or_ m !f (Bdd.and_ m x y)) in
+    f := Bdd.flip_var m ~var:((v + 7) mod n_alloc_vars) g (Bdd.not_ m !f)
+  done;
+  !f
+
+let test_hot_path_allocation_free () =
+  let m = Bdd.create ~nvars:n_alloc_vars () in
+  let f = alloc_formula m in
+  Bdd.clear_caches m;
+  let before = Bdd.stats m in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let f' = alloc_formula m in
+  let w2 = Gc.minor_words () in
+  let after = Bdd.stats m in
+  Alcotest.(check bool) "same function" true (Bdd.equal f f');
+  Alcotest.(check int) "no node created" before.Bdd.peak_nodes
+    after.Bdd.peak_nodes;
+  Alcotest.(check bool) "real work" true
+    (Bdd.apply_ops after - Bdd.apply_ops before > 500);
+  Alcotest.(check (float 0.)) "minor words" 0. (w2 -. w1 -. (w1 -. w0))
 
 (* A tripped guard must surface from {e inside} an apply/mk hot path:
    that is what lets --timeout/--max-states interrupt a symbolic image
@@ -462,10 +495,9 @@ let prop_flip_fused_after_sift =
       Bdd.sift m;
       flip_laws m n_deep_vars v a b)
 
-(* The uncached path: an auto-sized manager whose store never reaches
-   the cache threshold. *)
-let prop_flip_fused_below_threshold =
-  QCheck.Test.make ~name:"fused flip laws below the cache threshold"
+(* Small auto-sized managers: a few dozen nodes, a 256-entry cache. *)
+let prop_flip_fused_small =
+  QCheck.Test.make ~name:"fused flip laws on small managers"
     ~count:200
     QCheck.(
       triple
@@ -475,10 +507,7 @@ let prop_flip_fused_below_threshold =
     (fun (ea, eb, v) ->
       let m = Bdd.create ~nvars:n_prop_vars () in
       let a = build m ea and b = build m eb in
-      let ok = flip_laws m n_prop_vars v a b in
-      let s = Bdd.stats m in
-      ok && s.Bdd.peak_nodes < s.Bdd.cache_threshold
-      && s.Bdd.flip_hits = 0)
+      flip_laws m n_prop_vars v a b)
 
 (* --- dynamic variable reordering ------------------------------------------ *)
 
@@ -633,8 +662,8 @@ let test_sift_guard_budget () =
   Alcotest.(check bool) "canonicity intact" true
     (Bdd.equal (interleaved_pairs m n) f)
 
-(* Adaptive sizing: small managers get small tables and a cache-skip
-   threshold; explicit sizes opt out of the threshold entirely. *)
+(* Adaptive sizing: small managers get small tables; an explicit cache
+   size is honoured. *)
 let test_adaptive_sizes () =
   let small = Bdd.stats (Bdd.create ~nvars:8 ()) in
   let large = Bdd.stats (Bdd.create ~nvars:400 ()) in
@@ -642,12 +671,9 @@ let test_adaptive_sizes () =
     (small.Bdd.unique_buckets_init < large.Bdd.unique_buckets_init);
   Alcotest.(check bool) "small cache too" true
     (small.Bdd.cache_slots < large.Bdd.cache_slots);
-  Alcotest.(check int) "auto threshold" 64 small.Bdd.cache_threshold;
   let explicit = Bdd.stats (Bdd.create ~cache_size:4096 ~nvars:8 ()) in
   Alcotest.(check int) "explicit cache size honoured" 4096
-    explicit.Bdd.cache_slots;
-  Alcotest.(check int) "explicit size disables threshold" 0
-    explicit.Bdd.cache_threshold
+    explicit.Bdd.cache_slots
 
 let prop_sift_preserves_semantics =
   QCheck.Test.make ~name:"sift preserves semantics and canonicity" ~count:100
@@ -877,7 +903,7 @@ let qcheck_cases =
       prop_deep_bdd_matches_semantics;
       prop_flip_var_matches;
       prop_flip_fused_after_sift;
-      prop_flip_fused_below_threshold;
+      prop_flip_fused_small;
       prop_sift_preserves_semantics;
       prop_collect_laws;
       prop_collect_laws_sift;
@@ -900,6 +926,8 @@ let suites =
         Alcotest.test_case "sat_count exact" `Quick test_sat_count_exact;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "guard in hot path" `Quick test_guard_in_hot_path;
+        Alcotest.test_case "hot path allocates nothing" `Quick
+          test_hot_path_allocation_free;
         Alcotest.test_case "add_var" `Quick test_add_var;
         Alcotest.test_case "accessors" `Quick test_accessors;
         Alcotest.test_case "clear caches" `Quick test_clear_caches_preserves;

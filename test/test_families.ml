@@ -1,11 +1,10 @@
 (* Cross-engine conformance over the generated benchmark families: the
    explicit BFS, BDD and SAT deterministic engines must report the same
    detected/undetected fault partition on every family instance, the
-   domain-pool pipeline must be invariant in -j, the incremental
-   (one-solver, activation-literal) SAT mode must partition exactly
-   like the throwaway-solver-per-fault mode while keeping the instance
-   count at one per worker, and bit-parallel fault simulation must
-   agree lane-for-lane with scalar ternary simulation. *)
+   domain-pool pipeline must be invariant in -j, the SAT engine must
+   keep its solver count at one per worker, and bit-parallel fault
+   simulation must agree lane-for-lane with scalar ternary
+   simulation. *)
 
 open Satg_logic
 open Satg_circuit
@@ -160,53 +159,6 @@ let test_sat_searches_for_real () =
     "some family instance yields nonzero SAT decisions and shared-clause reuse"
     true (hits <> [])
 
-let test_incremental_matches_fresh () =
-  (* The tentpole's conformance obligation: the one-solver
-     activation-literal mode and the throwaway-solver-per-fault mode
-     must report the same per-fault status over the full fault
-     universe of every ladder instance — and the incremental engine
-     must have spawned exactly one solver while the fresh engine
-     spawns one per differentiation call. *)
-  let strict = ref false in
-  List.iter
-    (fun inst ->
-      let nm, c = build inst in
-      let g = Satg_sg.Explicit.build c in
-      let faults = Fault.universe_input_sa c @ Fault.universe_output_sa c in
-      let run incremental =
-        let se = Sat_engine.create ~incremental g in
-        let statuses =
-          List.map
-            (fun f ->
-              ( Fault.to_string c f,
-                match
-                  Three_phase.find_test ~backend:(Sat_engine.backend se) g f
-                with
-                | Some _ -> "detected"
-                | None -> "undetected"
-                | exception Satg_guard.Guard.Exhausted _ -> "aborted" ))
-            faults
-        in
-        (statuses, Sat_engine.stats se)
-      in
-      let fresh, fresh_stats = run false in
-      let incr, incr_stats = run true in
-      Alcotest.(check (list (pair string string)))
-        (nm ^ ": incremental = fresh statuses") fresh incr;
-      Alcotest.(check int)
-        (nm ^ ": incremental spawns one instance") 1 incr_stats.Sat.instances;
-      (* fresh mode matches only when no fault ever reached
-         differentiation (every fault detected during prefix replay) *)
-      Alcotest.(check bool)
-        (nm ^ ": fresh never spawns fewer instances") true
-        (fresh_stats.Sat.instances >= incr_stats.Sat.instances);
-      if fresh_stats.Sat.instances > incr_stats.Sat.instances then
-        strict := true)
-    instances;
-  Alcotest.(check bool)
-    "some ladder instance shows O(faults) fresh instances vs 1 incremental"
-    true !strict
-
 let test_sat_instances_o_workers () =
   (* Through the full pool: the per-run solver-instance count follows
      the worker count, never the fault count. *)
@@ -314,8 +266,6 @@ let suites =
         Alcotest.test_case "-j1 = -j4 = sequential" `Quick test_jobs_determinism;
         Alcotest.test_case "SAT records real search" `Quick
           test_sat_searches_for_real;
-        Alcotest.test_case "SAT incremental = fresh partitions" `Quick
-          test_incremental_matches_fresh;
         Alcotest.test_case "SAT instances follow workers" `Quick
           test_sat_instances_o_workers;
         Alcotest.test_case "parallel-sim lane equality" `Quick

@@ -174,11 +174,10 @@ let pinned_engines_agree =
     [ 866660442; 3 ]
 
 (* Reordering is invisible semantically: the sifted build must produce
-   the identical CSSG partition (states, edges) and reachable count.
-   The monolithic reference style rides along under the same oracle. *)
+   the identical CSSG partition (states, edges) and reachable count. *)
 let prop_reorder_agrees =
   QCheck.Test.make
-    ~name:"random circuits: sift reorder and style preserve symbolic CSSG"
+    ~name:"random circuits: sift reorder preserves symbolic CSSG"
     ~count:40 spec_arb (fun spec ->
       match build_spec spec with
       | None -> QCheck.assume_fail ()
@@ -188,12 +187,9 @@ let prop_reorder_agrees =
         let sifted =
           Symbolic.build ~k ~reorder:Satg_bdd.Bdd.Reorder_sift c
         in
-        let mono = Symbolic.build ~k ~style:`Monolithic c in
-        let reference = canonical (Symbolic.to_cssg plain) in
         Symbolic.n_reachable plain = Symbolic.n_reachable sifted
-        && Symbolic.n_reachable plain = Symbolic.n_reachable mono
-        && canonical (Symbolic.to_cssg sifted) = reference
-        && canonical (Symbolic.to_cssg mono) = reference)
+        && canonical (Symbolic.to_cssg sifted)
+           = canonical (Symbolic.to_cssg plain))
 
 (* Salvage under random transition budgets.  A symbolic build charges
    one transition per allocated BDD node, so a budget drawn below the

@@ -539,33 +539,32 @@ let prop_sat_justification_matches_bfs =
               = Some i)
           (List.init (Cssg.n_states g) Fun.id))
 
-(* The tentpole's oracle: on random circuits the shared-solver
-   activation-literal mode and the fresh-solver-per-fault mode must
-   agree fault by fault — same status, and for detections the same
-   sequence length (prefixes are BFS-shortest, suffixes ring-exact, in
-   both modes). *)
-let prop_sat_incremental_matches_fresh =
+(* On random circuits the SAT engine, one solver shared by every fault
+   through activation literals, must agree fault by fault with the
+   explicit three-phase search: same status, and for detections the
+   same sequence length.  Both engines justify along BFS-shortest
+   prefixes and differentiate by shortest suffixes; the lengths agreed
+   on all 1 800 draws of QCHECK_SEED 1-6 at count 300. *)
+let prop_sat_incremental_matches_explicit =
   QCheck.Test.make
-    ~name:"random circuits: incremental SAT = fresh-per-fault SAT" ~count:25
-    Test_random_circuits.spec_arb (fun spec ->
+    ~name:"random circuits: incremental SAT = explicit three-phase search"
+    ~count:25 Test_random_circuits.spec_arb (fun spec ->
       match Test_random_circuits.build_spec spec with
       | None -> QCheck.assume_fail ()
       | Some c ->
         let g = Explicit.build c in
         let faults = Fault.universe_input_sa c @ Fault.universe_output_sa c in
-        let statuses incremental =
-          let se = Sat_engine.create ~incremental g in
+        let statuses backend =
           List.map
             (fun f ->
-              match
-                Three_phase.find_test ~backend:(Sat_engine.backend se) g f
-              with
+              match Three_phase.find_test ?backend g f with
               | Some seq -> `Detected (List.length seq)
               | None -> `Undetected
               | exception Guard.Exhausted _ -> `Aborted)
             faults
         in
-        statuses true = statuses false)
+        let se = Sat_engine.create g in
+        statuses (Some (Sat_engine.backend se)) = statuses None)
 
 let suites =
   [
@@ -628,6 +627,6 @@ let suites =
     ( "sat.differential",
       [
         QCheck_alcotest.to_alcotest prop_sat_justification_matches_bfs;
-        QCheck_alcotest.to_alcotest prop_sat_incremental_matches_fresh;
+        QCheck_alcotest.to_alcotest prop_sat_incremental_matches_explicit;
       ] );
   ]

@@ -144,25 +144,22 @@ let test_symbolic_matches_explicit () =
           (Circuit.name c ^ ": pure-exploration graph")
           true
           (canonical (Cssg_oracle.build ~exploration:`Pure ~k c) = canonical exp);
-      List.iter
-        (fun (style, tag) ->
-          let name = Circuit.name c ^ " " ^ tag in
-          let sym = Symbolic.build ~k ~style c in
-          Alcotest.(check int)
-            (name ^ ": reachable count")
-            (Cssg.n_states exp) (Symbolic.n_reachable sym);
-          let gs = Symbolic.to_cssg sym in
-          let s1, e1 = canonical exp and s2, e2 = canonical gs in
-          Alcotest.(check (list string)) (name ^ ": states") s1 s2;
-          Alcotest.(check int) (name ^ ": edge count")
-            (List.length e1) (List.length e2);
-          List.iter2
-            (fun (a, v, b) (a', v', b') ->
-              Alcotest.(check (triple string string string))
-                (name ^ ": edge")
-                (a, v, b) (a', v', b'))
-            e1 e2)
-        [ (`Partitioned, "partitioned"); (`Monolithic, "monolithic") ])
+      let name = Circuit.name c in
+      let sym = Symbolic.build ~k c in
+      Alcotest.(check int)
+        (name ^ ": reachable count")
+        (Cssg.n_states exp) (Symbolic.n_reachable sym);
+      let gs = Symbolic.to_cssg sym in
+      let s1, e1 = canonical exp and s2, e2 = canonical gs in
+      Alcotest.(check (list string)) (name ^ ": states") s1 s2;
+      Alcotest.(check int) (name ^ ": edge count")
+        (List.length e1) (List.length e2);
+      List.iter2
+        (fun (a, v, b) (a', v', b') ->
+          Alcotest.(check (triple string string string))
+            (name ^ ": edge")
+            (a, v, b) (a', v', b'))
+        e1 e2)
     (List.map (fun f -> (f, true)) fixtures
     @ List.map (fun f -> (f, false)) workload_netlists)
 
@@ -267,8 +264,8 @@ let test_symbolic_justify_multi_step () =
       (Circuit.state_to_string c (Cssg.state g final))
   | None -> Alcotest.fail "should justify in two steps"
 
-(* Reordering, the monolithic reference style and extreme cluster caps
-   are all representation knobs: none may change the computed graph. *)
+(* Reordering and extreme cluster caps are representation knobs: neither
+   may change the computed graph. *)
 let test_symbolic_variants_agree () =
   List.iter
     (fun make ->
@@ -285,7 +282,6 @@ let test_symbolic_variants_agree () =
           (canonical (Symbolic.to_cssg sym) = reference)
       in
       check "sift" (Symbolic.build ~reorder:Satg_bdd.Bdd.Reorder_sift c);
-      check "monolithic" (Symbolic.build ~style:`Monolithic c);
       check "cluster cap 1" (Symbolic.build ~cluster_cap:1 c);
       (* forcing a sifting pass on the live manager must not disturb
          the already-built artefacts: handles survive reordering *)

@@ -446,14 +446,14 @@ let test_cache_roundtrip_and_corruption () =
 
 let test_session_key_sensitivity () =
   let base = Engine.default_config in
-  let k ?(netlist = "net") ?(universe = Satg_core.Session.Input) config =
-    Session.key_of ~netlist ~universe ~config
+  let k ?(netlist = "net") ?(universe = Session.Input) config =
+    Durable.key_of ~netlist ~universe ~config
   in
   Alcotest.(check string) "deterministic" (k base) (k base);
   Alcotest.(check bool) "netlist matters" true
     (k base <> k ~netlist:"other" base);
   Alcotest.(check bool) "universe matters" true
-    (k base <> k ~universe:Satg_core.Session.Both base);
+    (k base <> k ~universe:Session.Both base);
   Alcotest.(check bool) "k matters" true
     (k base <> k { base with Engine.k = Some 9 });
   Alcotest.(check bool) "seed matters" true
@@ -515,31 +515,31 @@ let test_session_resume_equals_uninterrupted () =
   List.iter
     (fun cut ->
       with_dir @@ fun d ->
-      let key = Session.key_of ~netlist:"n" ~universe:Satg_core.Session.Input ~config:Engine.default_config in
+      let key = Durable.key_of ~netlist:"n" ~universe:Session.Input ~config:Engine.default_config in
       (* run 1: journal the first [cut] commits, then "crash" *)
       (let t =
-         match Session.start ~dir:d ~key () with
+         match Durable.start ~dir:d ~key () with
          | Ok t -> t
          | Error m -> Alcotest.fail m
        in
        List.iteri
-         (fun i (f, st) -> if i < cut then Session.record t f st)
+         (fun i (f, st) -> if i < cut then Durable.record t f st)
          commits;
-       Session.finish t ~keep:true);
+       Durable.finish t ~keep:true);
       (* run 2: resume and finish the search *)
       let t =
-        match Session.start ~resume:true ~dir:d ~key () with
+        match Durable.start ~resume:true ~dir:d ~key () with
         | Ok t -> t
         | Error m -> Alcotest.fail m
       in
       Alcotest.(check int)
         (Printf.sprintf "settled after %d commits" cut)
-        cut (Session.settled_count t);
+        cut (Durable.settled_count t);
       let r =
-        Engine.run ~settled:(Session.settled t)
-          ~on_outcome:(Session.record t) c ~faults
+        Engine.run ~settled:(Durable.settled t)
+          ~on_outcome:(Durable.record t) c ~faults
       in
-      Session.finish t ~keep:false;
+      Durable.finish t ~keep:false;
       Alcotest.(check bool)
         (Printf.sprintf "resume@%d equals uninterrupted" cut)
         true
@@ -550,16 +550,16 @@ let test_session_lock_blocks_concurrent () =
   with_dir @@ fun d ->
   let key = String.make 32 'a' in
   let t =
-    match Session.start ~dir:d ~key () with
+    match Durable.start ~dir:d ~key () with
     | Ok t -> t
     | Error m -> Alcotest.fail m
   in
-  (match Session.start ~dir:d ~key () with
+  (match Durable.start ~dir:d ~key () with
   | Ok _ -> Alcotest.fail "second live session must be refused"
   | Error _ -> ());
-  Session.finish t ~keep:false;
-  match Session.start ~dir:d ~key () with
-  | Ok t -> Session.finish t ~keep:false
+  Durable.finish t ~keep:false;
+  match Durable.start ~dir:d ~key () with
+  | Ok t -> Durable.finish t ~keep:false
   | Error m -> Alcotest.fail ("after finish: " ^ m)
 
 let test_session_timeout_aborts_not_settled () =
@@ -568,28 +568,28 @@ let test_session_timeout_aborts_not_settled () =
   let f0 = Fault.Output_sa { gate = 0; stuck = false } in
   let f1 = Fault.Output_sa { gate = 1; stuck = false } in
   (let t =
-     match Session.start ~dir:d ~key () with
+     match Durable.start ~dir:d ~key () with
      | Ok t -> t
      | Error m -> Alcotest.fail m
    in
-   Session.record t f0 (Testset.Aborted Guard.Timeout);
-   Session.record t f1 (Testset.Aborted Guard.State_limit);
-   Session.finish t ~keep:true);
+   Durable.record t f0 (Testset.Aborted Guard.Timeout);
+   Durable.record t f1 (Testset.Aborted Guard.State_limit);
+   Durable.finish t ~keep:true);
   let t =
-    match Session.start ~resume:true ~dir:d ~key () with
+    match Durable.start ~resume:true ~dir:d ~key () with
     | Ok t -> t
     | Error m -> Alcotest.fail m
   in
   Alcotest.(check (option bool)) "timeout abort re-searched" None
-    (Option.map (fun _ -> true) (Session.settled t f0));
+    (Option.map (fun _ -> true) (Durable.settled t f0));
   Alcotest.(check bool) "budget abort stays settled" true
-    (Session.settled t f1 = Some (Testset.Aborted Guard.State_limit));
-  Session.finish t ~keep:false
+    (Durable.settled t f1 = Some (Testset.Aborted Guard.State_limit));
+  Durable.finish t ~keep:false
 
 let test_session_cacheable () =
   let c = Figures.celem_handshake () in
   let r = Engine.run c ~faults:(Fault.universe_input_sa c) in
-  Alcotest.(check bool) "complete run is cacheable" true (Session.cacheable r);
+  Alcotest.(check bool) "complete run is cacheable" true (Durable.cacheable r);
   let doctor status =
     {
       r with
@@ -599,15 +599,15 @@ let test_session_cacheable () =
     }
   in
   Alcotest.(check bool) "timeout abort is not" false
-    (Session.cacheable (doctor (Testset.Aborted Guard.Timeout)));
+    (Durable.cacheable (doctor (Testset.Aborted Guard.Timeout)));
   Alcotest.(check bool) "interrupt abort is not" false
-    (Session.cacheable (doctor (Testset.Aborted Guard.Interrupt)));
+    (Durable.cacheable (doctor (Testset.Aborted Guard.Interrupt)));
   Alcotest.(check bool) "budget abort is" true
-    (Session.cacheable (doctor (Testset.Aborted Guard.Transition_limit)));
+    (Durable.cacheable (doctor (Testset.Aborted Guard.Transition_limit)));
   with_dir @@ fun d ->
-  let key = Session.key_of ~netlist:"x" ~universe:Satg_core.Session.Input ~config:Engine.default_config in
-  Session.publish ~dir:d ~key (Session.payload_of_result r);
-  match Session.cached ~dir:d ~key with
+  let key = Durable.key_of ~netlist:"x" ~universe:Session.Input ~config:Engine.default_config in
+  Durable.publish ~dir:d ~key (Session.summary_of_result r);
+  match Durable.cached ~dir:d ~key with
   | None -> Alcotest.fail "published result must be served"
   | Some p ->
     Alcotest.(check int) "faults_searched survives" r.Engine.faults_searched
