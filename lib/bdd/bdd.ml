@@ -15,11 +15,13 @@
      rewritten node changes, so its old bucket must die) and frees the
      nodes its swaps orphan; a manager that never reorders never
      produces one.
-   - All operation results share one fixed-size direct-mapped cache
-     (CUDD-style): a flat int array of 4-int entries
-     [key1; key2; key3; result], where key1 packs the first operand
-     and the op tag ((a lsl 3) lor op).  Collisions simply overwrite
-     (lossy); correctness never depends on the cache, only speed.
+   - All operation results share one direct-mapped cache (CUDD-style):
+     a flat int array of 4-int entries [key1; key2; key3; result],
+     where key1 packs the first operand and the op tag
+     ((a lsl 3) lor op).  Collisions simply overwrite (lossy);
+     correctness never depends on the cache, only speed.  It starts
+     sized from the variable count and doubles with the unique table,
+     up to [max_cache_slots] entries.
    - [Guard.tick] is probed on every cache miss and node allocation,
      so a deadline (or an already-tripped guard) aborts a runaway
      symbolic computation from *inside* the recursion instead of
@@ -84,8 +86,8 @@ type man = {
   mutable u_entries : int;  (* live keys in the table *)
   mutable u_used : int;  (* live keys + tombstones *)
   (* shared direct-mapped op cache: 4 ints per entry *)
-  cache : int array;
-  cmask : int;  (* entry count - 1 (power of two) *)
+  mutable cache : int array;
+  mutable cmask : int;  (* entry count - 1 (power of two) *)
   hits : int array;  (* per op tag *)
   misses : int array;
   mutable n_vars : int;
@@ -116,7 +118,10 @@ let mix a b c =
   let h = h * 0x27D4EB2F165667C in
   h lxor (h lsr 32)
 
-(* Table sizes scale with the variable count unless the caller pins
+(* The op cache stops doubling with the unique table here: 1 MiB. *)
+let max_cache_slots = 1 lsl 15
+
+(* Table sizes scale with the variable count unless the caller sets
    them: a 10-var manager does not pay for (and zero) the same 256 KiB
    op cache as a 100-var one. *)
 let create ?unique_size ?cache_size ?(guard = Guard.none) ~nvars () =
@@ -220,11 +225,24 @@ let grow m =
     m.high_of <- extend m.high_of (-1)
   end
 
+(* Double the op cache without losing an entry: an entry's slot under
+   the doubled mask is its old slot or that slot plus the old size, so
+   the old array, written into both halves, keeps every entry where a
+   probe looks for it.  The copy in the wrong half never matches a
+   probe (one for its key looks in the right half); it waits to be
+   overwritten. *)
+let grow_cache m =
+  if m.cmask + 1 < max_cache_slots then begin
+    m.cache <- Array.append m.cache m.cache;
+    m.cmask <- (2 * m.cmask) + 1
+  end
+
 (* Rebuild from the old table, whose keys are exactly the nodes in use.
    Doubles only when live keys justify it — otherwise same size,
-   purging tombstones.  A sifting pass deletes keys at every swap, so
-   it rehashes at the same size again and again: the old table is kept
-   as the next one's buffer instead of becoming garbage each time. *)
+   purging tombstones — and the op cache doubles with it.  A sifting
+   pass deletes keys at every swap, so it rehashes at the same size
+   again and again: the old table is kept as the next one's buffer
+   instead of becoming garbage each time. *)
 let rehash m =
   let old = m.table in
   let osize = m.umask + 1 in
@@ -252,7 +270,8 @@ let rehash m =
   m.table <- table;
   m.umask <- mask;
   m.ulimit <- size * 3 / 4;
-  m.u_used <- m.u_entries
+  m.u_used <- m.u_entries;
+  if size > osize then grow_cache m
 
 (* Nodes in the store: terminals, live nodes and garbage not yet
    collected. *)
@@ -367,7 +386,8 @@ let high m t =
 let rec not_rec m t =
   if t < 2 then t lxor 1
   else begin
-    let idx = (mix op_not t 0 land m.cmask) * 4 in
+    let h = mix op_not t 0 in
+    let idx = (h land m.cmask) * 4 in
     let c = m.cache in
     let k1 = (t lsl 3) lor op_not in
     if c.(idx) = k1 then begin
@@ -380,6 +400,8 @@ let rec not_rec m t =
       let r =
         mk m m.var_of.(t) (not_rec m m.low_of.(t)) (not_rec m m.high_of.(t))
       in
+      let idx = (h land m.cmask) * 4 in
+      let c = m.cache in
       c.(idx) <- k1;
       c.(idx + 3) <- r;
       r
@@ -388,7 +410,8 @@ let rec not_rec m t =
 
 (* [a] and [b] are internal and a < b (callers normalise). *)
 let rec apply_slow m op a b =
-  let idx = (mix op a b land m.cmask) * 4 in
+  let h = mix op a b in
+  let idx = (h land m.cmask) * 4 in
   let c = m.cache in
   let k1 = (a lsl 3) lor op in
   if c.(idx) = k1 && c.(idx + 1) = b then begin
@@ -399,8 +422,10 @@ let rec apply_slow m op a b =
     m.misses.(op) <- m.misses.(op) + 1;
     Guard.tick m.guard;
     let r = apply_node m op a b in
-    (* recompute the slot: a rehash-free op, but [apply_node] may
-       have evicted this entry — rewriting is harmless either way *)
+    (* re-read the cache: [apply_node] may have doubled it (a unique
+       table doubling inside [mk]), which moves this entry's slot *)
+    let idx = (h land m.cmask) * 4 in
+    let c = m.cache in
     c.(idx) <- k1;
     c.(idx + 1) <- b;
     c.(idx + 3) <- r;
@@ -448,7 +473,8 @@ let rec ite_rec m f g h =
   else if g = 1 && h = 0 then f
   else if g = 0 && h = 1 then not_rec m f
   else begin
-    let idx = (mix f g h land m.cmask) * 4 in
+    let hash = mix f g h in
+    let idx = (hash land m.cmask) * 4 in
     let c = m.cache in
     let k1 = (f lsl 3) lor op_ite in
     if c.(idx) = k1 && c.(idx + 1) = g && c.(idx + 2) = h then begin
@@ -459,6 +485,8 @@ let rec ite_rec m f g h =
       m.misses.(op_ite) <- m.misses.(op_ite) + 1;
       Guard.tick m.guard;
       let r = ite_node m f g h in
+      let idx = (hash land m.cmask) * 4 in
+      let c = m.cache in
       c.(idx) <- k1;
       c.(idx + 1) <- g;
       c.(idx + 2) <- h;
@@ -856,9 +884,10 @@ and flip_norm m v a b =
   let l = if la <= lb then la else lb in
   if l > m.level_of.(v) then apply_rec m op_and a b
   else begin
-    let idx = (mix ((a lsl 3) lor op_flip) b v land m.cmask) * 4 in
-    let c = m.cache in
     let k1 = (a lsl 3) lor op_flip in
+    let h = mix k1 b v in
+    let idx = (h land m.cmask) * 4 in
+    let c = m.cache in
     if c.(idx) = k1 && c.(idx + 1) = b && c.(idx + 2) = v then begin
       m.hits.(op_flip) <- m.hits.(op_flip) + 1;
       c.(idx + 3)
@@ -867,6 +896,8 @@ and flip_norm m v a b =
       m.misses.(op_flip) <- m.misses.(op_flip) + 1;
       Guard.tick m.guard;
       let r = flip_node m v a b la lb l in
+      let idx = (h land m.cmask) * 4 in
+      let c = m.cache in
       c.(idx) <- k1;
       c.(idx + 1) <- b;
       c.(idx + 2) <- v;

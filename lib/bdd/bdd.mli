@@ -16,7 +16,8 @@
     The hot paths are allocation-free: the unique table is an
     open-addressing int array keyed by the packed (var, low, high)
     triple with inline hashing, and all operations share one
-    fixed-size direct-mapped cache (lossy on collision).  A
+    direct-mapped cache (lossy on collision) that grows with the
+    store.  A
     {!Satg_guard.Guard.t} attached to the manager is probed from
     inside [mk]/[apply], so resource limits can interrupt a runaway
     symbolic computation mid-recursion.
@@ -45,10 +46,13 @@ val create :
   man
 (** [create ~nvars ()] makes a manager with variables [0..nvars-1].
     [unique_size] seeds the unique-table bucket count and [cache_size]
-    fixes the operation-cache entry count (both rounded up to powers
-    of two; the op cache never grows).  When omitted, both are derived
-    from [nvars], so a 10-variable manager does not pay for the
-    tables of a 100-variable workload.  Every operation probes the op
+    the operation-cache entry count (both rounded up to powers of
+    two).  When omitted, both are derived from [nvars], so a
+    10-variable manager does not pay for the tables of a 100-variable
+    workload.  The op cache doubles with each doubling of the unique
+    table, keeping its entries, while it holds fewer than 2{^15}
+    entries (1 MiB): a small circuit's manager stays small, and a
+    large store gets the full cache.  Every operation probes the op
     cache, and every [mk]/[apply] cache miss probes [guard] (default
     {!Guard.none}), so a deadline or an already-tripped guard raises
     {!Guard.Exhausted} from inside the recursion. *)
@@ -256,7 +260,9 @@ type stats = {
   unique_buckets : int;  (** open-addressing bucket count *)
   unique_buckets_init : int;  (** bucket count chosen at {!create} *)
   unique_load : float;  (** live keys / buckets, < 0.75 by construction *)
-  cache_slots : int;  (** op-cache entry count (fixed at {!create}) *)
+  cache_slots : int;
+      (** op-cache entry count: {!create}'s, doubled with each
+          unique-table doubling while below 2{^15} *)
   reorders : int;  (** completed sifting passes *)
   swaps : int;  (** adjacent-level swaps performed *)
   reorder_seconds : float;  (** CPU time spent reordering *)

@@ -112,3 +112,16 @@ let longest_path c =
   Array.fold_left max 0 lv
 
 let default_k c = max 8 (4 * Circuit.n_gates c)
+
+let reaches_output c i =
+  let is_output = Array.make (Circuit.n_nodes c) false in
+  Array.iter (fun o -> is_output.(o) <- true) (Circuit.outputs c);
+  let seen = Array.make (Circuit.n_nodes c) false in
+  let rec visit = function
+    | [] -> false
+    | v :: rest when seen.(v) -> visit rest
+    | v :: rest ->
+      seen.(v) <- true;
+      is_output.(v) || visit (Circuit.fanouts c v @ rest)
+  in
+  visit [ i ]

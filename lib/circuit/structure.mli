@@ -32,6 +32,11 @@ val longest_path : Circuit.t -> int
     {!feedback_edges} are removed; a crude settling-length estimate
     used for the default test-cycle budget [k]. *)
 
+val reaches_output : Circuit.t -> int -> bool
+(** [reaches_output c i]: some primary output lies in the transitive
+    fanout of node [i], [i] itself included.  When none does, no value
+    [i] takes can ever show at an output. *)
+
 val default_k : Circuit.t -> int
 (** Default test-cycle budget: [4 * n_gates], at least 8 (paper §4.1
     estimates [k] from the longest transition sequence; four firings

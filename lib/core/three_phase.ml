@@ -145,12 +145,8 @@ let symbolic_backend g sym =
     backend_differentiate = None;
   }
 
-let find_test ?(config = default_config) ?(guard = Guard.none) ?symbolic
-    ?backend g f =
-  (* An already-expired deadline must abort even on graphs too small for
-     the per-edge ticks below to ever fire (e.g. an edgeless truncated
-     CSSG). *)
-  Guard.check_time guard;
+(* The search proper: activation, justification, differentiation. *)
+let search config guard ?symbolic ?backend g f =
   let good = Cssg.circuit g in
   let site = Fault.site_signal good f in
   let stuck = Fault.stuck_value f in
@@ -202,3 +198,20 @@ let find_test ?(config = default_config) ?(guard = Guard.none) ?symbolic
         | _ -> differentiate config guard g fm act fstates prefix))
   in
   List.find_map try_candidate candidates
+
+let find_test ?(config = default_config) ?(guard = Guard.none) ?symbolic
+    ?backend g f =
+  (* An already-expired deadline must abort even on graphs too small for
+     the per-edge ticks below to ever fire (e.g. an edgeless truncated
+     CSSG). *)
+  Guard.check_time guard;
+  (* No output in the faulty gate's fanout: the outputs' fanin cone is
+     the same circuit in both machines, from the same power-up values,
+     so some faulty behaviour always shows the good outputs and no
+     sequence detects the fault.  No search can say otherwise. *)
+  let gate =
+    match f with Fault.Input_sa { gate; _ } | Fault.Output_sa { gate; _ } -> gate
+  in
+  if Satg_circuit.Structure.reaches_output (Cssg.circuit g) gate then
+    search config guard ?symbolic ?backend g f
+  else None

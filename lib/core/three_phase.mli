@@ -73,6 +73,12 @@ val find_test :
 (** A valid test sequence detecting the fault, or [None] if the bounded
     search fails (undetectable or out of budget).
 
+    A fault whose gate (the reading gate of an input fault) has no
+    primary output in its transitive fanout
+    ({!Satg_circuit.Structure.reaches_output}) is [None] at once: the
+    outputs' fanin cone is the same in both machines, so no sequence
+    can detect it, and no search runs or charges [guard].
+
     [guard] is consulted on entry and charged one transition per product
     edge expanded during differentiation; exhaustion raises
     {!Guard.Exhausted} (callers such as {!Engine.run} turn this into a

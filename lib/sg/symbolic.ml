@@ -184,7 +184,7 @@ let build ?k ?node_order ?(reorder = Bdd.Reorder_none)
   (* The guard rides inside the manager: Bdd.mk/apply probe it on every
      cache miss, so a deadline trips mid-apply even when one image
      computation blows up between the loop-boundary checks below. *)
-  let m = Bdd.create ~nvars:(3 * n) ~cache_size:(1 lsl 15) ~guard () in
+  let m = Bdd.create ~nvars:(3 * n) ~guard () in
   Bdd.set_reorder m reorder;
   let xv i = 3 * rank.(i) and yv i = (3 * rank.(i)) + 1 in
   let zv i = (3 * rank.(i)) + 2 in
@@ -254,52 +254,81 @@ let build ?k ?node_order ?(reorder = Bdd.Reorder_none)
      be tripped by it degrades (below) to the reset-only graph. *)
   charge_alloc ();
   let y_to_z v = if v mod 3 = 1 then v + 1 else if v mod 3 = 2 then v - 1 else v in
-  (* One delta step of the frontier relation T(x, y).  The partitioned
-     image needs no auxiliary rail at all: a firing of gate g toggles
+  (* The gate firings of one delta step of a set T(x, y) of unstable
+     pairs (a stable pair only self-loops).  The partitioned image
+     needs no auxiliary rail at all: a firing of gate g toggles
      exactly one variable, so its disjunct is the one-variable flip of
      T ∧ excited_g — each frame variable is "quantified" at the very
      equality conjunct that mentions it, which degenerates to the
      identity rename, and the firing variable's ∃z_g collapses into
      {!Bdd.flip_var}, which flips the conjunction without building it.
      No frame BDD, no relational product. *)
-  let delta_image t =
-    let img = ref (Bdd.and_ m t stable_y) in
+  let fire t =
+    let img = ref (Bdd.zero m) in
     Array.iteri
       (fun idx gid ->
         img := Bdd.or_ m !img (Bdd.flip_var m ~var:(yv gid) t excited_y.(idx)))
       gates;
     !img
   in
-  (* The frontier sequence t_{i+1} = F(t_i) is deterministic, so it is
-     eventually periodic; unstable states bouncing around a ring make
-     the period small and the k horizon large (default 4·gates).  Once
-     a repeat is seen, t_k is read off the recorded cycle instead of
-     grinding the remaining steps — exact-step semantics preserved
-     (they are load-bearing: unstable states surviving at step k are
-     the non-settling witnesses of the confluence check).  Each step
-     is a safe point; [live] are the caller's sets, [srcs] among them.
-     [seen] is keyed on handle ids, so every recorded step stays
-     rooted: a reclaimed id reused for a new set would alias a dead
-     one and fake a period. *)
+  let gate_y = List.map yv (Array.to_list gates) in
+  (* TCR_k, carried as a settled part (y stable) and an unsettled part.
+     Only the unsettled part is imaged: a stable pair self-loops, so the
+     settled part only grows.  A source (x with its applied vector, the
+     x and env-y rails, which no firing changes) that already holds two
+     distinct stable states keeps both in TCR_k, so the non-confluence
+     check discards all its pairs whatever else it reaches: its
+     unsettled part is dropped, the early verdict the explicit kernel
+     takes at a pair's second stable outcome.  Doomed sources are
+     found incrementally: the sources of this step's new stable pairs
+     that are already in [sources], the running union of the sources
+     holding a stable pair.  A doomed source has no unsettled part
+     from then on, so the doomed set need not outlive its step, and the
+     valid edges are exactly those of the unpruned TCR_k.
+
+     The pruned sequence is a deterministic function of the pair
+     (settled, unsettled) — [sources] is the settled part's sources —
+     so it is eventually periodic; unstable states bouncing around a
+     ring make the period small and the k horizon large (default
+     4·gates).  Once a pair repeats, the step-k pair is read off the
+     recorded cycle instead of grinding the remaining steps
+     (exact-step semantics preserved: unstable states surviving at
+     step k are the non-settling witnesses of the confluence check).
+     Each step is a safe point; [live] are the caller's sets, [srcs]
+     among them.  [seen] is keyed on handle ids, so every recorded
+     pair stays rooted, as does [sources]: a reclaimed id reused for a
+     new set would alias a dead one and fake a period or a verdict. *)
   let tcr ~live srcs =
     let t0 = Bdd.and_ m srcs r_input in
-    let hist = Array.make (k + 1) t0 in
+    let settled0 = Bdd.and_ m t0 stable_y in
+    let p0 = (settled0, Bdd.diff m t0 stable_y) in
+    let hist = Array.make (k + 1) p0 in
     let seen = Hashtbl.create 64 in
-    let rec iterate i t =
-      if i >= k then t
+    let rec iterate i ((settled, unsettled) as p) sources =
+      if i >= k then Bdd.or_ m settled unsettled
       else
-        match Hashtbl.find_opt seen t with
+        match Hashtbl.find_opt seen p with
         | Some j ->
-          (* t_i = t_j with j < i: period i - j *)
-          hist.(j + ((k - j) mod (i - j)))
+          (* p_i = p_j with j < i: period i - j *)
+          let settled, unsettled = hist.(j + ((k - j) mod (i - j))) in
+          Bdd.or_ m settled unsettled
         | None ->
-          Hashtbl.add seen t i;
-          hist.(i) <- t;
+          Hashtbl.add seen p i;
+          hist.(i) <- p;
           charge_alloc ();
-          safe_point m (fun () -> Array.to_list hist @ live @ kept);
-          iterate (i + 1) (delta_image t)
+          safe_point m (fun () ->
+              Array.fold_left (fun acc (s, u) -> s :: u :: acc)
+                (sources :: live @ kept) hist);
+          let img = fire unsettled in
+          let fresh = Bdd.diff m (Bdd.and_ m img stable_y) settled in
+          let fresh_src = Bdd.exists m ~vars:gate_y fresh in
+          let doomed = Bdd.and_ m fresh_src sources in
+          let unsettled' = Bdd.diff m (Bdd.diff m img stable_y) doomed in
+          iterate (i + 1)
+            (Bdd.or_ m settled fresh, unsettled')
+            (Bdd.or_ m sources fresh_src)
     in
-    iterate 0 t0
+    iterate 0 p0 (Bdd.exists m ~vars:gate_y settled0)
   in
   let reset_bdd = reset_bdd_of () in
   let env_ranked =

@@ -18,8 +18,9 @@
     - {!build}, before every [R_delta] image step of [TCR_k] and
       between reachability rings.  Its roots are the relations it has
       built, the reachable set, the running union of the rings' valid
-      edges, the ring's frontier, and every step [TCR_k] has recorded
-      so far.
+      edges, the ring's frontier, every (settled, unsettled) step pair
+      [TCR_k] has recorded so far, and the sources that already hold
+      a stable state.
     - {!justify}, on entry.  Its roots are this instance's artefacts
       (the stable set, {!reachable}, the CSSG edge relation, [R_I] and
       the transition relation's conjuncts) and [target].
@@ -58,6 +59,17 @@ val build :
     one-variable cofactor exchange ({!Bdd.flip_var}, which never builds
     the conjunction).  No frame-equality BDD and no [and_exists]
     schedule is involved.
+
+    [TCR_k] is carried as a settled part (pairs whose state is stable)
+    and an unsettled part, and only the unsettled part is imaged: a
+    stable pair only loops on itself, so the settled part is never
+    re-imaged.  Verdicts are per source, a state with its applied
+    vector.  A source that holds two distinct stable states keeps both
+    in [TCR_k], so the non-confluence check prunes every pair it has:
+    the build stops imaging it at that step, as the explicit kernel
+    drops a pair at its second stable outcome.  The valid edges are
+    those of the unpruned [TCR_k].  Once the (settled, unsettled) pair
+    repeats, the step-[k] pair is read off the recorded cycle.
 
     Reachability is frontier-only and runs over valid edges.  Each
     ring computes [TCR_k] from just the states first reached by the

@@ -122,6 +122,45 @@ let test_three_phase_undetectable () =
   Alcotest.(check bool) "no test" true
     (Three_phase.find_test g (Fault.Output_sa { gate = d; stuck = true }) = None)
 
+(* A C-element with a third input D that no gate reads: the faults on
+   D's buffer reach no output, so [find_test] settles them from the
+   structure, spending nothing, not even under a guard with no
+   transition to spend. *)
+let test_three_phase_unobservable () =
+  let c =
+    match
+      Parser.parse_string
+        {|circuit celem_spare
+input A B D
+celem c A B
+output c
+initial A=0 B=0 D=0 c=0
+end|}
+    with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let g = Explicit.build c in
+  let node name = Option.get (Circuit.find_node c name) in
+  Alcotest.(check bool) "A's buffer reaches c" true
+    (Structure.reaches_output c (node "A"));
+  Alcotest.(check bool) "D's buffer reaches nothing" false
+    (Structure.reaches_output c (node "D"));
+  List.iter
+    (fun f ->
+      let guard = Satg_guard.Guard.create ~max_transitions:0 () in
+      Alcotest.(check bool) (Fault.to_string c f ^ ": no test, no search") true
+        (Three_phase.find_test ~guard g f = None))
+    (List.filter
+       (fun f ->
+         match f with
+         | Fault.Input_sa { gate; _ } | Fault.Output_sa { gate; _ } ->
+           gate = node "D")
+       (all_faults c));
+  Alcotest.(check bool) "c/sa0 still found" true
+    (Three_phase.find_test g (Fault.Output_sa { gate = node "c"; stuck = false })
+    <> None)
+
 let test_fault_sim_sweep () =
   let c = Figures.celem_handshake () in
   let g = Explicit.build c in
@@ -271,6 +310,8 @@ let suites =
       [
         Alcotest.test_case "needs justification" `Quick test_three_phase_needs_justification;
         Alcotest.test_case "undetectable" `Quick test_three_phase_undetectable;
+        Alcotest.test_case "unobservable gate" `Quick
+          test_three_phase_unobservable;
       ] );
     ( "atpg.fault_sim",
       [

@@ -145,7 +145,9 @@ let test_sat_count_exact () =
     (Bdd.sat_count_int m ~nvars:10 (Bdd.one m))
 
 let test_stats () =
-  (* A cache large enough that the replay below is pure cache hits. *)
+  (* A cache large enough that the replay below is pure cache hits,
+     though the first chain doubles the unique table and the op cache
+     with it. *)
   let m = Bdd.create ~cache_size:8192 ~nvars:8 () in
   let f = ref (Bdd.zero m) in
   for v = 0 to 7 do
@@ -675,6 +677,24 @@ let test_adaptive_sizes () =
   Alcotest.(check int) "explicit cache size honoured" 4096
     explicit.Bdd.cache_slots
 
+(* The op cache doubles with each unique-table doubling, up to 2^15
+   entries.  ([test_stats] replays a chain whose first build doubled
+   the table: every entry survives the doubling.) *)
+let test_cache_grows_with_store () =
+  let m = Bdd.create ~nvars:n_alloc_vars () in
+  let s0 = Bdd.stats m in
+  ignore (alloc_formula m);
+  let s1 = Bdd.stats m in
+  let doublings = s1.Bdd.unique_buckets / s0.Bdd.unique_buckets_init in
+  Alcotest.(check bool) "the unique table doubled" true (doublings > 1);
+  Alcotest.(check int) "the op cache doubled with it"
+    (min (1 lsl 15) (s0.Bdd.cache_slots * doublings))
+    s1.Bdd.cache_slots;
+  let capped = Bdd.create ~nvars:n_alloc_vars ~cache_size:(1 lsl 15) () in
+  ignore (alloc_formula capped);
+  Alcotest.(check int) "never past 2^15 entries" (1 lsl 15)
+    (Bdd.stats capped).Bdd.cache_slots
+
 let prop_sift_preserves_semantics =
   QCheck.Test.make ~name:"sift preserves semantics and canonicity" ~count:100
     deep_expr_arb (fun e ->
@@ -937,6 +957,8 @@ let suites =
         Alcotest.test_case "auto reorder trigger" `Slow test_auto_reorder_trigger;
         Alcotest.test_case "sift under budget" `Quick test_sift_guard_budget;
         Alcotest.test_case "adaptive sizes" `Quick test_adaptive_sizes;
+        Alcotest.test_case "op cache grows with the store" `Quick
+          test_cache_grows_with_store;
         Alcotest.test_case "collect" `Quick test_collect;
       ]
       @ qcheck_cases );

@@ -360,6 +360,72 @@ let test_forced_collection_agrees () =
         outcomes')
     workload_netlists
 
+(* --- per-source early verdicts ------------------------------------------------ *)
+
+(* Raising A races x, y and w (each is A and neither of the others).
+   x wins with a stable state at step 2, y with one at step 3 (after
+   u), and w starts the ring o/p, which never settles: once y's state
+   is in, the source holds two stable states and the build stops
+   imaging its ring.  Raising E keeps the ring o2/p2 oscillating, so
+   that source never settles and its steps turn periodic.  Toggling B
+   is the one valid move. *)
+let race_ring () =
+  Test_domains.parse
+    {|circuit race_ring
+input A E B
+sop x ( A y w ) 100
+sop y ( A x w ) 100
+sop w ( A x y ) 100
+gate u BUF y
+gate o NAND w p
+gate p BUF o
+gate o2 NAND E p2
+gate p2 BUF o2
+gate v BUF B
+output x u p p2 v
+initial A=0 E=0 B=0 x=0 y=0 w=0 u=0 o=1 p=1 o2=1 p2=1 v=0
+end|}
+
+let test_doomed_source_graph () =
+  let c = race_ring () in
+  let k = Structure.default_k c in
+  let reference = canonical (Cssg_oracle.build ~exploration:`Pure ~k c) in
+  let g = Symbolic.to_cssg (Symbolic.build ~k c) in
+  Alcotest.(check bool) "symbolic = pure-exploration graph" true
+    (canonical g = reference);
+  Alcotest.(check bool) "explicit = pure-exploration graph" true
+    (canonical (Explicit.build ~k c) = reference);
+  let reset = List.hd (Cssg.initial g) in
+  Alcotest.(check bool) "the race is invalid" true
+    (Cssg.apply g reset [| true; false; false |] = None);
+  Alcotest.(check bool) "the ring is invalid" true
+    (Cssg.apply g reset [| false; true; false |] = None);
+  Alcotest.(check bool) "B is valid" true
+    (Cssg.apply g reset [| false; false; true |] <> None)
+
+(* pipeline3 (decomposed): two of its sources are non-confluent by
+   step 20 but kept interleaving until their steps turned periodic at
+   step 55, 2 891 353 apply ops for a 2-state graph. *)
+let test_pipeline3_drops_doomed_sources () =
+  let c = (List.hd workload_netlists) () in
+  let sym = Symbolic.build c in
+  let ops = Satg_bdd.Bdd.apply_ops (Symbolic.bdd_stats sym) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d apply ops < 1 000 000" ops)
+    true (ops < 1_000_000);
+  Alcotest.(check bool) "graph = explicit's" true
+    (canonical (Symbolic.to_cssg sym) = canonical (Explicit.build c))
+
+(* The manager sizes its op cache from the variable count and grows it
+   with the store, so a small circuit never allocates the full 2^15
+   entries. *)
+let test_small_build_small_cache () =
+  let sym = Symbolic.build (Figures.celem_handshake ()) in
+  let slots = (Symbolic.bdd_stats sym).Satg_bdd.Bdd.cache_slots in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cache slots < 32 768" slots)
+    true (slots < 32_768)
+
 let suites =
   [
     ( "sg.explicit",
@@ -390,5 +456,14 @@ let suites =
           (with_forced_collection test_symbolic_variants_agree);
         Alcotest.test_case "forced collection = unforced" `Slow
           test_forced_collection_agrees;
+        Alcotest.test_case "doomed sources keep the graph" `Quick
+          test_doomed_source_graph;
+        Alcotest.test_case "doomed sources keep the graph, forced collection"
+          `Quick
+          (with_forced_collection test_doomed_source_graph);
+        Alcotest.test_case "pipeline3 drops doomed sources" `Quick
+          test_pipeline3_drops_doomed_sources;
+        Alcotest.test_case "small build, small op cache" `Quick
+          test_small_build_small_cache;
       ] );
   ]
