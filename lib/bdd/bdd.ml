@@ -967,15 +967,26 @@ let compose m f ~var g =
   in
   go f
 
+let rec check_vars m = function
+  | [] -> ()
+  | v :: vars ->
+    if v < 0 || v >= m.n_vars then invalid_arg "Bdd.quantify: bad var";
+    check_vars m vars
+
+(* A terminal returns before the variable set and the memo table are
+   allocated: the symbolic build quantifies an empty set on most of its
+   steps. *)
 let quantify m ~vars ~disjunct t =
-  if vars = [] then t
-  else begin
+  if vars <> [] then begin
     maybe_reorder m;
+    check_vars m vars
+  end;
+  if vars = [] || t < 2 then t
+  else begin
     let in_set = Array.make m.n_vars false in
     let max_lvl = ref 0 in
     List.iter
       (fun v ->
-        if v < 0 || v >= m.n_vars then invalid_arg "Bdd.quantify: bad var";
         in_set.(v) <- true;
         if m.level_of.(v) > !max_lvl then max_lvl := m.level_of.(v))
       vars;

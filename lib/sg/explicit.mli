@@ -1,12 +1,12 @@
 (** Explicit-state CSSG construction.
 
     A breadth-first search from the circuit's reset state over valid
-    edges.  Each (stable state, vector) pair is classified by the
-    early-exit classifier {!Satg_sim.Async_sim.Kernel.classify_vector}
-    (a second stable outcome or a repeating frontier ends the analysis
-    immediately), capped at [max_frontier] interleaving states per
-    layer.  Only a pair that settles confluently contributes: its edge,
-    and its target as a node.  An invalid pair (non-confluent, or still
+    edges.  Each (stable state, vector) pair is classified by
+    {!Satg_sim.Async_sim.Kernel.classify_vector}, a depth-first search
+    over the pair's distinct states that ends at a second stable
+    state, an unstable cycle or an unstable path longer than [k],
+    capped at [max_frontier] visited states.  Only a pair that settles
+    confluently contributes: its edge, and its target as a node.  An invalid pair (non-confluent, or still
     unstable at [k]) or a capped one contributes nothing, so every
     state of an untruncated graph is reachable from reset over valid
     edges — the same graph {!Symbolic.to_cssg} enumerates.
@@ -31,9 +31,9 @@ val build :
   Circuit.t ->
   Cssg.t
 (** [k] defaults to {!Satg_circuit.Structure.default_k};
-    [max_frontier] (default 20_000) bounds the interleaving states of
-    one layer of one pair's exploration; a pair that exceeds it is
-    conservatively pruned.
+    [max_frontier] (default 20_000) bounds the distinct states one
+    pair's search may visit; a pair that exceeds it is conservatively
+    pruned.
 
     The BFS frontier is classified in fixed-size batches on [pool]
     (without one, on an inline width-1 pool that spawns no domains):
@@ -45,8 +45,8 @@ val build :
 
     [guard] governs the whole construction: one state spent per
     interned stable state (the reset state is exempt, so even a
-    zero-budget build yields a valid one-state graph), transitions
-    spent by the underlying unbounded-delay exploration.  Exhaustion
+    zero-budget build yields a valid one-state graph), one transition
+    per gate the underlying unbounded-delay exploration fires.  Exhaustion
     does {e not} raise out of [build]: the graph explored so far is
     returned, tagged with {!Cssg.truncated}.
 

@@ -89,12 +89,6 @@ let zobrist n =
       let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
       (z lxor (z lsr 31)) land max_int)
 
-(* Avalanche a Zobrist hash before summing it into an order-independent
-   frontier fingerprint. *)
-let mix h =
-  let h = (h lxor (h lsr 29)) * 0x3F58476D1CE4E5B9 in
-  h lxor (h lsr 32)
-
 (* --- compiled gates ---------------------------------------------------------- *)
 
 type op =
@@ -231,12 +225,11 @@ let evaln g ~self fan =
    gate index [g] may fire).  Entries are appended in insertion order;
    [slots] maps probe positions to entry index + 1, and [slot_of] lets
    [clear_set] empty exactly the slots in use, so one set serves every
-   layer of every search at the cost of its last contents. *)
+   layer or search at the cost of its last contents. *)
 type set = {
   mutable data : int array;
   mutable count : int;
   mutable unstable : int;  (* entries with a nonzero excitation word *)
-  mutable fp : int;  (* sum of the members' mixed hashes *)
   mutable slots : int array;
   mutable slot_of : int array;
 }
@@ -246,7 +239,6 @@ let new_set stride =
     data = Array.make (8 * stride) 0;
     count = 0;
     unstable = 0;
-    fp = 0;
     slots = Array.make 16 0;
     slot_of = Array.make 8 0;
   }
@@ -256,8 +248,7 @@ let clear_set s =
     Array.unsafe_set s.slots (Array.unsafe_get s.slot_of e) 0
   done;
   s.count <- 0;
-  s.unstable <- 0;
-  s.fp <- 0
+  s.unstable <- 0
 
 module Kernel = struct
   type t = {
@@ -277,10 +268,8 @@ module Kernel = struct
     fan : int array;  (* gather scratch for gates wider than one word *)
     mutable cur : set;
     mutable nxt : set;
-    mutable hist : int array;  (* stored small frontiers: hash + state words each *)
-    mutable hist_len : int;
-    mutable metas : int array;  (* per stored frontier: fingerprint, count, offset *)
-    mutable n_metas : int;
+    mutable height : int array;  (* per entry of [cur]: -1 on the stack, else its height *)
+    mutable stack : int array;  (* per frame: entry, next gate, height so far *)
   }
 
   let circuit t = t.circuit
@@ -323,10 +312,8 @@ module Kernel = struct
       fan = Array.make (Array.fold_left (fun m g -> max m g.fw) 1 gates) 0;
       cur = new_set stride;
       nxt = new_set stride;
-      hist = Array.make 64 0;
-      hist_len = 0;
-      metas = Array.make 24 0;
-      n_metas = 0;
+      height = Array.make 8 0;
+      stack = Array.make 24 0;
     }
 
   (* May gate [gi] fire in the state whose words start at [d.(b)]? *)
@@ -411,33 +398,32 @@ module Kernel = struct
     !w > t.nws
 
   (* Probe for the candidate at entry [s.count], whose hash and state
-     words are filled in.  A new state gets its slot reserved and [true];
-     the caller then completes its excitation words and [commit]s. *)
+     words are filled in: the index of the entry holding the same state,
+     or [s.count] for a new state, whose slot is then reserved; the
+     caller completes its excitation words and [commit]s. *)
   let claim t s =
     let d = s.data and c = s.count in
     let cb = c * t.stride in
     let slots = s.slots in
     let mask = Array.length slots - 1 in
-    let i = ref (Array.unsafe_get d cb land mask) and found = ref false in
+    let i = ref (Array.unsafe_get d cb land mask) and found = ref c in
     while
-      (not !found)
+      !found = c
       &&
       let e = Array.unsafe_get slots !i in
       e <> 0
     do
-      if same_state t d ((Array.unsafe_get slots !i - 1) * t.stride) d cb then found := true
-      else i := (!i + 1) land mask
+      let e = Array.unsafe_get slots !i - 1 in
+      if same_state t d (e * t.stride) d cb then found := e else i := (!i + 1) land mask
     done;
-    if not !found then begin
+    if !found = c then begin
       Array.unsafe_set slots !i (c + 1);
       Array.unsafe_set s.slot_of c !i
     end;
-    not !found
+    !found
 
   let commit t s =
-    let base = s.count * t.stride in
-    if not (is_stable_entry t s.data base) then s.unstable <- s.unstable + 1;
-    s.fp <- s.fp + mix (Array.unsafe_get s.data base);
+    if not (is_stable_entry t s.data (s.count * t.stride)) then s.unstable <- s.unstable + 1;
     s.count <- s.count + 1
 
   (* Copy entry [e] of [src] into [dst] unless already present. *)
@@ -447,17 +433,7 @@ module Kernel = struct
     for j = 0 to t.stride - 1 do
       Array.unsafe_set dst.data (db + j) (Array.unsafe_get src.data (sb + j))
     done;
-    if claim t dst then commit t dst
-
-  let mem t s d b =
-    let slots = s.slots in
-    let mask = Array.length slots - 1 in
-    let i = ref (d.(b) land mask) and found = ref false in
-    while (not !found) && slots.(!i) <> 0 do
-      if same_state t s.data ((slots.(!i) - 1) * t.stride) d b then found := true
-      else i := (!i + 1) land mask
-    done;
-    !found
+    if claim t dst = dst.count then commit t dst
 
   (* --- loading and decoding ------------------------------------------------- *)
 
@@ -536,7 +512,7 @@ module Kernel = struct
             done;
             let ow = cb + 1 + g.out_w in
             Array.unsafe_set d ow (Array.unsafe_get d ow lxor g.out_m);
-            if claim t nxt then begin
+            if claim t nxt = nxt.count then begin
               for j = 1 + nws to nws + nwe do
                 Array.unsafe_set d (cb + j) (Array.unsafe_get src (pb + j))
               done;
@@ -551,7 +527,7 @@ module Kernel = struct
     t.cur <- nxt
 
   let push_candidate t s =
-    ignore (claim t s : bool);
+    ignore (claim t s : int);
     commit t s
 
   let states_after ?(max_frontier = max_int) ?(guard = Guard.none) t ~k s =
@@ -570,23 +546,7 @@ module Kernel = struct
     go 0;
     sorted_states t t.cur
 
-  (* --- cycle detection ------------------------------------------------------ *)
-
-  (* Has the current frontier been seen at an earlier layer of this
-     search?  A fingerprint-and-size match is confirmed by probing every
-     member of the stored frontier in the current set: equal sizes plus
-     inclusion make the two sets equal. *)
-  let seen_before t =
-    let cur = t.cur and hw = 1 + t.nws in
-    let rec members hb left = left = 0 || (mem t cur t.hist hb && members (hb + hw) (left - 1)) in
-    let rec scan m =
-      m < t.n_metas
-      && ((t.metas.(3 * m) = cur.fp
-          && t.metas.((3 * m) + 1) = cur.count
-          && members t.metas.((3 * m) + 2) cur.count)
-         || scan (m + 1))
-    in
-    scan 0
+  (* --- depth-first TCR_k verdicts --------------------------------------------- *)
 
   let grow a need =
     if need <= Array.length a then a
@@ -596,25 +556,29 @@ module Kernel = struct
       b
     end
 
-  let remember t =
-    let cur = t.cur and hw = 1 + t.nws in
-    let off = t.hist_len in
-    t.hist <- grow t.hist (off + (cur.count * hw));
-    for e = 0 to cur.count - 1 do
-      Array.blit cur.data (e * t.stride) t.hist (off + (e * hw)) hw
-    done;
-    t.hist_len <- off + (cur.count * hw);
-    let m = 3 * t.n_metas in
-    t.metas <- grow t.metas (m + 3);
-    t.metas.(m) <- cur.fp;
-    t.metas.(m + 1) <- cur.count;
-    t.metas.(m + 2) <- off;
-    t.n_metas <- t.n_metas + 1
+  (* The lowest fireable gate index [>= gi] of the entry at [base], or -1. *)
+  let rec next_gate t d base gi =
+    let w = gi / word_bits in
+    if w >= t.nwe then -1
+    else
+      let x = Array.unsafe_get d (base + 1 + t.nws + w) land (-1 lsl (gi mod word_bits)) in
+      if x <> 0 then (w * word_bits) + ctz (x land -x)
+      else next_gate t d base ((w + 1) * word_bits)
 
+  exception Verdict of classification
+
+  (* The rule is in the interface; the search expands each distinct
+     state once.  The stack is the current path (at most [k] unstable
+     states), an edge into an entry still on it closes an unstable
+     cycle, and an edge into a finished entry extends the path by that
+     entry's height, the number of states on its longest unstable path
+     ([height]: 0 if stable, -1 while on the stack).  A stack frame is
+     the entry, the next gate to fire from it and its height so far. *)
   let classify_vector ?(max_frontier = max_int) ?(guard = Guard.none) t ~k s v =
-    clear_set t.cur;
-    load t t.cur s;
-    let d = t.cur.data in
+    let cur = t.cur in
+    clear_set cur;
+    load t cur s;
+    let d = cur.data in
     if not (is_stable_entry t d 0) then
       invalid_arg "Async_sim.classify_vector: state not stable";
     if Array.length v <> Array.length t.env_w then
@@ -628,32 +592,73 @@ module Kernel = struct
           update_exc t d 0 t.env_gates.(i)
         end)
       v;
-    push_candidate t t.cur;
-    t.hist_len <- 0;
-    t.n_metas <- 0;
-    let rec go i =
-      let cur = t.cur in
-      Guard.spend_transitions guard cur.count;
-      if cur.count - cur.unstable >= 2 then
-        (* Two distinct stable outcomes: [step] carries every stable
-           entry forward, so both are reachable at the end of the cycle. *)
-        C_invalid
-      else if cur.count > max_frontier then C_capped
-      else if cur.unstable = 0 then
-        (* Single stable state (cardinality 1 since stables < 2). *)
-        C_settles (decode t cur.data 0)
-      else if i >= k then C_invalid
-      else if cur.count <= 4096 && seen_before t then
-        (* Cycle detection (cheap only while the frontier is small): a
-           repeated frontier that is not all-stable never settles. *)
-        C_invalid
-      else begin
-        if cur.count <= 4096 then remember t;
-        step t ~limit:max_int;
-        go (i + 1)
+    let stride = t.stride and nws = t.nws and nwe = t.nwe in
+    let sp = ref 0 and stable = ref (-1) in
+    (* Commit the claimed candidate, the last state of a path of [depth]
+       states, and push it if it is unstable. *)
+    let enter depth =
+      let e = cur.count in
+      commit t cur;
+      t.height <- grow t.height cur.count;
+      if is_stable_entry t cur.data (e * stride) then begin
+        if !stable >= 0 then raise_notrace (Verdict C_invalid);
+        stable := e;
+        t.height.(e) <- 0
+      end
+      else if depth > k then raise_notrace (Verdict C_invalid);
+      if cur.count > max_frontier then raise_notrace (Verdict C_capped);
+      if e <> !stable then begin
+        t.height.(e) <- -1;
+        let f = 3 * !sp in
+        t.stack <- grow t.stack (f + 3);
+        t.stack.(f) <- e;
+        t.stack.(f + 1) <- 0;
+        t.stack.(f + 2) <- 1;
+        incr sp
       end
     in
-    go 0
+    try
+      ignore (claim t cur : int);
+      enter 1;
+      while !sp > 0 do
+        let stack = t.stack and f = 3 * (!sp - 1) in
+        let pb = stack.(f) * stride in
+        let gi = next_gate t cur.data pb stack.(f + 1) in
+        if gi < 0 then begin
+          let h = stack.(f + 2) in
+          t.height.(stack.(f)) <- h;
+          decr sp;
+          if !sp > 0 && h + 1 > stack.(f - 1) then stack.(f - 1) <- h + 1
+        end
+        else begin
+          stack.(f + 1) <- gi + 1;
+          Guard.spend_transition guard;
+          let g = Array.unsafe_get t.gates gi in
+          reserve t cur;
+          let d = cur.data and cb = cur.count * stride in
+          Array.unsafe_set d cb (Array.unsafe_get d pb lxor g.zob);
+          for j = 1 to nws do
+            Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
+          done;
+          let ow = cb + 1 + g.out_w in
+          Array.unsafe_set d ow (Array.unsafe_get d ow lxor g.out_m);
+          let c = claim t cur in
+          if c = cur.count then begin
+            for j = 1 + nws to nws + nwe do
+              Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
+            done;
+            update_exc t d cb g.affected;
+            enter (!sp + 1)
+          end
+          else begin
+            let h = t.height.(c) in
+            if h < 0 || !sp + h > k then raise_notrace (Verdict C_invalid);
+            if h + 1 > stack.(f + 2) then stack.(f + 2) <- h + 1
+          end
+        end
+      done;
+      C_settles (decode t cur.data (!stable * stride))
+    with Verdict r -> r
 end
 
 (* --- circuit-level entry points ---------------------------------------------- *)

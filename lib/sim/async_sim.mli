@@ -34,7 +34,9 @@ type classification =
       (** non-confluent, oscillating or over budget: no CSSG edge, and
           none of the stable states the interleavings pass through
           enters the graph through this pair *)
-  | C_capped  (** frontier limit hit before a verdict *)
+  | C_capped
+      (** more than [max_frontier] distinct states visited before a
+          verdict: no edge *)
 
 exception Frontier_limit
 (** Raised by {!states_after} when a layer exceeds [max_frontier]. *)
@@ -60,10 +62,10 @@ end
     - Every state in a frontier carries an excitation word per 63
       gates.  Firing a gate flips one state bit and re-evaluates only
       that gate and its readers.
-    - Frontiers live in open-addressing sets keyed by a Zobrist hash,
-      reused from layer to layer and from search to search.  Each set
-      counts its unstable members, so the number of stable outcomes a
-      layer holds is read off in O(1).
+    - States live in open-addressing sets keyed by a Zobrist hash,
+      reused from layer to layer of {!states_after} and from search to
+      search.  Each set counts its unstable members, so the number of
+      stable states it holds is read off in O(1).
 
     A kernel owns mutable scratch memory: it must not be shared between
     domains.  Compile one per worker. *)
@@ -101,14 +103,22 @@ module Kernel : sig
     bool array ->
     classification
   (** [classify_vector t ~k s v] decides the CSSG validity of applying
-      [v] to the stable state [s], with early exits: a second distinct
-      stable state in a layer (stable states persist from layer to
-      layer, so both stay reachable at step [k]), or a frontier of at
-      most 4096 states that repeats an earlier layer of the same search
-      (order-independent fingerprint, confirmed by exact set equality),
-      ends the analysis immediately.
-      Agrees with {!apply_vector} wherever both give a verdict.
-      [guard] is charged like in {!states_after}, once per layer.
+      [v] to the stable state [s]: [C_settles s'] iff {!states_after}
+      at [k] would be the one stable state [s'].  Layer [i] holds an
+      unstable state iff a path of [i + 1] unstable states leaves the
+      start, and a stable state persists once reached, so that holds
+      iff the start reaches exactly one stable state, no cycle of
+      unstable states and no path of [k + 1] unstable states.
+
+      A depth-first search over the pair's distinct states decides it,
+      expanding each state once: the pair is invalid at a second
+      distinct stable state, at an edge back into the current path (an
+      unstable cycle), or once the path, or a path plus the longest
+      unstable path already known below a finished state, holds more
+      than [k] unstable states.  It is capped once more than
+      [max_frontier] distinct states are visited (default: unlimited).
+      Gates fire in {!Circuit.gates} order, and [guard] is charged one
+      transition per gate firing.
       @raise Invalid_argument if [s] is not stable.
       @raise Satg_guard.Guard.Exhausted when [guard] trips. *)
 

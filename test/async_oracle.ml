@@ -1,8 +1,8 @@
 (* The reference implementation of test-mode exploration: every frontier
-   is a set of '0'/'1' strings and every visited state re-evaluates every
-   gate.  Slow, and obviously the unbounded gate-delay semantics; the
-   packed kernel of [Satg_sim.Async_sim] must agree with it on verdicts,
-   [Frontier_limit] points and guard charges. *)
+   and visited set is a set of '0'/'1' strings and every visited state
+   re-evaluates every gate.  Slow, and obviously the unbounded gate-delay
+   semantics; the packed kernel of [Satg_sim.Async_sim] must agree with
+   it on verdicts, [Frontier_limit] points and guard charges. *)
 
 open Satg_guard
 open Satg_circuit
@@ -57,43 +57,59 @@ let states_after ?(max_frontier = max_int) ?(can_fire = fire_all)
   let final = go 0 (StringSet.singleton (key c s)) in
   StringSet.elements final |> List.map state_of_key
 
+exception Verdict of Satg_sim.Async_sim.classification
+
+(* The paper's verdict by the rule the kernel's depth-first search
+   takes, with nothing of the kernel: TCR_k is one stable state iff the
+   pair reaches exactly one stable state, no cycle of unstable states
+   and no path of [k + 1] unstable states.  [explore] returns the number
+   of states on the longest unstable path from an unstable state, which
+   [heights] keeps for every finished state (0 for a stable one) and
+   [path] lacks while the state is being explored.  Gates fire in
+   [Circuit.gates] order, the kernel's, one transition charged per
+   firing, and more than [max_frontier] distinct states caps the pair. *)
 let classify_vector ?(max_frontier = max_int) ?(guard = Guard.none) c ~k s v =
   let open Satg_sim.Async_sim in
   if not (Circuit.is_stable c s) then
     invalid_arg "Async_sim.classify_vector: state not stable";
-  let s1 = Circuit.apply_input_vector c s v in
-  (* Every stable state seen in any layer so far; the kernel counts
-     only the current layer's, which the self-loop makes the same. *)
-  let stables = Hashtbl.create 4 in
-  let note_stables frontier =
-    StringSet.iter
-      (fun sk ->
-        if (not (Hashtbl.mem stables sk)) && Circuit.is_stable c (state_of_key sk)
-        then Hashtbl.replace stables sk ())
-      frontier
-  in
-  let seen_frontiers = Hashtbl.create 16 in
-  let rec go i frontier =
-    Guard.spend_transitions guard (StringSet.cardinal frontier);
-    note_stables frontier;
-    if Hashtbl.length stables >= 2 then
-      (* Two distinct final stable states are already reachable. *)
-      C_invalid
-    else if StringSet.cardinal frontier > max_frontier then C_capped
-    else if all_stable c fire_all frontier then
-      (* Single stable state (cardinality 1 since stables < 2). *)
-      C_settles (state_of_key (StringSet.choose frontier))
-    else if i >= k then C_invalid
-    else if StringSet.cardinal frontier <= 4096 then begin
-      (* Cycle detection (cheap only while the frontier is small): a
-         repeated frontier that is not all-stable never settles. *)
-      let key = String.concat ";" (StringSet.elements frontier) in
-      if Hashtbl.mem seen_frontiers key then C_invalid
-      else begin
-        Hashtbl.replace seen_frontiers key ();
-        go (i + 1) (step_frontier c fire_all frontier)
-      end
+  let seen = ref 0 and stable = ref None in
+  let path = ref StringSet.empty and heights = Hashtbl.create 64 in
+  let enter sk depth =
+    incr seen;
+    if Circuit.is_stable c (state_of_key sk) then begin
+      if !stable <> None then raise (Verdict C_invalid);
+      stable := Some sk;
+      Hashtbl.replace heights sk 0
     end
-    else go (i + 1) (step_frontier c fire_all frontier)
+    else if depth > k then raise (Verdict C_invalid);
+    if !seen > max_frontier then raise (Verdict C_capped)
   in
-  go 0 (StringSet.singleton (key c s1))
+  let rec explore sk depth =
+    path := StringSet.add sk !path;
+    let s = state_of_key sk in
+    let height =
+      List.fold_left
+        (fun height g ->
+          Guard.spend_transition guard;
+          let next = key c (Circuit.fire c s g) in
+          if StringSet.mem next !path then raise (Verdict C_invalid);
+          match Hashtbl.find_opt heights next with
+          | Some h ->
+            if depth + h > k then raise (Verdict C_invalid);
+            max height (h + 1)
+          | None ->
+            enter next (depth + 1);
+            if Hashtbl.mem heights next then height
+            else max height (explore next (depth + 1) + 1))
+        1 (Circuit.excited_gates c s)
+    in
+    path := StringSet.remove sk !path;
+    Hashtbl.replace heights sk height;
+    height
+  in
+  let start = key c (Circuit.apply_input_vector c s v) in
+  try
+    enter start 1;
+    if not (Hashtbl.mem heights start) then ignore (explore start 1 : int);
+    C_settles (state_of_key (Option.get !stable))
+  with Verdict r -> r

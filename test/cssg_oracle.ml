@@ -10,9 +10,12 @@
    is the subgraph reachable from reset over valid edges.  [`Pure]
    classifies each pair by the paper's definition of [TCR_k] directly:
    every state the interleavings reach in exactly [k] firings, with no
-   early exit and no frontier cap.  It is the reference the early-exit
-   classifier ([`Hybrid], the one [Explicit.build] uses) and the
-   symbolic engine are checked against. *)
+   early exit and no frontier cap.  It is the reference the depth-first
+   classifier ([`Hybrid], the kernel's, the one [Explicit.build] uses)
+   and the symbolic engine are checked against.  [`Strings] classifies
+   by the string-set depth-first search of [Async_oracle], the kernel's
+   rule and charges without the kernel, so budgeted figures can be
+   pinned independently of it. *)
 
 open Satg_guard
 open Satg_circuit
@@ -21,18 +24,26 @@ open Satg_sg
 
 let vector n mask = Array.init n (fun b -> mask land (1 lsl b) <> 0)
 
+(* The paper's verdict on one pair: [Some target] iff every state
+   exactly [k] firings reach is the one stable [target]. *)
+let pure ?guard kern c ~k s v =
+  match
+    Async_sim.Kernel.states_after ?guard kern ~k (Circuit.apply_input_vector c s v)
+  with
+  | [ target ] when Circuit.is_stable c target -> Some target
+  | _ -> None
+
 (* [Some target] is a valid edge; [None] an invalid pair, or one the
    hybrid classifier capped. *)
 let classify ~exploration ~max_frontier ~guard kern c ~k s v =
   match exploration with
-  | `Pure -> (
-    match
-      Async_sim.Kernel.states_after ~guard kern ~k (Circuit.apply_input_vector c s v)
-    with
-    | [ target ] when Circuit.is_stable c target -> Some target
-    | _ -> None)
+  | `Pure -> pure ~guard kern c ~k s v
   | `Hybrid -> (
     match Async_sim.Kernel.classify_vector ~max_frontier ~guard kern ~k s v with
+    | Async_sim.C_settles target -> Some target
+    | Async_sim.C_invalid | Async_sim.C_capped -> None)
+  | `Strings -> (
+    match Async_oracle.classify_vector ~max_frontier ~guard c ~k s v with
     | Async_sim.C_settles target -> Some target
     | Async_sim.C_invalid | Async_sim.C_capped -> None)
 

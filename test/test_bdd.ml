@@ -213,6 +213,22 @@ let test_hot_path_allocation_free () =
     (Bdd.apply_ops after - Bdd.apply_ops before > 500);
   Alcotest.(check (float 0.)) "minor words" 0. (w2 -. w1 -. (w1 -. w0))
 
+(* Quantifying a terminal allocates nothing: [Symbolic.build] asks for
+   the sources of an empty new-stable set on most [TCR_k] steps. *)
+let test_quantify_terminal_allocation_free () =
+  let m = Bdd.create ~nvars:8 () in
+  let vars = [ 0; 3; 7 ] and zero = Bdd.zero m and one = Bdd.one m in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let e0 = Bdd.exists m ~vars zero and e1 = Bdd.exists m ~vars one in
+  let a0 = Bdd.forall m ~vars zero and a1 = Bdd.forall m ~vars one in
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" 0. (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check bool) "terminals kept" true
+    (Bdd.equal e0 zero && Bdd.equal a0 zero && Bdd.equal e1 one && Bdd.equal a1 one);
+  Alcotest.check_raises "variables still checked" (Invalid_argument "Bdd.quantify: bad var")
+    (fun () -> ignore (Bdd.exists m ~vars:[ 8 ] zero))
+
 (* A tripped guard must surface from {e inside} an apply/mk hot path:
    that is what lets --timeout/--max-states interrupt a symbolic image
    computation mid-flight rather than between frontier steps. *)
@@ -948,6 +964,8 @@ let suites =
         Alcotest.test_case "guard in hot path" `Quick test_guard_in_hot_path;
         Alcotest.test_case "hot path allocates nothing" `Quick
           test_hot_path_allocation_free;
+        Alcotest.test_case "quantify a terminal, no alloc" `Quick
+          test_quantify_terminal_allocation_free;
         Alcotest.test_case "add_var" `Quick test_add_var;
         Alcotest.test_case "accessors" `Quick test_accessors;
         Alcotest.test_case "clear caches" `Quick test_clear_caches_preserves;

@@ -1,8 +1,8 @@
 (* The packed exploration kernel against the string-set oracle
-   ([Async_oracle]): every (stable state, vector) pair of the paper's
-   table netlists and the symbolic workload's families, plus a netlist
-   whose states, excitation words and fanin gathering each span two
-   words. *)
+   ([Async_oracle]) and against the paper's definition of [TCR_k]:
+   every (stable state, vector) pair of the paper's table netlists and
+   the families, plus a netlist whose states, excitation words and
+   fanin gathering each span two words. *)
 
 open Satg_logic
 open Satg_guard
@@ -85,6 +85,86 @@ let test_table_netlists () =
   Alcotest.(check bool) "pairs swept" true (tally.pairs > 800);
   Alcotest.(check bool) "some pairs invalid" true (tally.invalid > 0);
   Alcotest.(check bool) "some pairs capped" true (tally.capped > 0)
+
+(* --- the paper's definition ------------------------------------------------- *)
+
+(* The table netlists and every family instance with n <= 3 in the three
+   synthesis styles. *)
+let definition_corpus () =
+  List.concat_map
+    (fun (e : Suite.entry) ->
+      [ (e.Suite.name ^ "/si", ok e.Suite.name (Suite.speed_independent e));
+        (e.Suite.name ^ "/bd", ok e.Suite.name (Suite.bounded_delay e)) ])
+    (Suite.all ())
+  @ List.concat_map
+      (fun fname ->
+        List.concat_map
+          (fun n ->
+            match Suite.generate fname ~n with
+            | Error _ -> []
+            | Ok e ->
+              List.map
+                (fun (style, synth) ->
+                  let name = Printf.sprintf "%s%d/%s" fname n style in
+                  (name, ok name (synth e.Suite.stg)))
+                [ ("complex", Synth.complex_gate);
+                  ("decomposed", Synth.decomposed ~redundant:false);
+                  ("redundant", Synth.decomposed ~redundant:true) ])
+          [ 1; 2; 3 ])
+      Suite.family_names
+
+(* Every (stable state, vector) pair of [definition_corpus] at small
+   budgets and the default: a verdict the kernel reaches under the
+   build's frontier cap is the paper's, [TCR_k] computed layer by layer
+   as every state exactly [k] firings reach ([Cssg_oracle.pure]).  The
+   small budgets put the depth bound where the netlists' settling paths
+   end, which is where a finished state's height decides the verdict
+   (k = 5 on sbuf-send-ctl/bd, for one).  The definition gets 20k
+   transitions a pair: the few oscillating pairs it cannot finish in
+   that (under 1%) are skipped, since layer by layer they take minutes
+   at the default [k]. *)
+let test_definition_verdicts () =
+  let compared = ref 0 and skipped = ref 0 and invalid = ref 0 in
+  List.iter
+    (fun (name, c) ->
+      let kern = Async_sim.Kernel.compile c in
+      let n_in = Circuit.n_inputs c in
+      let states = cssg_states ~max_frontier:20_000 c in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun s ->
+              let current = Circuit.input_vector_of_state c s in
+              for mask = 0 to (1 lsl n_in) - 1 do
+                let v = vector n_in mask in
+                if v <> current then
+                  match Async_sim.Kernel.classify_vector ~max_frontier:20_000 kern ~k s v with
+                  | Async_sim.C_capped -> ()
+                  | got -> (
+                    let guard = Guard.create ~max_transitions:20_000 () in
+                    match Cssg_oracle.pure ~guard kern c ~k s v with
+                    | exception Guard.Exhausted _ -> incr skipped
+                    | want ->
+                      incr compared;
+                      let agrees =
+                        match (got, want) with
+                        | Async_sim.C_settles a, Some b -> a = b
+                        | Async_sim.C_invalid, None ->
+                          incr invalid;
+                          true
+                        | _ -> false
+                      in
+                      if not agrees then
+                        Alcotest.failf "%s k=%d: state %s vector %s: kernel %s, definition %s"
+                          name k (str s) (str v) (show got)
+                          (match want with Some b -> "settles " ^ str b | None -> "invalid"))
+              done)
+            states)
+        [ 0; 1; 2; 3; 5; 8; Structure.default_k c ])
+    (definition_corpus ());
+  Alcotest.(check bool) "pairs compared" true (!compared > 10_000);
+  Alcotest.(check bool) "both verdicts" true (!invalid > 0 && !invalid < !compared);
+  Alcotest.(check bool) "under 1% skipped" true (100 * !skipped < !compared)
 
 (* --- multi-word netlist ------------------------------------------------------ *)
 
@@ -181,10 +261,10 @@ let test_wide_build_reference () =
 (* --- capped builds --------------------------------------------------------- *)
 
 (* Under the CI caps (500 states, 200k transitions) the pathological pair
-   truncates at a fixed pair: the transitions charged and the states
-   interned are pinned to the figures the string-set exploration
-   produced, for the reference BFS and for the pooled build at two
-   widths. *)
+   truncates at a fixed pair, one transition charged per gate firing:
+   the transitions charged and the states interned are pinned to the
+   figures of the reference BFS over the string-set depth-first search,
+   and the pooled build at two widths must give them too. *)
 let test_capped_charges () =
   List.iter
     (fun (text, states, transitions) ->
@@ -197,23 +277,24 @@ let test_capped_charges () =
       in
       let guard () = Guard.create ~max_states:500 ~max_transitions:200_000 () in
       let g0 = guard () in
-      check "reference" (Cssg_oracle.build ~guard:g0 c) g0;
+      check "reference" (Cssg_oracle.build ~exploration:`Strings ~guard:g0 c) g0;
       List.iter
         (fun jobs ->
           Satg_pool.Pool.with_pool ~jobs (fun pool ->
               let g1 = guard () in
               check (Printf.sprintf "build -j%d" jobs) (Explicit.build ~guard:g1 ~pool c) g1))
         [ 1; 4 ])
-    [ (Test_domains.ring_storm_text, 127, 200_126); (Test_domains.toggle_farm_text, 496, 200_031) ]
+    [ (Test_domains.ring_storm_text, 251, 200_001); (Test_domains.toggle_farm_text, 251, 200_001) ]
 
 let suites =
   [
     ( "sim.kernel",
       [
         Alcotest.test_case "table netlists = oracle" `Quick test_table_netlists;
+        Alcotest.test_case "verdicts = the definition" `Quick test_definition_verdicts;
         Alcotest.test_case "wide netlist shape" `Quick test_wide_shape;
         Alcotest.test_case "wide netlist = oracle" `Quick test_wide_matches_oracle;
         Alcotest.test_case "wide netlist build = reference" `Quick test_wide_build_reference;
-        Alcotest.test_case "capped builds charge as before" `Quick test_capped_charges;
+        Alcotest.test_case "capped charges per firing" `Quick test_capped_charges;
       ] );
   ]
