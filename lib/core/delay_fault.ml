@@ -38,60 +38,16 @@ let start g =
 let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
     ?(guard = Guard.none) g f =
   Guard.check_time guard;
-  let m = machine ~max_set g f in
-  let seen = Async_sim.Words.Tbl.create 256 in
-  let queue = Queue.create () in
-  let result = ref None in
-  (match Cssg.initial g with
+  match Cssg.initial g with
+  | [] -> None
   | i :: _ ->
-    let f0 = start g in
-    Async_sim.Words.Tbl.replace seen (Detect.product_key m i f0) ();
-    Queue.add (i, f0, [], 0) queue
-  | [] -> ());
-  while !result = None && not (Queue.is_empty queue) do
-    let i, fsts, path, depth = Queue.take queue in
-    if depth < max_depth then
-      List.iter
-        (fun e ->
-          if !result = None && Async_sim.Words.Tbl.length seen < max_states then begin
-            Guard.spend_transition guard;
-            let j = e.Cssg.target in
-            match Detect.exact_apply m fsts e.Cssg.vector with
-            | None -> ()
-            | Some fsts' ->
-              if Detect.exact_differs g j m fsts' then
-                result := Some (List.rev (e.Cssg.vector :: path))
-              else begin
-                let key = Detect.product_key m j fsts' in
-                if not (Async_sim.Words.Tbl.mem seen key) then begin
-                  Async_sim.Words.Tbl.replace seen key ();
-                  Queue.add (j, fsts', e.Cssg.vector :: path, depth + 1) queue
-                end
-              end
-          end)
-        (Cssg.successors g i)
-  done;
-  !result
-
-let check g f seq =
-  match Detect.good_trace g seq with
-  | None -> false
-  | Some trace ->
-    let m = machine ~max_set:128 g f in
-    let rec go trace fsts vectors =
-      match trace with
-      | [] -> false
-      | i :: trace' ->
-        Detect.exact_differs g i m fsts
-        ||
-        (match vectors with
-        | [] -> false
-        | v :: vs -> (
-          match Detect.exact_apply m fsts v with
-          | None -> false
-          | Some fsts' -> go trace' fsts' vs))
+    let config =
+      { Three_phase.default_config with max_depth; max_product_states = max_states }
     in
-    go trace (start g) seq
+    Three_phase.differentiate g guard config (machine ~max_set g f) ~start:i
+      ~fstates:(start g)
+
+let check g f seq = Detect.replay_exact g (machine ~max_set:128 g f) (start g) seq
 
 type status =
   | Found of Testset.sequence

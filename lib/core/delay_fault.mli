@@ -40,19 +40,26 @@ val find_test :
   Cssg.t ->
   t ->
   Testset.sequence option
-(** Breadth-first search over the product of the good CSSG and the
-    exact set of delayed-machine states; the same bounds as
-    {!Three_phase.config}.  [guard] is charged one transition per edge
-    expansion and raises {!Guard.Exhausted} when spent. *)
+(** The stuck-at engine's differentiation ({!Three_phase.differentiate})
+    from the reset product state: the good reset state and the
+    delayed machine's, which is the reset state itself.  [max_depth]
+    and [max_states] are {!Three_phase.config}'s [max_depth] and
+    [max_product_states], [max_set] bounds the tracked set
+    ({!Detect.machine}).  [guard] is charged one transition per edge
+    expansion and raises {!Guard.Exhausted} when spent; a search capped
+    at [max_states] that finds nothing raises
+    [Guard.Exhausted State_limit]. *)
 
 val check : Cssg.t -> t -> Testset.sequence -> bool
-(** Replay a sequence against the delayed machine (exact sets). *)
+(** Replay a sequence against the delayed machine
+    ({!Detect.replay_exact}). *)
 
 type status =
   | Found of Testset.sequence
   | Not_found
   | Aborted of Guard.reason
-      (** the run-wide budget ran out at or before this fault *)
+      (** the run-wide budget ran out at or before this fault, or its
+          product search was capped ([State_limit]) *)
 
 type result = {
   circuit : Circuit.t;

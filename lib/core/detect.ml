@@ -196,11 +196,10 @@ let exact_differs g i m states =
        (fun s -> Array.map (fun o -> s.(o)) (Circuit.outputs m.fc) <> expected)
        states
 
-let check_exact g f seq =
+let replay_exact g m start seq =
   match good_trace g seq with
   | None -> false
   | Some trace ->
-    let m, f0 = exact_start g f in
     let rec step trace fstates vectors =
       match trace with
       | [] -> false
@@ -214,4 +213,8 @@ let check_exact g f seq =
           | None -> false
           | Some fstates' -> step trace' fstates' vs))
     in
-    step trace f0 seq
+    step trace start seq
+
+let check_exact g f seq =
+  let m, f0 = exact_start g f in
+  replay_exact g m f0 seq

@@ -76,9 +76,16 @@ val product_key : machine -> int -> bool array list -> Async_sim.Words.t
     sorted, after [i].  Two lists with the same members give the same
     key. *)
 
+val replay_exact : Cssg.t -> machine -> bool array list -> Testset.sequence -> bool
+(** [replay_exact g m start seq]: does the sequence (a valid CSSG path)
+    detect the machine [m] started in the exact set [start]?  Outputs
+    are compared at reset and after every vector, as in {!check}; a
+    set {!exact_apply} cannot bound is inconclusive. *)
+
 val check_exact : Cssg.t -> Fault.t -> Testset.sequence -> bool
-(** Like {!check} but with exact faulty-state sets: strictly more
-    complete than the ternary check, still sound. *)
+(** {!replay_exact} from {!exact_start}: like {!check} but with exact
+    faulty-state sets, strictly more complete than the ternary check,
+    still sound. *)
 
 (** Relationship between the two checkers: neither dominates in
     general.  The ternary checker certifies the outcome of every

@@ -72,7 +72,7 @@ let replay_prefix guard g fm f0 prefix =
    difference checks still run, but once the frontier was truncated a
    "no result" answer is no longer trustworthy, so it degrades like any
    other guard trip instead of reporting undetectable. *)
-let differentiate config guard g fm start_good fstates prefix =
+let differentiate g guard config fm ~start:start_good ~fstates =
   let seen = Async_sim.Words.Tbl.create 256 in
   let queue = Queue.create () in
   Async_sim.Words.Tbl.replace seen (Detect.product_key fm start_good fstates) ();
@@ -108,7 +108,7 @@ let differentiate config guard g fm start_good fstates prefix =
   done;
   if !result = None && !capped then
     raise (Guard.Exhausted Guard.State_limit);
-  Option.map (fun suffix -> prefix @ suffix) !result
+  !result
 
 (* A pluggable justification/differentiation engine.  [None] fields
    fall back to the explicit algorithms above; every backend must agree
@@ -146,17 +146,12 @@ let symbolic_backend g sym =
   }
 
 (* The search proper: activation, justification, differentiation. *)
-let search config guard ?symbolic ?backend g f =
+let search config guard ?backend g f =
   let good = Cssg.circuit g in
   let site = Fault.site_signal good f in
   let stuck = Fault.stuck_value f in
   let fm, f0 = Detect.exact_start g f in
   let dist, parent = bfs_tree g in
-  let backend =
-    match backend with
-    | Some _ -> backend
-    | None -> Option.map (symbolic_backend g) symbolic
-  in
   let justification_prefix act =
     match backend with
     | None -> Some (path_to parent act)
@@ -189,18 +184,17 @@ let search config guard ?symbolic ?backend g f =
       match replay_prefix guard g fm f0 prefix with
       | `Detected seq -> Some seq
       | `Abort -> None
-      | `At fstates -> (
-        match backend with
-        | Some { backend_differentiate = Some diff; _ } ->
-          Option.map
-            (fun suffix -> prefix @ suffix)
-            (diff guard config fm ~start:act ~fstates)
-        | _ -> differentiate config guard g fm act fstates prefix))
+      | `At fstates ->
+        let diff =
+          match backend with
+          | Some { backend_differentiate = Some diff; _ } -> diff
+          | _ -> differentiate g
+        in
+        Option.map (fun suffix -> prefix @ suffix) (diff guard config fm ~start:act ~fstates))
   in
   List.find_map try_candidate candidates
 
-let find_test ?(config = default_config) ?(guard = Guard.none) ?symbolic
-    ?backend g f =
+let find_test ?(config = default_config) ?(guard = Guard.none) ?backend g f =
   (* An already-expired deadline must abort even on graphs too small for
      the per-edge ticks below to ever fire (e.g. an edgeless truncated
      CSSG). *)
@@ -213,5 +207,5 @@ let find_test ?(config = default_config) ?(guard = Guard.none) ?symbolic
     match f with Fault.Input_sa { gate; _ } | Fault.Output_sa { gate; _ } -> gate
   in
   if Satg_circuit.Structure.reaches_output (Cssg.circuit g) gate then
-    search config guard ?symbolic ?backend g f
+    search config guard ?backend g f
   else None

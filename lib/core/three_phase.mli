@@ -55,7 +55,7 @@ type backend = {
     option;
       (** shortest differentiating suffix from the (good state,
           faulty-state set) product point; [None] here falls back to
-          the explicit product BFS *)
+          {!differentiate} *)
 }
 
 val symbolic_backend : Cssg.t -> Symbolic.t -> backend
@@ -65,7 +65,6 @@ val symbolic_backend : Cssg.t -> Symbolic.t -> backend
 val find_test :
   ?config:config ->
   ?guard:Guard.t ->
-  ?symbolic:Symbolic.t ->
   ?backend:backend ->
   Cssg.t ->
   Fault.t ->
@@ -84,12 +83,31 @@ val find_test :
     {!Guard.Exhausted} (callers such as {!Engine.run} turn this into a
     per-fault {!Testset.Aborted} outcome).
 
-    With [?symbolic], state justification runs on the BDD engine
-    (onion-ring image computation, as the paper does in §5) instead of
-    the explicit BFS tree; both produce shortest prefixes, so coverage
-    is identical — the option exists for fidelity and for the larger
-    circuits where the symbolic representation is smaller.
+    [?backend] substitutes for the explicit phases: {!symbolic_backend}
+    justifies on the BDD engine (onion-ring image computation, as the
+    paper does in §5), and the SAT time-frame engine
+    ({!Sat_engine.backend}) plugs in here too. *)
 
-    [?backend] generalises [?symbolic] (and wins when both are given):
-    any {!backend} value substitutes for the explicit phases — the SAT
-    time-frame engine ({!Sat_engine.backend}) plugs in here. *)
+val differentiate :
+  Cssg.t ->
+  Guard.t ->
+  config ->
+  Detect.machine ->
+  start:int ->
+  fstates:bool array list ->
+  Testset.sequence option
+(** [differentiate g guard config m ~start ~fstates], the explicit
+    differentiation phase (a [backend_differentiate] of [g]): a
+    breadth-first search over the product of the good CSSG from state
+    [start] and the exact set [fstates] of states the faulty machine
+    [m] may be in, for the shortest sequence after which every
+    member's outputs differ from the good state's.  The start point
+    itself is not checked.  The search goes at most [config.max_depth]
+    vectors deep, and [guard] is charged one transition per product
+    edge expanded.
+
+    Past [config.max_product_states] product states no new one is
+    queued, but edges to known ones and the difference checks still
+    run.  A capped search that finds nothing raises
+    [Guard.Exhausted State_limit] rather than reporting the fault
+    undetectable. *)

@@ -3,72 +3,6 @@ open Satg_circuit
 open Satg_sim
 open Satg_pool
 
-(* --- packed state interning ------------------------------------------------ *)
-
-(* The intern path used to format every probed state into a string
-   ([Circuit.state_to_string]) just to use it as a Hashtbl key — one
-   byte per node plus an allocation per *lookup*.  States are packed
-   into a bit-per-node [Bytes] scratch buffer instead: lookups reuse
-   the scratch (zero allocation when the state is already known) and
-   only a fresh intern copies the key. *)
-module Intern = struct
-  type t = {
-    scratch : Bytes.t;
-    index : (Bytes.t, int) Hashtbl.t;
-    mutable rev_states : bool array list;
-    mutable count : int;
-  }
-
-  let create ~n_nodes =
-    {
-      scratch = Bytes.make ((n_nodes + 7) lsr 3) '\000';
-      index = Hashtbl.create 64;
-      rev_states = [];
-      count = 0;
-    }
-
-  (* One store per eight nodes: each output byte is accumulated in a
-     register, so there is no clear pass and no read-modify-write. *)
-  let pack_into buf s =
-    let n = Array.length s in
-    for byte = 0 to Bytes.length buf - 1 do
-      let base = byte lsl 3 in
-      let stop = min 8 (n - base) in
-      let v = ref 0 in
-      for bit = 0 to stop - 1 do
-        if Array.unsafe_get s (base + bit) then v := !v lor (1 lsl bit)
-      done;
-      Bytes.unsafe_set buf byte (Char.unsafe_chr !v)
-    done
-
-  (* Spend before registering, so a truncated graph never holds more
-     than [max_states] states and every recorded edge points at a
-     registered state.  The first state (reset) is exempt: even a
-     zero-budget build yields a valid one-state graph. *)
-  let intern t ~guard s =
-    pack_into t.scratch s;
-    match Hashtbl.find_opt t.index t.scratch with
-    | Some i -> (i, false)
-    | None ->
-      if t.count > 0 then Guard.spend_state guard;
-      let i = t.count in
-      t.count <- i + 1;
-      Hashtbl.replace t.index (Bytes.copy t.scratch) i;
-      t.rev_states <- s :: t.rev_states;
-      (i, true)
-
-  (* The worker-side probe: a fresh packed key per call, so no domain
-     ever writes [scratch], and a read-only lookup. *)
-  let key t s =
-    let buf = Bytes.create (Bytes.length t.scratch) in
-    pack_into buf s;
-    buf
-
-  let mem t key = Hashtbl.mem t.index key
-  let count t = t.count
-  let states t = Array.of_list (List.rev t.rev_states)
-end
-
 (* --- input-vector masks ---------------------------------------------------- *)
 
 (* Input vectors are enumerated as integer masks (bit [i] = input [i]),
@@ -125,13 +59,28 @@ let build ?k ?(max_frontier = 20_000) ?(guard = Guard.none) ?pool c =
   let reset = check_reset c in
   let n_in = Circuit.n_inputs c in
   let n_vec = 1 lsl n_in in
-  let it = Intern.create ~n_nodes:(Circuit.n_nodes c) in
+  let kernels = Array.init (Pool.jobs pool) (fun _ -> Async_sim.Kernel.compile c) in
+  (* States are interned by their packed kernel words ([Kernel.pack]
+     reads no kernel scratch, so any kernel packs).  A state is spent
+     before it is registered, so a truncated graph never holds more
+     than [max_states] states and every recorded edge points at a
+     registered state; the reset state is exempt, so even a
+     zero-budget build yields a valid one-state graph. *)
+  let index = Async_sim.Words.Tbl.create 64 in
+  let rev_states = ref [] in
   let edges = Hashtbl.create 64 in
   let queue = Queue.create () in
   let enqueue s =
-    let i, fresh = Intern.intern it ~guard s in
-    if fresh then Queue.add (i, s) queue;
-    i
+    let key = Async_sim.Kernel.pack kernels.(0) s in
+    match Async_sim.Words.Tbl.find_opt index key with
+    | Some i -> i
+    | None ->
+      let i = Async_sim.Words.Tbl.length index in
+      if i > 0 then Guard.spend_state guard;
+      Async_sim.Words.Tbl.replace index key i;
+      rev_states := s :: !rev_states;
+      Queue.add (i, s) queue;
+      i
   in
   (* Classify one frontier state against every vector.  Pure function
      of [(c, s, k)] plus its private sub-guard: no interning, no shared
@@ -154,7 +103,6 @@ let build ?k ?(max_frontier = 20_000) ?(guard = Guard.none) ?pool c =
      worker's trip is never the one observed, and the graph is the
      plain BFS's.  Each worker explores on its own kernel: kernel
      scratch memory never crosses domains. *)
-  let kernels = Array.init (Pool.jobs pool) (fun _ -> Async_sim.Kernel.compile c) in
   let classify_state kern t_allowance s_allowance s =
     let local = Guard.sub ?max_transitions:t_allowance guard in
     let scratch = Array.make n_in false in
@@ -162,12 +110,12 @@ let build ?k ?(max_frontier = 20_000) ?(guard = Guard.none) ?pool c =
     let items = ref [] in
     let carried = ref 0 in
     let spent = ref 0 in
-    let seen = Hashtbl.create 16 in
+    let seen = Async_sim.Words.Tbl.create 16 in
     let note_target s' =
       if s_allowance <> None then begin
-        let key = Intern.key it s' in
-        if not (Intern.mem it key || Hashtbl.mem seen key) then
-          Hashtbl.replace seen key ()
+        let key = Async_sim.Kernel.pack kern s' in
+        if not (Async_sim.Words.Tbl.mem index key || Async_sim.Words.Tbl.mem seen key) then
+          Async_sim.Words.Tbl.replace seen key ()
       end
     in
     let trip = ref None in
@@ -175,7 +123,7 @@ let build ?k ?(max_frontier = 20_000) ?(guard = Guard.none) ?pool c =
        for mask = 0 to n_vec - 1 do
          if mask <> current then begin
            (match s_allowance with
-           | Some a when Hashtbl.length seen > a ->
+           | Some a when Async_sim.Words.Tbl.length seen > a ->
              raise (Guard.Exhausted Guard.State_limit)
            | _ -> ());
            fill_from_mask scratch mask;
@@ -257,7 +205,7 @@ let build ?k ?(max_frontier = 20_000) ?(guard = Guard.none) ?pool c =
          batch
      done
    with Guard.Exhausted r -> truncated := Some r);
-  let states = Intern.states it in
+  let states = Array.of_list (List.rev !rev_states) in
   let succ =
     Array.init (Array.length states) (fun i ->
         Option.value ~default:[] (Hashtbl.find_opt edges i))

@@ -57,21 +57,3 @@ val build :
     Deadline trips are the exception: the deadline is checked per
     batch and inside workers, so where it lands depends on timing.
     @raise Invalid_argument if the circuit has no stable reset state. *)
-
-(** Packed-key state interning — the [build] hot path, exposed for the
-    intern micro-benchmark and white-box tests. *)
-module Intern : sig
-  type t
-
-  val create : n_nodes:int -> t
-
-  val intern : t -> guard:Guard.t -> bool array -> int * bool
-  (** The id, and whether the state is new.  Spends one guard state
-      per fresh intern after the first.
-      @raise Satg_guard.Guard.Exhausted when the state budget trips. *)
-
-  val count : t -> int
-
-  val states : t -> bool array array
-  (** In intern order. *)
-end

@@ -468,8 +468,9 @@ module Kernel = struct
     Array.iteri (fun i b -> if b then w.(i / word_bits) <- w.(i / word_bits) lor bit_mask i) s;
     w
 
-  (* The members of [s], in [Stdlib.compare] order of their [bool array]s. *)
-  let sorted_states t s =
+  (* The entries [es] of [s], in [Stdlib.compare] order of their
+     [bool array]s. *)
+  let sorted_states t s es =
     let d = s.data in
     let cmp a b =
       let w = ref 1 in
@@ -478,7 +479,7 @@ module Kernel = struct
       done;
       if !w > t.nws then 0 else compare_unsigned d.(a + !w) d.(b + !w)
     in
-    List.init s.count (fun e -> e * t.stride) |> List.sort cmp |> List.map (decode t d)
+    List.map (fun e -> e * t.stride) es |> List.sort cmp |> List.map (decode t d)
 
   (* --- one R_delta layer ---------------------------------------------------- *)
 
@@ -544,7 +545,7 @@ module Kernel = struct
       end
     in
     go 0;
-    sorted_states t t.cur
+    sorted_states t t.cur (List.init t.cur.count Fun.id)
 
   (* --- depth-first TCR_k verdicts --------------------------------------------- *)
 
@@ -573,14 +574,17 @@ module Kernel = struct
      cycle, and an edge into a finished entry extends the path by that
      entry's height, the number of states on its longest unstable path
      ([height]: 0 if stable, -1 while on the stack).  A stack frame is
-     the entry, the next gate to fire from it and its height so far. *)
-  let classify_vector ?(max_frontier = max_int) ?(guard = Guard.none) t ~k s v =
+     the entry, the next gate to fire from it and its height so far.
+     With [all], a second stable state does not end the search, so a
+     search that ends without a verdict has finished every entry, and
+     the stable ones are those of height 0.  Returns the entry of the
+     last stable state entered. *)
+  let search ~all ~max_frontier ~guard t ~k s v =
     let cur = t.cur in
     clear_set cur;
     load t cur s;
     let d = cur.data in
-    if not (is_stable_entry t d 0) then
-      invalid_arg "Async_sim.classify_vector: state not stable";
+    if not (is_stable_entry t d 0) then invalid_arg "Async_sim.Kernel: state not stable";
     if Array.length v <> Array.length t.env_w then
       invalid_arg "Circuit.apply_input_vector: wrong vector length";
     Array.iteri
@@ -600,14 +604,15 @@ module Kernel = struct
       let e = cur.count in
       commit t cur;
       t.height <- grow t.height cur.count;
-      if is_stable_entry t cur.data (e * stride) then begin
-        if !stable >= 0 then raise_notrace (Verdict C_invalid);
+      let settled = is_stable_entry t cur.data (e * stride) in
+      if settled then begin
+        if !stable >= 0 && not all then raise_notrace (Verdict C_invalid);
         stable := e;
         t.height.(e) <- 0
       end
       else if depth > k then raise_notrace (Verdict C_invalid);
       if cur.count > max_frontier then raise_notrace (Verdict C_capped);
-      if e <> !stable then begin
+      if not settled then begin
         t.height.(e) <- -1;
         let f = 3 * !sp in
         t.stack <- grow t.stack (f + 3);
@@ -617,48 +622,60 @@ module Kernel = struct
         incr sp
       end
     in
-    try
-      ignore (claim t cur : int);
-      enter 1;
-      while !sp > 0 do
-        let stack = t.stack and f = 3 * (!sp - 1) in
-        let pb = stack.(f) * stride in
-        let gi = next_gate t cur.data pb stack.(f + 1) in
-        if gi < 0 then begin
-          let h = stack.(f + 2) in
-          t.height.(stack.(f)) <- h;
-          decr sp;
-          if !sp > 0 && h + 1 > stack.(f - 1) then stack.(f - 1) <- h + 1
-        end
-        else begin
-          stack.(f + 1) <- gi + 1;
-          Guard.spend_transition guard;
-          let g = Array.unsafe_get t.gates gi in
-          reserve t cur;
-          let d = cur.data and cb = cur.count * stride in
-          Array.unsafe_set d cb (Array.unsafe_get d pb lxor g.zob);
-          for j = 1 to nws do
+    ignore (claim t cur : int);
+    enter 1;
+    while !sp > 0 do
+      let stack = t.stack and f = 3 * (!sp - 1) in
+      let pb = stack.(f) * stride in
+      let gi = next_gate t cur.data pb stack.(f + 1) in
+      if gi < 0 then begin
+        let h = stack.(f + 2) in
+        t.height.(stack.(f)) <- h;
+        decr sp;
+        if !sp > 0 && h + 1 > stack.(f - 1) then stack.(f - 1) <- h + 1
+      end
+      else begin
+        stack.(f + 1) <- gi + 1;
+        Guard.spend_transition guard;
+        let g = Array.unsafe_get t.gates gi in
+        reserve t cur;
+        let d = cur.data and cb = cur.count * stride in
+        Array.unsafe_set d cb (Array.unsafe_get d pb lxor g.zob);
+        for j = 1 to nws do
+          Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
+        done;
+        let ow = cb + 1 + g.out_w in
+        Array.unsafe_set d ow (Array.unsafe_get d ow lxor g.out_m);
+        let c = claim t cur in
+        if c = cur.count then begin
+          for j = 1 + nws to nws + nwe do
             Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
           done;
-          let ow = cb + 1 + g.out_w in
-          Array.unsafe_set d ow (Array.unsafe_get d ow lxor g.out_m);
-          let c = claim t cur in
-          if c = cur.count then begin
-            for j = 1 + nws to nws + nwe do
-              Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
-            done;
-            update_exc t d cb g.affected;
-            enter (!sp + 1)
-          end
-          else begin
-            let h = t.height.(c) in
-            if h < 0 || !sp + h > k then raise_notrace (Verdict C_invalid);
-            if h + 1 > stack.(f + 2) then stack.(f + 2) <- h + 1
-          end
+          update_exc t d cb g.affected;
+          enter (!sp + 1)
         end
-      done;
-      C_settles (decode t cur.data (!stable * stride))
-    with Verdict r -> r
+        else begin
+          let h = t.height.(c) in
+          if h < 0 || !sp + h > k then raise_notrace (Verdict C_invalid);
+          if h + 1 > stack.(f + 2) then stack.(f + 2) <- h + 1
+        end
+      end
+    done;
+    !stable
+
+  let classify_vector ?(max_frontier = max_int) ?(guard = Guard.none) t ~k s v =
+    match search ~all:false ~max_frontier ~guard t ~k s v with
+    | e -> C_settles (decode t t.cur.data (e * t.stride))
+    | exception Verdict r -> r
+
+  let apply_vector t ~k s v =
+    match search ~all:true ~max_frontier:max_int ~guard:Guard.none t ~k s v with
+    | exception Verdict _ -> Exceeds_budget
+    | (_ : int) -> (
+      let finals = List.filter (fun e -> t.height.(e) = 0) (List.init t.cur.count Fun.id) in
+      match sorted_states t t.cur finals with
+      | [ s' ] -> Settles s'
+      | finals -> Non_confluent finals)
 end
 
 (* --- circuit-level entry points ---------------------------------------------- *)
@@ -666,24 +683,7 @@ end
 let states_after ?max_frontier ?guard c ~k s =
   Kernel.states_after ?max_frontier ?guard (Kernel.compile c) ~k s
 
-let classify_vector ?max_frontier ?guard c ~k s v =
-  Kernel.classify_vector ?max_frontier ?guard (Kernel.compile c) ~k s v
-
-let apply_with kern ~k s v =
-  let c = Kernel.circuit kern in
-  if not (Circuit.is_stable c s) then
-    invalid_arg "Async_sim.apply_vector: state not stable";
-  let s1 = Circuit.apply_input_vector c s v in
-  let finals = Kernel.states_after kern ~k s1 in
-  if List.exists (fun s' -> not (Circuit.is_stable c s')) finals then
-    Exceeds_budget
-  else
-    match finals with
-    | [ s' ] -> Settles s'
-    | [] -> assert false
-    | multiple -> Non_confluent multiple
-
-let apply_vector c ~k s v = apply_with (Kernel.compile c) ~k s v
+let apply_vector c ~k s v = Kernel.apply_vector (Kernel.compile c) ~k s v
 
 let settle c ~max_steps s =
   let rec go i s =
@@ -722,7 +722,7 @@ let reachable_stable_states c ~k ~from =
     List.iter
       (fun v ->
         if v <> Circuit.input_vector_of_state c s then
-          match apply_with kern ~k s v with
+          match Kernel.apply_vector kern ~k s v with
           | Settles s' -> push s'
           | Non_confluent finals -> List.iter push finals
           | Exceeds_budget -> ())

@@ -122,6 +122,17 @@ module Kernel : sig
       @raise Invalid_argument if [s] is not stable.
       @raise Satg_guard.Guard.Exhausted when [guard] trips. *)
 
+  val apply_vector : t -> k:int -> bool array -> bool array -> outcome
+  (** [apply_vector t ~k s v] is the outcome of applying [v] to the
+      stable state [s], the one {!states_after} at [k] defines: every
+      state the interleavings reach in exactly [k] firings when all are
+      stable, else [Exceeds_budget].  It runs {!classify_vector}'s
+      search, which goes on past a second stable state to collect every
+      one the pair reaches and returns [Exceeds_budget] at the first
+      unstable cycle or path of [k + 1] unstable states.  No frontier
+      cap and no guard.
+      @raise Invalid_argument if [s] is not stable. *)
+
   val pack : t -> bool array -> Words.t
   (** The packed words of a state: equal states give equal words. *)
 end
@@ -135,20 +146,8 @@ val states_after :
   bool array list
 (** {!Kernel.states_after} on a freshly compiled kernel. *)
 
-val classify_vector :
-  ?max_frontier:int ->
-  ?guard:Guard.t ->
-  Circuit.t ->
-  k:int ->
-  bool array ->
-  bool array ->
-  classification
-(** {!Kernel.classify_vector} on a freshly compiled kernel. *)
-
 val apply_vector : Circuit.t -> k:int -> bool array -> bool array -> outcome
-(** [apply_vector c ~k s v] applies input vector [v] to the stable
-    state [s] and classifies the outcome after at most [k] firings.
-    @raise Invalid_argument if [s] is not stable. *)
+(** {!Kernel.apply_vector} on a freshly compiled kernel. *)
 
 val settle : Circuit.t -> max_steps:int -> bool array -> bool array option
 (** Fire excited gates in a fixed (lowest-id-first) order until stable;

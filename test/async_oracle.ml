@@ -113,3 +113,20 @@ let classify_vector ?(max_frontier = max_int) ?(guard = Guard.none) c ~k s v =
     if not (Hashtbl.mem heights start) then ignore (explore start 1 : int);
     C_settles (state_of_key (Option.get !stable))
   with Verdict r -> r
+
+(* The layered rule of [Async_sim.apply_vector]: apply the vector and
+   take every state the interleavings reach in exactly [k] firings
+   ([TCR_k], the kernel's layered [states_after], which the tests hold
+   to [states_after] above).  One stable state settles, several are
+   non-confluent, and an unstable one left at [k] exceeds the budget. *)
+let apply_vector ?guard kern ~k s v =
+  let open Satg_sim.Async_sim in
+  let c = Kernel.circuit kern in
+  if not (Circuit.is_stable c s) then invalid_arg "Async_oracle.apply_vector: state not stable";
+  let finals = Kernel.states_after ?guard kern ~k (Circuit.apply_input_vector c s v) in
+  if List.exists (fun s' -> not (Circuit.is_stable c s')) finals then Exceeds_budget
+  else
+    match finals with
+    | [ s' ] -> Settles s'
+    | [] -> assert false
+    | multiple -> Non_confluent multiple

@@ -26,18 +26,16 @@ let vector n mask = Array.init n (fun b -> mask land (1 lsl b) <> 0)
 
 (* The paper's verdict on one pair: [Some target] iff every state
    exactly [k] firings reach is the one stable [target]. *)
-let pure ?guard kern c ~k s v =
-  match
-    Async_sim.Kernel.states_after ?guard kern ~k (Circuit.apply_input_vector c s v)
-  with
-  | [ target ] when Circuit.is_stable c target -> Some target
-  | _ -> None
+let pure ?guard kern ~k s v =
+  match Async_oracle.apply_vector ?guard kern ~k s v with
+  | Async_sim.Settles target -> Some target
+  | Async_sim.Non_confluent _ | Async_sim.Exceeds_budget -> None
 
 (* [Some target] is a valid edge; [None] an invalid pair, or one the
    hybrid classifier capped. *)
 let classify ~exploration ~max_frontier ~guard kern c ~k s v =
   match exploration with
-  | `Pure -> pure ~guard kern c ~k s v
+  | `Pure -> pure ~guard kern ~k s v
   | `Hybrid -> (
     match Async_sim.Kernel.classify_vector ~max_frontier ~guard kern ~k s v with
     | Async_sim.C_settles target -> Some target

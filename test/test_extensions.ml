@@ -196,6 +196,26 @@ let test_delay_untestable_on_oscillator () =
   let r = Delay_fault.run g in
   Alcotest.(check int) "nothing detectable" 0 (Delay_fault.detected r)
 
+let test_delay_capped_search_aborts () =
+  (* One product state is too few to differentiate any of master-read's
+     delay faults.  A capped search that finds nothing is aborted, never
+     reported undetected (the run finds all 12 at the default cap). *)
+  let g = Explicit.build (get_si "master-read") in
+  let r = Delay_fault.run ~max_states:1 g in
+  List.iter
+    (fun (f, status) ->
+      match status with
+      | Delay_fault.Not_found ->
+        Alcotest.failf "%s: capped search reported undetected"
+          (Delay_fault.to_string r.Delay_fault.circuit f)
+      | Delay_fault.Aborted reason ->
+        Alcotest.(check string) "capped product" "state-limit"
+          (Satg_guard.Guard.reason_to_string reason)
+      | Delay_fault.Found _ -> ())
+    r.Delay_fault.outcomes;
+  Alcotest.(check bool) "some aborted" true (Delay_fault.aborted r > 0);
+  Alcotest.(check int) "all found uncapped" 12 (Delay_fault.detected (Delay_fault.run g))
+
 let test_delay_suite_coverage () =
   (* On the SI suite, gross delay coverage should be high: the circuits
      are hazard-free and every gate transition is acknowledged. *)
@@ -380,6 +400,7 @@ let suites =
         Alcotest.test_case "universe" `Quick test_delay_universe;
         Alcotest.test_case "celem" `Quick test_delay_celem;
         Alcotest.test_case "oscillator" `Quick test_delay_untestable_on_oscillator;
+        Alcotest.test_case "capped search aborts" `Quick test_delay_capped_search_aborts;
         Alcotest.test_case "suite coverage" `Slow test_delay_suite_coverage;
       ] );
     ( "ext.compose",

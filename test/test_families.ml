@@ -15,20 +15,27 @@ open Satg_stg
 open Satg_concepts
 module Sat = Satg_sat.Sat
 
-(* The conformance ladder: every family at a CI-tractable size, both
+(* The conformance ladder: every family at CI-tractable sizes, both
    synthesis styles where they differ. *)
 let instances =
   [
+    ("pipeline", 1, `Complex);
     ("pipeline", 2, `Complex);
     ("pipeline", 3, `Complex);
     ("arbiter", 2, `Complex);
+    ("arbiter", 3, `Complex);
+    ("ring", 2, `Complex);
     ("ring", 4, `Complex);
+    ("ring", 8, `Complex);
+    ("fifo", 2, `Complex);
     ("fifo", 3, `Complex);
+    ("fifo", 4, `Complex);
     ("fifo", 2, `Redundant);
+    ("latch", 1, `Redundant);
     ("latch", 2, `Redundant);
   ]
 
-let build (fname, n, style) =
+let synthesize (fname, n, style) =
   let stg =
     match Families.generate fname ~n with
     | Ok stg -> stg
@@ -46,6 +53,18 @@ let build (fname, n, style) =
   (Printf.sprintf "%s%d/%s" fname n
      (match style with `Complex -> "cg" | `Redundant -> "hf"),
    circuit)
+
+(* Synthesizing ring 8 takes about a second and five tests build the
+   ladder, so each instance is synthesized once. *)
+let built = Hashtbl.create 16
+
+let build inst =
+  match Hashtbl.find_opt built inst with
+  | Some named -> named
+  | None ->
+    let named = synthesize inst in
+    Hashtbl.replace built inst named;
+    named
 
 let deterministic_config engine =
   { Engine.default_config with engine; enable_random = false }
