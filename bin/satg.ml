@@ -18,7 +18,6 @@
 
 open Cmdliner
 open Satg_guard
-open Satg_pool
 open Satg_circuit
 open Satg_fault
 open Satg_sg
@@ -42,6 +41,13 @@ let or_die = function
   | Error m ->
     prerr_endline ("error: " ^ m);
     exit 1
+
+(* Every command that builds a CSSG refuses up front, as an ordinary
+   error, a circuit the explicit builder cannot explore. *)
+let read_explorable path =
+  let c = or_die (read_circuit path) in
+  or_die (Result.map_error (Printf.sprintf "%s: %s" path) (Explicit.check c));
+  c
 
 let read_file path =
   let ic = open_in_bin path in
@@ -143,11 +149,11 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~env:(Cmd.Env.info "SATG_JOBS")
         ~doc:
-          "Run CSSG construction and the deterministic fault search on \
-           $(docv) worker domains (default 1).  Merging is deterministic: \
-           the reported coverage partition is identical for every \
-           $(docv).  The BDD engine's deterministic phase searches one \
-           fault at a time (single-domain manager).")
+          "Run the deterministic fault search on $(docv) worker domains \
+           (default 1).  Merging is deterministic: the reported coverage \
+           partition is identical for every $(docv).  The BDD engine's \
+           deterministic phase searches one fault at a time \
+           (single-domain manager).")
 
 let reorder_arg =
   Arg.(
@@ -197,15 +203,13 @@ let cssg_cmd =
   let dump =
     Arg.(value & flag & info [ "dump" ] ~doc:"Print every state and edge.")
   in
-  let run file engine dump stats k jobs timeout max_states max_transitions
-      reorder cluster_cap =
-    let c = or_die (read_circuit file) in
+  let run file engine dump stats k timeout max_states max_transitions reorder
+      cluster_cap =
+    let c = read_explorable file in
     let guard = Guard.create ?timeout ?max_states ?max_transitions () in
     let g, bdd_stats =
       match engine with
-      | `Explicit ->
-        ( Pool.with_pool ~jobs (fun pool -> Explicit.build ?k ~guard ~pool c),
-          None )
+      | `Explicit -> (Explicit.build ?k ~guard c, None)
       | `Bdd ->
         let sym = Symbolic.build ?k ~reorder ~cluster_cap ~guard c in
         let g = Symbolic.to_cssg sym in
@@ -224,9 +228,8 @@ let cssg_cmd =
     (Cmd.info "cssg"
        ~doc:"Build the Confluent Stable State Graph of a netlist.")
     Term.(
-      const run $ file $ engine $ dump $ stats_arg $ k_arg $ jobs_arg
-      $ timeout_arg $ max_states_arg $ max_transitions_arg $ reorder_arg
-      $ cluster_cap_arg)
+      const run $ file $ engine $ dump $ stats_arg $ k_arg $ timeout_arg
+      $ max_states_arg $ max_transitions_arg $ reorder_arg $ cluster_cap_arg)
 
 (* --- atpg ----------------------------------------------------------------- *)
 
@@ -353,7 +356,7 @@ let atpg_cmd =
   let run file universe no_random seed verbose engine no_collapse stats k
       jobs timeout max_states max_transitions reorder cluster_cap cache_dir
       resume =
-    let c = or_die (read_circuit file) in
+    let c = read_explorable file in
     let config =
       {
         (make_config ~k ~no_random ~engine ~no_collapse ~timeout ~max_states
@@ -579,7 +582,7 @@ let check_cmd =
 let program_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.cct") in
   let run file k timeout max_states max_transitions =
-    let c = or_die (read_circuit file) in
+    let c = read_explorable file in
     let config =
       { Engine.default_config with k; timeout; max_states; max_transitions }
     in
@@ -600,7 +603,7 @@ let program_cmd =
 let delay_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.cct") in
   let run file k timeout max_states max_transitions =
-    let c = or_die (read_circuit file) in
+    let c = read_explorable file in
     let guard = Guard.create ?timeout ?max_states ?max_transitions () in
     let g = Explicit.build ?k ~guard c in
     let r = Delay_fault.run ~guard g in
@@ -640,7 +643,7 @@ let dft_cmd =
                re-run ATPG; repeatable.")
   in
   let run file budget control k jobs timeout max_states max_transitions =
-    let c = or_die (read_circuit file) in
+    let c = read_explorable file in
     let faults = Fault.universe_input_sa c in
     (* The same config (test-cycle budget and resource limits) governs
        every ATPG run below, instrumented circuits included. *)
@@ -711,7 +714,7 @@ let dot_cmd =
       let c = or_die (read_circuit file) in
       print_string (Dot.circuit c)
     | `Cssg ->
-      let c = or_die (read_circuit file) in
+      let c = read_explorable file in
       print_string (Cssg.to_dot (Explicit.build ?k c))
   in
   Cmd.v

@@ -87,13 +87,10 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
     Guard.sub ?max_states:config.max_states
       ?max_transitions:config.max_transitions run_guard
   in
-  (* A caller-owned pool (the daemon's) is reused across runs and never
-     shut down here; otherwise the config's [jobs] owns a fresh one. *)
-  Pool.with_pool ?pool ~jobs:config.jobs @@ fun pool ->
   let g =
     match cssg with
     | Some g -> g
-    | None -> Explicit.build ?k:config.k ~guard:run_guard ~pool circuit
+    | None -> Explicit.build ?k:config.k ~guard:run_guard circuit
   in
   let symbolic =
     match config.engine with
@@ -103,6 +100,9 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
            ~cluster_cap:config.cluster_cap ~guard:(sub_guard ()) circuit)
     | Explicit | Sat -> None
   in
+  (* A caller-owned pool (the daemon's) is reused across runs and never
+     shut down here; otherwise the config's [jobs] owns a fresh one. *)
+  Pool.with_pool ?pool ~jobs:config.jobs @@ fun pool ->
   (* Per-worker deterministic-phase backends.  The SAT engine is a
      mutable single-domain structure, so each worker lazily builds its
      own instance over the shared (immutable) CSSG; detectability is a

@@ -32,11 +32,11 @@ type config = {
           (default [true]); the result keeps both sizes *)
   jobs : int;
       (** width of the domain pool ({!Satg_pool.Pool}) the run creates
-          when the caller passes none (default 1).  CSSG construction
-          classifies frontier batches on it and the deterministic
-          phase searches speculative fault waves of [2 × jobs] merged
-          in input order, so the outcome partition is identical for
-          every [jobs].  At [jobs = 1] a wave is one fault and the pool
+          when the caller passes none (default 1).  The CSSG is built
+          on the caller; the deterministic phase searches speculative
+          fault waves of [2 × jobs] on the pool, merged in input
+          order, so the outcome partition is identical for every
+          [jobs].  At [jobs = 1] a wave is one fault and the pool
           spawns no domains: that {e is} the sequential pipeline.  The
           BDD engine's deterministic phase always searches one fault
           at a time (single-domain manager); see docs/PERF.md. *)

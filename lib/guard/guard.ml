@@ -140,14 +140,6 @@ let states_used t = t.states
 let transitions_used t = t.transitions
 let tripped t = t.tripped
 
-let remaining_transitions t =
-  Option.map
-    (fun m -> max 0 (m - t.transitions))
-    t.limits.max_transitions
-
-let remaining_states t =
-  Option.map (fun m -> max 0 (m - t.states)) t.limits.max_states
-
 let guarded t f =
   match
     check_time t;

@@ -102,12 +102,6 @@ val transitions_used : t -> int
 (** Counters are maintained on every guard except the {!none}
     singleton, where both report 0. *)
 
-val remaining_states : t -> int option
-val remaining_transitions : t -> int option
-(** Budget left before the corresponding ceiling trips ([None] =
-    unlimited) — what a parallel builder may hand a worker as that
-    worker's private allowance. *)
-
 val tripped : t -> reason option
 (** The reason this guard first raised, if it ever did. *)
 

@@ -2,8 +2,8 @@
     connection at a time, one {!Proto} frame per request.
 
     Sequential connection handling is a feature, not a shortcut: the
-    expensive work inside a request already fans out over the service's
-    worker pool, and serving requests in arrival order keeps the
+    fault search inside an ATPG request already fans out over the
+    service's worker pool, and serving requests in arrival order keeps the
     daemon's outcomes — and its counters — deterministic.
 
     Failure containment, from the outside in: a malformed frame drops

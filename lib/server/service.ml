@@ -137,8 +137,7 @@ let warm_store t key payload =
 
 (* Two ATPG requests may share a graph build iff every input to the
    build is equal: the netlist bytes, the cycle budget and the guard
-   ceilings that shape a truncation.  (The builder is deterministic at
-   every pool width.) *)
+   ceilings that shape a truncation. *)
 let opt_int = function None -> "-" | Some n -> string_of_int n
 let opt_float = function None -> "-" | Some f -> Printf.sprintf "%.17g" f
 
@@ -154,7 +153,7 @@ let group_key ~netlist (config : Engine.config) =
 
 let build_cssg t ?k ~guard c =
   t.k.cssg_builds <- t.k.cssg_builds + 1;
-  Explicit.build ?k ~guard ~pool:t.pool c
+  Explicit.build ?k ~guard c
 
 (* The first member of a group builds under its own request guard —
    exactly where the one-shot pipeline spends the run guard's counters

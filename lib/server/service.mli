@@ -36,9 +36,9 @@
 type t
 
 val create : ?cache_dir:string -> ?jobs:int -> unit -> t
-(** [jobs] (default 1) sizes the one {!Satg_pool.Pool} every request
-    runs on — the daemon amortizes domain creation across its
-    lifetime.
+(** [jobs] (default 1) sizes the one {!Satg_pool.Pool} every ATPG
+    request's fault search runs on — the daemon amortizes domain
+    creation across its lifetime.  Graphs are built on the caller.
     [cache_dir] backs the warm store with the durable object store
     (shared with one-shot [--cache-dir] runs, both directions). *)
 

@@ -10,7 +10,6 @@ type t = {
   circuit : Circuit.t;
   k : int;
   states : bool array array;
-  index : (string, int) Hashtbl.t;
   succ : edge list array;
   initial : int list;
   deterministic : bool array;
@@ -42,15 +41,10 @@ let make ?truncated ~circuit ~k ~states ~succ ~initial () =
             invalid_arg "Cssg.make: bad edge target")
         edges)
     succ;
-  let index = Hashtbl.create (max 16 n) in
-  Array.iteri
-    (fun i s -> Hashtbl.replace index (Circuit.state_to_string circuit s) i)
-    states;
   {
     circuit;
     k;
     states;
-    index;
     succ;
     initial;
     deterministic = reachable_via_edges succ initial n;
@@ -64,8 +58,7 @@ let n_states t = Array.length t.states
 let n_edges t = Array.fold_left (fun acc es -> acc + List.length es) 0 t.succ
 let state t i = Array.copy t.states.(i)
 
-let id_of_state t s =
-  Hashtbl.find_opt t.index (Circuit.state_to_string t.circuit s)
+let id_of_state t s = Array.find_index (( = ) s) t.states
 
 let initial t = t.initial
 let successors t i = t.succ.(i)
@@ -117,9 +110,6 @@ let justify t ?from ~target () =
       | Some (p, v) -> unwind p (v :: acc)
     in
     Some (unwind goal [], goal)
-
-let reachable_from t sources =
-  reachable_via_edges t.succ sources (Array.length t.states)
 
 let pp_stats fmt t =
   let det =

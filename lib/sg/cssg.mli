@@ -59,7 +59,10 @@ val truncated : t -> Guard.reason option
 val n_states : t -> int
 val n_edges : t -> int
 val state : t -> int -> bool array
+
 val id_of_state : t -> bool array -> int option
+(** The id of a state the graph holds: a linear scan over its states. *)
+
 val initial : t -> int list
 val successors : t -> int -> edge list
 
@@ -75,9 +78,6 @@ val justify :
     (or [from]) to a state satisfying [target], breadth-first.  Returns
     the vector sequence and the reached state id.  A state in [from]
     already satisfying [target] yields [([], id)]. *)
-
-val reachable_from : t -> int list -> bool array
-(** Characteristic vector of states reachable via valid edges. *)
 
 val pp_stats : Format.formatter -> t -> unit
 

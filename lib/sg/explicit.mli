@@ -21,13 +21,17 @@
 
 open Satg_guard
 open Satg_circuit
-open Satg_pool
+
+val check : Circuit.t -> (unit, string) result
+(** [Error m] says why {!build} rejects the circuit: it has no reset
+    state, its reset state is not stable, or it has more inputs than a
+    non-negative int holds bits ([Sys.int_size - 1], 62 on 64-bit
+    hosts), since input vectors are enumerated as int masks. *)
 
 val build :
   ?k:int ->
   ?max_frontier:int ->
   ?guard:Guard.t ->
-  ?pool:Pool.t ->
   Circuit.t ->
   Cssg.t
 (** [k] defaults to {!Satg_circuit.Structure.default_k};
@@ -35,25 +39,18 @@ val build :
     pair's search may visit; a pair that exceeds it is conservatively
     pruned.
 
-    The BFS frontier is classified in fixed-size batches on [pool]
-    (without one, on an inline width-1 pool that spawns no domains):
-    each worker runs its own exploration kernel under a private
-    [Guard.sub] carrying the shared deadline and the batch's
-    transition allowance, and the caller merges the batch in frontier
-    order — interning, edge recording and budget re-spending all
-    happen there, sequentially.
+    One state at a time leaves the BFS queue, and its pairs are
+    classified in input-mask order against [guard] itself.  A pair's
+    target is interned (numbered and queued) when the pair settles,
+    and a state's edges are recorded once all its pairs are
+    classified.
 
     [guard] governs the whole construction: one state spent per
     interned stable state (the reset state is exempt, so even a
     zero-budget build yields a valid one-state graph), one transition
     per gate the underlying unbounded-delay exploration fires.  Exhaustion
     does {e not} raise out of [build]: the graph explored so far is
-    returned, tagged with {!Cssg.truncated}.
-
-    Contract: at every pool width, with or without state and
-    transition budgets, the graph, its state numbering and the
-    truncation reason equal those of a plain one-state-at-a-time BFS
-    that spends the same budgets (the reference the tests keep).
-    Deadline trips are the exception: the deadline is checked per
-    batch and inside workers, so where it lands depends on timing.
-    @raise Invalid_argument if the circuit has no stable reset state. *)
+    returned, tagged with {!Cssg.truncated}.  A budget therefore trips
+    on the pair that exceeds it; that state's edges are dropped, and
+    everything recorded before it is exact.
+    @raise Invalid_argument when {!check} rejects the circuit. *)

@@ -68,7 +68,9 @@ end
       stable states it holds is read off in O(1).
 
     A kernel owns mutable scratch memory: it must not be shared between
-    domains.  Compile one per worker. *)
+    domains.  [Explicit.build] compiles one per build and each exact
+    fault check ([Detect]) one per call, so a fault search on a pool
+    worker explores on its own kernel. *)
 module Kernel : sig
   type t
 

@@ -1,10 +1,10 @@
 (* The reference CSSG builder: a plain breadth-first search that
    classifies one (state, vector) pair at a time and interns each
    target the moment it is found, so a budget trips exactly where the
-   pair that exceeds it is classified.  [Satg_sg.Explicit.build]
-   classifies the frontier in batches on a domain pool and merges them
-   on the caller; at every pool width it must produce this graph: the
-   same states, numbering, edges and truncation reason.
+   pair that exceeds it is classified.  [Satg_sg.Explicit.build] is
+   the same search over packed kernel keys and mask-enumerated vectors;
+   it must produce this graph: the same states, numbering, edges and
+   truncation reason.
 
    Only a valid edge's target enters the graph, so an untruncated graph
    is the subgraph reachable from reset over valid edges.  [`Pure]

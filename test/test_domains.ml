@@ -1,8 +1,8 @@
-(* The -j determinism contract, measured: CSSG construction must equal
-   the reference BFS at every pool width, under every budget; fault
-   search must produce bit-identical outcomes for every pool width;
-   and both must degrade fail-soft (never raise) when a resource guard
-   trips inside a worker. *)
+(* The build and -j contracts, measured: CSSG construction must equal
+   the reference BFS under every budget; fault search must produce
+   bit-identical outcomes for every pool width; and both must degrade
+   fail-soft (never raise) when a resource guard trips, in the build or
+   inside a worker. *)
 
 open Satg_guard
 open Satg_circuit
@@ -10,7 +10,6 @@ open Satg_fault
 open Satg_sg
 open Satg_core
 open Satg_bench
-open Satg_pool
 
 (* The pathological example netlists, embedded so the tests do not
    depend on the source tree's layout at test-run time. *)
@@ -72,41 +71,25 @@ let capped_guard () =
 
 (* --- CSSG construction = the reference BFS ---------------------------------- *)
 
-(* [Explicit.build] on each pool against {!Cssg_oracle.build}, each
-   build under a fresh guard from [guard]: states, numbering, edges and
-   truncation reason must all match. *)
-let check_reference ?(guard = fun () -> Guard.none) pools name c =
+(* [Explicit.build] against {!Cssg_oracle.build}, each build under a
+   fresh guard from [guard]: states, numbering, edges and truncation
+   reason must all match. *)
+let check_reference ?(guard = fun () -> Guard.none) name c =
   let want = Cssg_oracle.build ~guard:(guard ()) c in
-  List.iter
-    (fun pool ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s -j%d" name (Pool.jobs pool))
-        (Cssg_oracle.dump want)
-        (Cssg_oracle.dump (Explicit.build ~guard:(guard ()) ~pool c)))
-    pools;
+  Alcotest.(check string) name (Cssg_oracle.dump want)
+    (Cssg_oracle.dump (Explicit.build ~guard:(guard ()) c));
   want
 
-(* The two widths every contract check runs at. *)
-let with_pools f =
-  Pool.with_pool ~jobs:1 (fun p1 -> Pool.with_pool ~jobs:4 (fun p4 -> f [ p1; p4 ]))
-
 let test_build_equals_reference () =
-  with_pools @@ fun pools ->
   List.iter
-    (fun c ->
-      let want = check_reference pools (Circuit.name c) c in
-      Alcotest.(check string)
-        (Circuit.name c ^ " without a pool")
-        (Cssg_oracle.dump want)
-        (Cssg_oracle.dump (Explicit.build c)))
+    (fun c -> ignore (check_reference (Circuit.name c) c))
     [ Figures.celem_handshake (); Figures.mutex_latch (); Figures.fig1a () ]
 
 let test_build_capped_equals_reference () =
-  with_pools @@ fun pools ->
   List.iter
     (fun text ->
       let c = parse text in
-      let want = check_reference ~guard:capped_guard pools (Circuit.name c) c in
+      let want = check_reference ~guard:capped_guard (Circuit.name c) c in
       Alcotest.(check bool)
         (Circuit.name c ^ " truncated")
         true
@@ -114,17 +97,15 @@ let test_build_capped_equals_reference () =
     [ ring_storm_text; toggle_farm_text ]
 
 let test_build_state_cap_only () =
-  (* A state cap with no transition budget: the worker-side cutoff must
-     keep classification bounded (without it, each worker classifies
-     the full 2^inputs vector space of a frontier state before the
-     merge can trip the cap), and the truncated graph must still be the
-     reference BFS's at every width. *)
-  with_pools @@ fun pools ->
+  (* A state cap with no transition budget: the build must trip on the
+     pair whose target is one state too many, mid-way through that
+     state's 2^inputs vectors, and truncate to the reference BFS's
+     graph. *)
   let c = parse toggle_farm_text in
   let want =
     check_reference
       ~guard:(fun () -> Guard.create ~max_states:cap_states ())
-      pools "state-cap-only" c
+      "state-cap-only" c
   in
   Alcotest.(check bool) "reference truncated" true (Cssg.truncated want <> None)
 
@@ -153,7 +134,6 @@ let sweep_circuits () =
         ("fifo", 3); ("fifo", 4) ]
 
 let test_cap_sweeps () =
-  with_pools @@ fun pools ->
   let truncated = ref 0 and complete = ref 0 in
   List.iteri
     (fun idx c ->
@@ -162,7 +142,7 @@ let test_cap_sweeps () =
       let full = Cssg_oracle.build ~guard:counter c in
       let cost = Guard.transitions_used counter in
       let check what guard =
-        let want = check_reference ~guard pools (name ^ " " ^ what) c in
+        let want = check_reference ~guard (name ^ " " ^ what) c in
         incr (if Cssg.truncated want = None then complete else truncated);
         want
       in
@@ -256,8 +236,8 @@ let test_engine_sat_partition_deterministic () =
 (* --- fail-soft degradation inside workers ----------------------------------- *)
 
 let test_worker_trip_fail_soft () =
-  (* a transition budget small enough to trip inside the parallel CSSG
-     build and the per-fault searches: the run must complete, flag
+  (* a transition budget small enough to trip inside the CSSG build and
+     the per-fault searches on the workers: the run must complete, flag
      itself partial, and never leak Guard.Exhausted *)
   let c = parse toggle_farm_text in
   let r = run_atpg ~jobs:4 ~caps:(40, 500) c in

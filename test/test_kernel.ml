@@ -269,15 +269,8 @@ let test_wide_matches_oracle () =
 
 let test_wide_build_reference () =
   let c = wide_netlist () in
-  let want = Cssg_oracle.dump (Cssg_oracle.build c) in
-  List.iter
-    (fun jobs ->
-      Satg_pool.Pool.with_pool ~jobs (fun pool ->
-          Alcotest.(check string)
-            (Printf.sprintf "build -j%d" jobs)
-            want
-            (Cssg_oracle.dump (Explicit.build ~pool c))))
-    [ 1; 4 ]
+  Alcotest.(check string) "build" (Cssg_oracle.dump (Cssg_oracle.build c))
+    (Cssg_oracle.dump (Explicit.build c))
 
 (* --- capped builds --------------------------------------------------------- *)
 
@@ -285,7 +278,7 @@ let test_wide_build_reference () =
    truncates at a fixed pair, one transition charged per gate firing:
    the transitions charged and the states interned are pinned to the
    figures of the reference BFS over the string-set depth-first search,
-   and the pooled build at two widths must give them too. *)
+   and the build must give them too. *)
 let test_capped_charges () =
   List.iter
     (fun (text, states, transitions) ->
@@ -299,12 +292,8 @@ let test_capped_charges () =
       let guard () = Guard.create ~max_states:500 ~max_transitions:200_000 () in
       let g0 = guard () in
       check "reference" (Cssg_oracle.build ~exploration:`Strings ~guard:g0 c) g0;
-      List.iter
-        (fun jobs ->
-          Satg_pool.Pool.with_pool ~jobs (fun pool ->
-              let g1 = guard () in
-              check (Printf.sprintf "build -j%d" jobs) (Explicit.build ~guard:g1 ~pool c) g1))
-        [ 1; 4 ])
+      let g1 = guard () in
+      check "build" (Explicit.build ~guard:g1 c) g1)
     [ (Test_domains.ring_storm_text, 251, 200_001); (Test_domains.toggle_farm_text, 251, 200_001) ]
 
 let suites =

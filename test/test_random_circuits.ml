@@ -469,14 +469,14 @@ let prop_kernel_matches_oracle =
 (* --- P8: the pooled CSSG build equals the reference BFS -------------------- *)
 
 (* Under random state and transition budgets (each absent one time in
-   ten, otherwise drawn up to the unbudgeted build's size) and on a
-   pool of width 1 or 2: the same dump — states, numbering, edges —
-   and the same truncation reason as the one-pair-at-a-time BFS. *)
+   ten, otherwise drawn up to the unbudgeted build's size): the same
+   dump — states, numbering, edges — and the same truncation reason as
+   the reference BFS. *)
 let prop_build_matches_reference =
-  QCheck.Test.make ~name:"random circuits: pooled build = reference BFS under budgets"
+  QCheck.Test.make ~name:"random circuits: build = reference BFS under budgets"
     ~count:150
-    QCheck.(quad spec_arb (int_bound 1000) (int_bound 1000) bool)
-    (fun (spec, s_permille, t_permille, wide) ->
+    QCheck.(triple spec_arb (int_bound 1000) (int_bound 1000))
+    (fun (spec, s_permille, t_permille) ->
       match build_spec spec with
       | None -> QCheck.assume_fail ()
       | Some c ->
@@ -490,10 +490,7 @@ let prop_build_matches_reference =
         and max_transitions = cap t_permille (Guard.transitions_used counter) in
         let guard () = Guard.create ?max_states ?max_transitions () in
         let want = Cssg_oracle.build ~guard:(guard ()) c in
-        let got =
-          Satg_pool.Pool.with_pool ~jobs:(if wide then 2 else 1) (fun pool ->
-              Explicit.build ~guard:(guard ()) ~pool c)
-        in
+        let got = Explicit.build ~guard:(guard ()) c in
         Cssg_oracle.dump got = Cssg_oracle.dump want
         && Cssg.truncated got = Cssg.truncated want)
 

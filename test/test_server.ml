@@ -738,6 +738,24 @@ let test_daemon_reclaims_stale_socket () =
   Unix.kill second Sys.sigterm;
   expect_exit second 0 "second daemon"
 
+(* [satg ARGS] on the real binary: its exit code and its stderr. *)
+let run_satg d args =
+  let err_file = d // "stderr" in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close devnull; Unix.close err)
+      (fun () ->
+        Unix.create_process satg_exe (Array.of_list (satg_exe :: args)) Unix.stdin devnull err)
+  in
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED n -> n
+    | _ -> Alcotest.failf "satg %s: did not exit" (String.concat " " args)
+  in
+  (code, In_channel.with_open_bin err_file In_channel.input_all)
+
 (* A guard trip while sifting is enabled must stay fail-soft all the
    way out of the real binary: the partial graph renders and the exit
    code is 2, never a hang or a crash. *)
@@ -747,19 +765,58 @@ let test_cli_sift_trip_exits_partial () =
   let oc = open_out netlist_file in
   output_string oc (Parser.to_string (Figures.celem_handshake ()));
   close_out oc;
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close devnull)
-      (fun () ->
-        Unix.create_process satg_exe
-          [|
-            satg_exe; "cssg"; netlist_file; "--engine"; "bdd";
-            "--reorder"; "sift"; "--max-transitions"; "2";
-          |]
-          Unix.stdin devnull devnull)
+  let code, _ =
+    run_satg d
+      [ "cssg"; netlist_file; "--engine"; "bdd"; "--reorder"; "sift"; "--max-transitions"; "2" ]
   in
-  expect_exit pid 2 "tripped symbolic cssg with sift"
+  Alcotest.(check int) "tripped symbolic cssg with sift: exit" 2 code
+
+(* --- circuits the builder cannot explore ----------------------------------- *)
+
+(* [n] inputs, each buffered to an output, written to a file in [d];
+   without [reset], no [initial] line. *)
+let buf_farm ?(reset = true) d n =
+  let names p = List.init n (Printf.sprintf "%s%d" p) in
+  let file = d // Printf.sprintf "buf%d.cct" n in
+  Out_channel.with_open_bin file (fun oc ->
+      List.iter (Printf.fprintf oc "%s\n")
+        ([ "circuit buf_farm"; "input " ^ String.concat " " (names "X") ]
+        @ List.init n (fun i -> Printf.sprintf "gate Y%d BUF X%d" i i)
+        @ [ "output " ^ String.concat " " (names "Y") ]
+        @ (if reset then
+             [ "initial " ^ String.concat " " (List.map (fun x -> x ^ "=0") (names "X" @ names "Y")) ]
+           else [])
+        @ [ "end" ]));
+  file
+
+let expect_error d args =
+  let code, err = run_satg d args in
+  let what = "satg " ^ String.concat " " args in
+  Alcotest.(check int) (what ^ ": exit") 1 code;
+  Alcotest.(check bool) (what ^ ": error line") true (String.starts_with ~prefix:"error: " err)
+
+(* Input vectors are enumerated as int masks: 62 inputs still build
+   (here to a transition cap), 63 and 64 are refused, in process and at
+   the CLI, instead of yielding a wrong graph. *)
+let test_cli_too_many_inputs () =
+  with_dir @@ fun d ->
+  let code, _ = run_satg d [ "cssg"; buf_farm d 62; "--max-transitions"; "100" ] in
+  Alcotest.(check int) "62 inputs: truncated build" 2 code;
+  List.iter
+    (fun n ->
+      let file = buf_farm d n in
+      (match Satg_sg.Explicit.build (parse_exn (In_channel.with_open_bin file In_channel.input_all)) with
+      | _ -> Alcotest.failf "%d inputs: build must refuse" n
+      | exception Invalid_argument _ -> ());
+      expect_error d [ "cssg"; file ];
+      expect_error d [ "atpg"; file; "-u"; "output"; "--no-random" ])
+    [ 63; 64 ]
+
+let test_cli_no_reset_state () =
+  with_dir @@ fun d ->
+  let file = buf_farm ~reset:false d 2 in
+  expect_error d [ "cssg"; file ];
+  expect_error d [ "atpg"; file ]
 
 let suites =
   [
@@ -803,5 +860,12 @@ let suites =
           test_daemon_reclaims_stale_socket;
         Alcotest.test_case "sift trip exits 2" `Quick
           test_cli_sift_trip_exits_partial;
+      ] );
+    ( "cli",
+      [
+        Alcotest.test_case "too many inputs exit 1" `Quick
+          test_cli_too_many_inputs;
+        Alcotest.test_case "no reset state exits 1" `Quick
+          test_cli_no_reset_state;
       ] );
   ]
