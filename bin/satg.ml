@@ -760,8 +760,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the persistent ATPG daemon: batched requests, per-request \
-          QoS budgets, and a warm content-addressed result store.  \
-          SIGINT/SIGTERM drain gracefully.")
+          QoS budgets, a warm content-addressed result store, and each \
+          graph built once per daemon.  SIGINT/SIGTERM drain gracefully.")
     Term.(const run $ socket_arg $ jobs_arg $ cache_dir)
 
 let deadline_arg =
@@ -915,9 +915,9 @@ let client_batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Run one ATPG request per FILE as a single batch; same-netlist \
-          members share one CSSG build on the daemon, and a member that \
-          blows its budget degrades alone.")
+         "Run one ATPG request per FILE as a single batch; members share \
+          graph builds on the daemon like any other requests, and a member \
+          that blows its budget degrades alone.")
     Term.(
       const run $ socket_arg $ files $ universe_arg $ no_random_arg $ seed_arg
       $ verbose_arg $ engine_arg $ no_collapse_arg $ k_arg $ deadline_arg

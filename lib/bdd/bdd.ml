@@ -559,6 +559,64 @@ let collect_due m =
   let used = in_use m in
   used > 1 lsl 16 && used > 2 * m.live_after_gc
 
+(* --- frozen functions ----------------------------------------------------- *)
+
+(* The nodes under some roots, children first, as (var, low, high)
+   triples in one int array.  A child is named by position: 0 and 1
+   are the terminals, [i + 2] is the [i]-th triple.  Thawing re-[mk]s
+   the triples in that order, so every child exists before its parent
+   and hash-consing hands back a node the manager already holds.  A
+   triple is an ordered node only under the order it was written in,
+   so both ends insist on the identity order. *)
+type frozen = { triples : int array; froots : int array }
+
+let check_identity fn m =
+  for l = 0 to m.n_vars - 1 do
+    if m.var_at.(l) <> l then
+      invalid_arg (fn ^ ": variable order is not the identity")
+  done
+
+let freeze m roots =
+  check_identity "Bdd.freeze" m;
+  let pos = Array.make m.n_nodes (-1) in
+  let buf = ref (Array.make 48 0) in
+  let n = ref 0 in
+  (* the depth is bounded by the variable count, as in [collect] *)
+  let rec visit t =
+    if t < 2 then t
+    else if pos.(t) >= 0 then pos.(t) + 2
+    else begin
+      if m.var_of.(t) = free_var then invalid_arg "Bdd.freeze: dead root";
+      let l = visit m.low_of.(t) in
+      let h = visit m.high_of.(t) in
+      if 3 * (!n + 1) > Array.length !buf then begin
+        let b = Array.make (2 * Array.length !buf) 0 in
+        Array.blit !buf 0 b 0 (3 * !n);
+        buf := b
+      end;
+      !buf.(3 * !n) <- m.var_of.(t);
+      !buf.((3 * !n) + 1) <- l;
+      !buf.((3 * !n) + 2) <- h;
+      pos.(t) <- !n;
+      incr n;
+      !n + 1
+    end
+  in
+  let froots = Array.of_list (List.map visit roots) in
+  { triples = Array.sub !buf 0 (3 * !n); froots }
+
+let thaw m f =
+  check_identity "Bdd.thaw" m;
+  let n = Array.length f.triples / 3 in
+  let id = Array.make (n + 2) 0 in
+  id.(1) <- 1;
+  for i = 0 to n - 1 do
+    let v = f.triples.(3 * i) in
+    if v >= m.n_vars then invalid_arg "Bdd.thaw: variable out of range";
+    id.(i + 2) <- mk m v id.(f.triples.((3 * i) + 1)) id.(f.triples.((3 * i) + 2))
+  done;
+  List.map (fun r -> id.(r)) (Array.to_list f.froots)
+
 (* --- dynamic reordering --------------------------------------------------- *)
 
 (* Bookkeeping that lives for one reordering pass, indexed by slot and

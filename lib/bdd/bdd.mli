@@ -180,6 +180,29 @@ val collect_due : man -> bool
     the owner of a safe point should collect.  A fixed rule, not a
     setting. *)
 
+(** {2 Frozen functions} *)
+
+type frozen
+(** Functions written out of a manager: the nodes under their roots,
+    children first, as [(var, low, high)] int triples.  Holds no
+    manager and no handle. *)
+
+val freeze : man -> t list -> frozen
+(** [freeze m roots] writes every node under [roots], each once.
+    @raise Invalid_argument if [m]'s variable order is not the
+    identity (a triple is an ordered node only under the order it was
+    written in) or a root is dead. *)
+
+val thaw : man -> frozen -> t list
+(** [thaw m f] re-[mk]s [f]'s triples into [m], children first, and
+    returns the roots' handles in [freeze]'s order.  Each root denotes
+    the function it denoted when frozen, with the same {!size}; since
+    handles are canonical, thawing [f] twice into one manager returns
+    the same handles.  Nodes [m] already holds are reused, and only
+    the roots' nodes are allocated.
+    @raise Invalid_argument if [m]'s variable order is not the
+    identity or a variable is out of [m]'s range. *)
+
 (** {2 Dynamic variable reordering} *)
 
 type reorder_mode = Reorder_none | Reorder_sift

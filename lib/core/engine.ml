@@ -59,8 +59,21 @@ type result = {
   cnf_defs : (int * int) option;
 }
 
-let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
-    circuit ~faults =
+(* A phase's guard: fresh state/transition counters (so one runaway
+   fault cannot starve the others) under the run guard's absolute
+   deadline (so --timeout bounds the whole run).  Sub-guards also share
+   the run guard's cancel token, the cross-domain channel that lets one
+   worker's deadline trip stop its siblings. *)
+let sub_guard config run_guard =
+  Guard.sub ?max_states:config.max_states
+    ?max_transitions:config.max_transitions run_guard
+
+let build_symbolic ~config ~guard g circuit =
+  Symbolic.build ~k:(Cssg.k g) ~reorder:config.reorder
+    ~cluster_cap:config.cluster_cap ~guard:(sub_guard config guard) circuit
+
+let run ?(config = default_config) ?cssg ?symbolic ?guard ?pool ?settled
+    ?on_outcome circuit ~faults =
   let t0 = Sys.time () in
   (* Structural fault collapsing: every phase searches one
      representative per equivalence class; afterwards each given fault
@@ -78,27 +91,18 @@ let run ?(config = default_config) ?cssg ?guard ?pool ?settled ?on_outcome
       Guard.create ?timeout:config.timeout ?max_states:config.max_states
         ?max_transitions:config.max_transitions ()
   in
-  (* Every phase below gets a sub-guard: fresh state/transition counters
-     (so one runaway fault cannot starve the others) under the shared
-     absolute deadline (so --timeout bounds the whole run).  Sub-guards
-     also share the run guard's cancel token, the cross-domain channel
-     that lets one worker's deadline trip stop its siblings. *)
-  let sub_guard () =
-    Guard.sub ?max_states:config.max_states
-      ?max_transitions:config.max_transitions run_guard
-  in
+  (* every phase below draws on its own [sub_guard] *)
+  let sub_guard () = sub_guard config run_guard in
   let g =
     match cssg with
     | Some g -> g
     | None -> Explicit.build ?k:config.k ~guard:run_guard circuit
   in
   let symbolic =
-    match config.engine with
-    | Bdd ->
-      Some
-        (Symbolic.build ~k:(Cssg.k g) ~reorder:config.reorder
-           ~cluster_cap:config.cluster_cap ~guard:(sub_guard ()) circuit)
-    | Explicit | Sat -> None
+    match (config.engine, symbolic) with
+    | Bdd, Some s -> Some s
+    | Bdd, None -> Some (build_symbolic ~config ~guard:run_guard g circuit)
+    | (Explicit | Sat), _ -> None
   in
   (* A caller-owned pool (the daemon's) is reused across runs and never
      shut down here; otherwise the config's [jobs] owns a fresh one. *)

@@ -87,9 +87,19 @@ type result = {
           served structurally from the table *)
 }
 
+val build_symbolic :
+  config:config -> guard:Guard.t -> Cssg.t -> Circuit.t -> Symbolic.t
+(** The [Bdd] engine's symbolic build, as {!run} makes it for graph
+    [g]: [TCR_k] at [Cssg.k g], the config's [reorder] and
+    [cluster_cap], under a {!Guard.sub} of the run guard [guard] with
+    the config's state and transition ceilings (fresh counters,
+    [guard]'s deadline and cancel token).  A caller that keeps builds
+    across runs ({!run}'s [symbolic]) makes them with this call. *)
+
 val run :
   ?config:config ->
   ?cssg:Cssg.t ->
+  ?symbolic:Symbolic.t ->
   ?guard:Guard.t ->
   ?pool:Satg_pool.Pool.t ->
   ?settled:(Fault.t -> Testset.status option) ->
@@ -99,6 +109,16 @@ val run :
   result
 (** [cssg] lets callers reuse a prebuilt graph (e.g. across the two
     fault universes of one benchmark).
+
+    [symbolic] does the same for the [Bdd] engine's symbolic build,
+    which the run otherwise makes with {!build_symbolic} after the
+    graph; other engines ignore it.  It must be the build of this
+    circuit at [Cssg.k] of the graph, under this config's [reorder] and
+    [cluster_cap] and budgets, and no other run may use it at the same
+    time: justification runs on its manager.  The daemon passes a
+    frozen build thawed into a fresh manager
+    ({!Symbolic.thaw}), which justifies exactly as the build did.
+    [bdd_stats] are then that manager's counters.
 
     [pool] substitutes a caller-owned worker pool for the one
     [config.jobs] would create (and shut down) per run — the hook that

@@ -45,8 +45,9 @@ let degraded s =
   s.truncated <> None
   || List.exists (fun (_, st) -> Testset.is_aborted st) s.outcomes
 
-let run ?guard ?pool ?cssg ?settled ?on_outcome ~config circuit universe =
-  Engine.run ~config ?cssg ?guard ?pool ?settled ?on_outcome circuit
+let run ?guard ?pool ?cssg ?symbolic ?settled ?on_outcome ~config circuit
+    universe =
+  Engine.run ~config ?cssg ?symbolic ?guard ?pool ?settled ?on_outcome circuit
     ~faults:(faults_of circuit universe)
 
 (* The one rendering path: a live run is first condensed to a summary,

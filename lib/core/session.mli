@@ -69,6 +69,7 @@ val run :
   ?guard:Guard.t ->
   ?pool:Pool.t ->
   ?cssg:Cssg.t ->
+  ?symbolic:Symbolic.t ->
   ?settled:(Fault.t -> Testset.status option) ->
   ?on_outcome:(Fault.t -> Testset.status -> unit) ->
   config:Engine.config ->
@@ -76,8 +77,9 @@ val run :
   universe ->
   Engine.result
 (** {!Engine.run} over {!faults_of}.  [pool] lets a long-lived caller
-    (the daemon) amortize domain spin-up across runs; [cssg] lets a
-    batch reuse one graph across same-netlist requests. *)
+    (the daemon) amortize domain spin-up across runs; [cssg] and
+    [symbolic] let it reuse the graph and the [Bdd] engine's symbolic
+    build across requests that share them (see {!Engine.run}). *)
 
 val render : ?verbose:bool -> Format.formatter -> Circuit.t -> summary -> unit
 (** The CLI report: per-fault outcome lines (with [verbose]), the CSSG

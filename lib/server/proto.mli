@@ -51,8 +51,9 @@ type request =
   | Cssg of cssg_request
   | Check of string  (** netlist bytes; lint + structural report *)
   | Batch of request list
-      (** members are served in order; same-netlist ATPG members with
-          equal CSSG-relevant budgets share one graph build *)
+      (** members are served in order, each under its own guard; they
+          share graph builds with each other and with every other
+          request ({!Service}) *)
   | Stats  (** server-side counters *)
 
 type response =

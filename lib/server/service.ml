@@ -4,6 +4,7 @@ module Guard = Satg_guard.Guard
 module Pool = Satg_pool.Pool
 module Cssg = Satg_sg.Cssg
 module Explicit = Satg_sg.Explicit
+module Symbolic = Satg_sg.Symbolic
 module Inject = Satg_inject.Inject
 
 type counters = {
@@ -19,6 +20,7 @@ type counters = {
   mutable hits : int;
   mutable misses : int;
   mutable cssg_builds : int;
+  mutable symbolic_builds : int;
   mutable degraded : int;
   mutable failures : int;
 }
@@ -27,6 +29,8 @@ type t = {
   cache_dir : string option;
   pool : Pool.t;
   warm : (string, Satg_store.Codec.result_payload) Hashtbl.t;
+  graphs : (string, Cssg.t) Hashtbl.t;
+  frozen : (string, Symbolic.frozen) Hashtbl.t;
   k : counters;
   mutable draining : bool;
   mutable active : Guard.t option;
@@ -37,6 +41,8 @@ let create ?cache_dir ?(jobs = 1) () =
     cache_dir;
     pool = Pool.create ~jobs;
     warm = Hashtbl.create 64;
+    graphs = Hashtbl.create 16;
+    frozen = Hashtbl.create 16;
     k =
       {
         connections = 0;
@@ -51,6 +57,7 @@ let create ?cache_dir ?(jobs = 1) () =
         hits = 0;
         misses = 0;
         cssg_builds = 0;
+        symbolic_builds = 0;
         degraded = 0;
         failures = 0;
       };
@@ -77,6 +84,7 @@ let stats_fields t =
     ("hits", string_of_int k.hits);
     ("misses", string_of_int k.misses);
     ("cssg-builds", string_of_int k.cssg_builds);
+    ("symbolic-builds", string_of_int k.symbolic_builds);
     ("degraded", string_of_int k.degraded);
     ("failures", string_of_int k.failures);
   ]
@@ -90,8 +98,12 @@ let interrupt t =
 (* The per-request guard: the client's budgets, nobody else's.  Under
    drain it is born cancelled, so a queued batch member trips at its
    first probe and comes back as a fast degraded response. *)
-let fresh_guard t ?timeout ?max_states ?max_transitions () =
-  let g = Guard.create ?timeout ?max_states ?max_transitions () in
+let fresh_guard t (config : Engine.config) =
+  let g =
+    Guard.create ?timeout:config.Engine.timeout
+      ?max_states:config.Engine.max_states
+      ?max_transitions:config.Engine.max_transitions ()
+  in
   t.active <- Some g;
   if t.draining then Guard.cancel g Guard.Interrupt;
   g
@@ -133,46 +145,72 @@ let warm_store t key payload =
     try Satg_store.Durable.publish ~dir ~key payload
     with Sys_error _ | Unix.Unix_error _ | Inject.Injected _ -> ())
 
-(* --- CSSG sharing ----------------------------------------------------------- *)
+(* --- shared builds ------------------------------------------------------- *)
 
-(* Two ATPG requests may share a graph build iff every input to the
-   build is equal: the netlist bytes, the cycle budget and the guard
-   ceilings that shape a truncation. *)
-let opt_int = function None -> "-" | Some n -> string_of_int n
-let opt_float = function None -> "-" | Some f -> Printf.sprintf "%.17g" f
-
-let group_key ~netlist (config : Engine.config) =
+(* Two requests may share a graph iff every input to its build is
+   equal: the netlist bytes, the cycle budget and the guard ceilings
+   that shape a truncation.  A symbolic build also reads the reorder
+   mode and the cluster cap.  Both keys are rendered by
+   [Session.config_fields], as the store key is. *)
+let key_of fields ~netlist config =
+  let all = Session.config_fields ~universe:Session.Both config in
   String.concat "|"
-    [
-      Digest.to_hex (Digest.string netlist);
-      opt_int config.Engine.k;
-      opt_float config.Engine.timeout;
-      opt_int config.Engine.max_states;
-      opt_int config.Engine.max_transitions;
-    ]
+    (Digest.to_hex (Digest.string netlist)
+    :: List.map (fun f -> f ^ "=" ^ List.assoc f all) fields)
 
-let build_cssg t ?k ~guard c =
-  t.k.cssg_builds <- t.k.cssg_builds + 1;
-  Explicit.build ?k ~guard c
+let graph_fields = [ "k"; "timeout"; "max-states"; "max-transitions" ]
+let group_key ~netlist config = key_of graph_fields ~netlist config
 
-(* The first member of a group builds under its own request guard —
-   exactly where the one-shot pipeline spends the run guard's counters
-   — and later members reuse the graph with their counters unspent.
-   That is still bit-faithful to their own one-shot runs: the engine
-   spends run-guard counters on nothing but construction, and every
-   phase gets fresh-counter sub-guards either way. *)
-let shared_cssg t ~memo ~netlist ~config ~guard c =
-  let gk = group_key ~netlist config in
-  match Hashtbl.find_opt memo gk with
+let symbolic_key ~netlist config =
+  key_of (graph_fields @ [ "reorder"; "cluster-cap" ]) ~netlist config
+
+(* A build is kept only when a rerun would give the same one — the
+   store's rule for results — and no injection harness is armed. *)
+let keeps truncated =
+  (not (Inject.enabled ())) && Satg_store.Durable.reproducible truncated
+
+(* A key's first build runs under the request guard, exactly where the
+   one-shot pipeline spends the run guard's counters; later requests
+   reuse the graph with their counters unspent.  That is still
+   bit-faithful to their own one-shot runs: the engine spends run-guard
+   counters on nothing but construction, and every phase gets
+   fresh-counter sub-guards either way. *)
+let shared_cssg t ~netlist ~config ~guard c =
+  let key = group_key ~netlist config in
+  match Hashtbl.find_opt t.graphs key with
   | Some g -> g
   | None ->
-    let g = build_cssg t ?k:config.Engine.k ~guard c in
-    Hashtbl.replace memo gk g;
+    t.k.cssg_builds <- t.k.cssg_builds + 1;
+    let g = Explicit.build ?k:config.Engine.k ~guard c in
+    if keeps (Cssg.truncated g) then Hashtbl.replace t.graphs key g;
     g
+
+(* The BDD engine's build, made by [Engine.build_symbolic] as the run
+   would make it.  Under [--reorder none] it is kept frozen and each
+   later request justifies on its own thawed copy, which answers as
+   the build did.  A sifting manager is never shared: its automatic
+   trigger counts garbage, so a thawed store would sift elsewhere. *)
+let shared_symbolic t ~netlist ~config ~guard g c =
+  let build () =
+    t.k.symbolic_builds <- t.k.symbolic_builds + 1;
+    Engine.build_symbolic ~config ~guard g c
+  in
+  match (config.Engine.engine, config.Engine.reorder) with
+  | Engine.Bdd, Satg_bdd.Bdd.Reorder_sift -> Some (build ())
+  | Engine.Bdd, Satg_bdd.Bdd.Reorder_none -> (
+    let key = symbolic_key ~netlist config in
+    match Hashtbl.find_opt t.frozen key with
+    | Some f -> Some (Symbolic.thaw f)
+    | None ->
+      let s = build () in
+      if keeps (Symbolic.truncated s) then
+        Hashtbl.replace t.frozen key (Symbolic.freeze s);
+      Some s)
+  | (Engine.Explicit | Engine.Sat), _ -> None
 
 (* --- request kinds ---------------------------------------------------------- *)
 
-let run_atpg t ~memo (a : Proto.atpg_request) =
+let run_atpg t (a : Proto.atpg_request) =
   t.k.atpg <- t.k.atpg + 1;
   (* the wire never carries [jobs]: every run uses the daemon's pool *)
   let config = a.Proto.config in
@@ -189,15 +227,14 @@ let run_atpg t ~memo (a : Proto.atpg_request) =
       respond_result t ~hit:true payload
     | None ->
       t.k.misses <- t.k.misses + 1;
-      let guard =
-        fresh_guard t ?timeout:config.Engine.timeout
-          ?max_states:config.Engine.max_states
-          ?max_transitions:config.Engine.max_transitions ()
+      let netlist = a.Proto.netlist in
+      let guard = fresh_guard t config in
+      let cssg = shared_cssg t ~netlist ~config ~guard c in
+      let symbolic = shared_symbolic t ~netlist ~config ~guard cssg c in
+      let r =
+        Session.run ~guard ~pool:t.pool ~cssg ?symbolic ~config c
+          a.Proto.universe
       in
-      let cssg =
-        shared_cssg t ~memo ~netlist:a.Proto.netlist ~config ~guard c
-      in
-      let r = Session.run ~guard ~pool:t.pool ~cssg ~config c a.Proto.universe in
       let payload = Session.summary_of_result r in
       (* cacheable = reproducible: deterministic budget trips qualify,
          wall-clock/drain aborts and injected failures do not *)
@@ -210,11 +247,17 @@ let run_cssg t (c : Proto.cssg_request) =
   match Parser.parse_string c.Proto.c_netlist with
   | Error m -> failure t "parse" m
   | Ok circuit ->
-    let guard =
-      fresh_guard t ?timeout:c.Proto.c_timeout ?max_states:c.Proto.c_max_states
-        ?max_transitions:c.Proto.c_max_transitions ()
+    let config =
+      {
+        Engine.default_config with
+        Engine.k = c.Proto.c_k;
+        timeout = c.Proto.c_timeout;
+        max_states = c.Proto.c_max_states;
+        max_transitions = c.Proto.c_max_transitions;
+      }
     in
-    let g = build_cssg t ?k:c.Proto.c_k ~guard circuit in
+    let guard = fresh_guard t config in
+    let g = shared_cssg t ~netlist:c.Proto.c_netlist ~config ~guard circuit in
     let text =
       if c.Proto.c_dump then Format.asprintf "%a@." Cssg.pp g
       else Format.asprintf "%a@." Cssg.pp_stats g
@@ -245,8 +288,8 @@ let protect t f =
   | Invalid_argument m | Sys_error m | Failure m -> failure t "server" m
   | e -> failure t "server" (Printexc.to_string e)
 
-let rec handle_one t ~memo = function
-  | Proto.Atpg a -> protect t (fun () -> run_atpg t ~memo a)
+let rec handle_one t = function
+  | Proto.Atpg a -> protect t (fun () -> run_atpg t a)
   | Proto.Cssg c -> protect t (fun () -> run_cssg t c)
   | Proto.Check netlist -> protect t (fun () -> run_check t netlist)
   | Proto.Stats ->
@@ -255,10 +298,8 @@ let rec handle_one t ~memo = function
   | Proto.Batch members ->
     t.k.batch <- t.k.batch + 1;
     t.k.batch_members <- t.k.batch_members + List.length members;
-    Proto.Batch_r (List.map (handle_one t ~memo) members)
+    Proto.Batch_r (List.map (handle_one t) members)
 
 let handle t req =
   t.k.requests <- t.k.requests + 1;
-  (* the CSSG memo lives for one request: a batch shares builds among
-     its own members; cross-request warmth is the result store's job *)
-  handle_one t ~memo:(Hashtbl.create 4) req
+  handle_one t req

@@ -468,6 +468,49 @@ let n_reachable t = count_x_states t.man ~n:(Circuit.n_nodes t.circuit) t.reacha
 
 let sift t = Bdd.sift ~roots:(roots t) t.man
 
+(* --- frozen builds -------------------------------------------------------- *)
+
+type frozen = {
+  f_circuit : Circuit.t;
+  f_k : int;
+  f_rank : int array;
+  f_node_of_rank : int array;
+  f_reset : bool array;
+  f_truncated : Guard.reason option;
+  f_roots : Bdd.frozen;  (* [roots t], in that order *)
+}
+
+let freeze t =
+  {
+    f_circuit = t.circuit;
+    f_k = t.k;
+    f_rank = t.rank;
+    f_node_of_rank = t.node_of_rank;
+    f_reset = t.reset;
+    f_truncated = t.truncated;
+    f_roots = Bdd.freeze t.man (roots t);
+  }
+
+let thaw f =
+  let m = Bdd.create ~nvars:(3 * Circuit.n_nodes f.f_circuit) () in
+  match Bdd.thaw m f.f_roots with
+  | stable :: r_input :: reachable :: cssg :: stable_y :: excited_y ->
+    {
+      circuit = f.f_circuit;
+      k = f.f_k;
+      man = m;
+      rank = f.f_rank;
+      node_of_rank = f.f_node_of_rank;
+      stable;
+      r_input;
+      rel = { excited_y = Array.of_list excited_y; stable_y };
+      reachable;
+      cssg;
+      reset = f.f_reset;
+      truncated = f.f_truncated;
+    }
+  | _ -> invalid_arg "Symbolic.thaw: not a frozen build"
+
 let bdd_stats t = Bdd.stats t.man
 
 let with_guard t g f =

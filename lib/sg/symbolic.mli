@@ -128,6 +128,24 @@ val sift : t -> unit
     the store; any other handle of {!man} is dead afterwards.  The
     graph, and every artefact's function, are unchanged. *)
 
+type frozen
+(** A build without its manager: the artefacts {!justify} collects to,
+    as {!Bdd.frozen} triples, with the circuit, [k], the variable
+    ranks and the {!truncated} tag. *)
+
+val freeze : t -> frozen
+(** Write out the build's artefacts.  The build is untouched.
+    @raise Invalid_argument if its manager's variable order is not the
+    identity (it sifted). *)
+
+val thaw : frozen -> t
+(** The frozen build in a fresh manager that holds only its artefacts,
+    with no guard and no reordering.  The order is the identity and
+    handles are canonical, so {!to_cssg}, {!reachable},
+    {!n_reachable} and {!justify} answer exactly as on the build that
+    was frozen ({!Bdd.any_sat} follows the BDD's structure); only
+    {!bdd_stats} differ. *)
+
 val circuit : t -> Circuit.t
 val k : t -> int
 val man : t -> Bdd.man

@@ -24,18 +24,16 @@ let cached ~dir ~key =
     | Ok p -> Some p
     | Error _ -> None)
 
-let deterministic_reason = function
-  | Guard.State_limit | Guard.Transition_limit -> true
-  | Guard.Timeout | Guard.Interrupt -> false
+let reproducible = function
+  | None | Some (Guard.State_limit | Guard.Transition_limit) -> true
+  | Some (Guard.Timeout | Guard.Interrupt) -> false
 
 let cacheable (r : Engine.result) =
-  (match Engine.truncated r with
-  | Some reason -> deterministic_reason reason
-  | None -> true)
+  reproducible (Engine.truncated r)
   && List.for_all
        (fun o ->
          match o.Testset.status with
-         | Testset.Aborted reason -> deterministic_reason reason
+         | Testset.Aborted reason -> reproducible (Some reason)
          | Testset.Detected _ | Testset.Undetected -> true)
        r.Engine.outcomes
 

@@ -45,12 +45,16 @@ val cached : dir:string -> key:string -> Codec.result_payload option
 (** Serve a settled run from the object store.  Any corruption
     (CRC, wire format) is a miss, never an error. *)
 
+val reproducible : Satg_guard.Guard.reason option -> bool
+(** Whether work that stopped for this reason ([None]: it completed)
+    gives the same answer when rerun: a completed run, or one cut by a
+    deterministic budget cap ([State_limit], [Transition_limit]), does;
+    one cut by the wall clock ([Timeout]) or the operator
+    ([Interrupt]) does not — a rerun could legitimately do better. *)
+
 val cacheable : Engine.result -> bool
-(** A result may enter the object store iff it is {e reproducible}:
-    CSSG truncation and per-fault aborts from deterministic budget
-    caps ([State_limit], [Transition_limit]) qualify; wall-clock
-    ([Timeout]) or operator ([Interrupt]) aborts do not — a rerun
-    could legitimately do better. *)
+(** A result may enter the object store iff it is {!reproducible}: its
+    CSSG truncation and every per-fault abort. *)
 
 val publish : dir:string -> key:string -> Codec.result_payload -> unit
 (** Atomically install the payload in the object store

@@ -843,12 +843,13 @@ let shared_size m roots =
   List.iter go roots;
   Hashtbl.length seen
 
-(* Run a program; after every collection and rooted pass (and at the
-   end) each pooled handle must still denote its truth table, and
-   rebuilding that table from scratch must return the very same handle.
-   A rooted pass leaves exactly the roots' nodes in use; an unrooted
-   one never leaves more in use than it found. *)
-let run_gc_prog m ops =
+(* Run a program; after every collection and rooted pass each pooled
+   handle must still denote its truth table, and rebuilding that table
+   from scratch must return the very same handle.  A rooted pass leaves
+   exactly the roots' nodes in use; an unrooted one never leaves more
+   in use than it found.  Returns whether every check held, and the
+   final pool. *)
+let exec_gc_prog m ops =
   let var_pool () =
     List.init n_gc_vars (fun v ->
         (Bdd.var m v, tt_of (fun a -> a v)))
@@ -898,7 +899,12 @@ let run_gc_prog m ops =
         if not (survivors_intact m kept) then ok := false;
         pool := if kept = [] then var_pool () else kept)
     ops;
-  !ok && survivors_intact m !pool
+  (!ok, !pool)
+
+(* ... and at the end, too. *)
+let run_gc_prog m ops =
+  let ok, pool = exec_gc_prog m ops in
+  ok && survivors_intact m pool
 
 let prop_collect_laws =
   QCheck.Test.make ~name:"collection keeps survivors and canonicity"
@@ -926,6 +932,59 @@ let prop_collect_no_growth =
       let first = cycle () in
       List.for_all (fun _ -> cycle () = first) [ 1; 2; 3 ])
 
+(* --- frozen functions -------------------------------------------------------- *)
+
+(* A program's pool, frozen and thawed into a fresh manager: every root
+   keeps its truth table and size, the fresh store holds exactly the
+   roots' nodes, and thawing again (into it, or into the manager the
+   roots came from) hands back the same handles.  A program that sifted
+   the order away from the identity has its freeze refused. *)
+let identity_order m = Bdd.order m = Array.init (Bdd.nvars m) Fun.id
+
+let prop_freeze_thaw =
+  QCheck.Test.make ~name:"thaw (freeze roots) keeps functions and sizes"
+    ~count:200 (gc_prog_arb ~sift:true) (fun ops ->
+      let m = Bdd.create ~nvars:n_gc_vars () in
+      let ok, pool = exec_gc_prog m ops in
+      let roots = List.map fst pool in
+      if not (identity_order m) then
+        ok
+        && match Bdd.freeze m roots with
+           | _ -> false
+           | exception Invalid_argument _ -> true
+      else
+        let f = Bdd.freeze m roots in
+        let m' = Bdd.create ~nvars:n_gc_vars () in
+        let thawed = Bdd.thaw m' f in
+        ok
+        && List.for_all2
+             (fun (r, tt) r' ->
+               tt_of (Bdd.eval m' r') = tt && Bdd.size m' r' = Bdd.size m r)
+             pool thawed
+        && (Bdd.stats m').Bdd.live_nodes = shared_size m' thawed + 2
+        && List.equal Bdd.equal (Bdd.thaw m' f) thawed
+        && List.equal Bdd.equal (Bdd.thaw m f) roots)
+
+(* A sifted order is refused at both ends; the identity order of a
+   fresh manager is not. *)
+let test_freeze_refuses_sifted_order () =
+  let n = 6 in
+  let m = Bdd.create ~nvars:(2 * n) () in
+  let f = interleaved_pairs m n in
+  let frozen = Bdd.freeze m [ f ] in
+  Bdd.sift ~roots:[ f ] m;
+  Alcotest.(check bool) "the pass moved the order" false (identity_order m);
+  Alcotest.(check bool) "freeze refused" true
+    (try ignore (Bdd.freeze m [ f ]); false with Invalid_argument _ -> true);
+  Alcotest.(check bool) "thaw refused" true
+    (try ignore (Bdd.thaw m frozen); false with Invalid_argument _ -> true);
+  let m' = Bdd.create ~nvars:(2 * n) () in
+  match Bdd.thaw m' frozen with
+  | [ f' ] ->
+    Alcotest.(check bool) "the pairs function thaws" true
+      (Bdd.equal f' (interleaved_pairs m' n))
+  | _ -> Alcotest.fail "one root in, one handle out"
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -944,6 +1003,7 @@ let qcheck_cases =
       prop_collect_laws;
       prop_collect_laws_sift;
       prop_collect_no_growth;
+      prop_freeze_thaw;
     ]
 
 let suites =
@@ -978,6 +1038,8 @@ let suites =
         Alcotest.test_case "op cache grows with the store" `Quick
           test_cache_grows_with_store;
         Alcotest.test_case "collect" `Quick test_collect;
+        Alcotest.test_case "freeze refuses a sifted order" `Quick
+          test_freeze_refuses_sifted_order;
       ]
       @ qcheck_cases );
   ]

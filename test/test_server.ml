@@ -4,8 +4,9 @@
    daemon's response renders bit-for-bit like the one-shot CLI path —
    including deterministically degraded runs under tiny budgets, and at
    every worker-pool width.  Around it: the warm store serves repeats
-   with zero searches, a batch builds one CSSG per group and isolates a
-   budget-tripped member, the framing layer survives truncated and
+   with zero searches, the service builds each graph once per key and
+   keeps only reproducible builds, a batch isolates a budget-tripped
+   member, the framing layer survives truncated and
    corrupted frames, and a spawned daemon serves over a real socket,
    shrugs off garbage connections and drains cleanly on SIGTERM. *)
 
@@ -614,6 +615,125 @@ let test_batch_bad_member_isolated () =
     Alcotest.(check string) "parse failure" "parse" code
   | _ -> Alcotest.fail "bad member must fail alone"
 
+(* --- shared builds ----------------------------------------------------------- *)
+
+let shared_netlists =
+  List.map
+    (fun f -> Parser.to_string (f ()))
+    [ Figures.celem_handshake; Figures.mutex_latch; Figures.fig1a ]
+
+(* A request the warm store must not answer; [count_builds] reads the
+   two build counters. *)
+let ask_miss service netlist universe config =
+  match
+    Service.handle service (Proto.Atpg { Proto.netlist; universe; config })
+  with
+  | Proto.Result { hit = false; payload } -> payload
+  | Proto.Result { hit = true; _ } -> Alcotest.fail "every request must miss"
+  | _ -> Alcotest.fail "atpg must answer Result"
+
+let count_builds service =
+  let fields = get_stats service in
+  ( int_of_string (stat fields "cssg-builds"),
+    int_of_string (stat fields "symbolic-builds") )
+
+(* One service answers every netlist x engine x universe x TPG seed,
+   and a sifting, a state-capped, a generously timed and a
+   cluster-capped BDD config on every netlist and universe.  Every
+   answer renders like a fresh one-shot run, and the service builds
+   each graph and each unsifted symbolic build once: one per distinct
+   key, where a sifting manager is never shared. *)
+let test_builds_once_per_key () =
+  let seeded engine seed =
+    {
+      Engine.default_config with
+      Engine.engine;
+      random = { Engine.default_config.Engine.random with Random_tpg.seed };
+    }
+  in
+  let bdd = { Engine.default_config with Engine.engine = Engine.Bdd } in
+  let configs =
+    List.concat_map
+      (fun engine -> List.map (seeded engine) [ 1; 2 ])
+      [ Engine.Explicit; Engine.Sat; Engine.Bdd ]
+    @ [
+        { bdd with Engine.reorder = Satg_bdd.Bdd.Reorder_sift };
+        { bdd with Engine.max_states = Some 3 };
+        { bdd with Engine.timeout = Some 600. };
+        { bdd with Engine.cluster_cap = 64 };
+      ]
+  in
+  let requests =
+    List.concat_map
+      (fun (i, netlist) ->
+        List.concat_map
+          (fun config -> List.map (fun u -> (i, netlist, u, config)) universes)
+          configs)
+      (List.mapi (fun i n -> (i, n)) shared_netlists)
+  in
+  with_service @@ fun service ->
+  List.iteri
+    (fun n (i, netlist, universe, config) ->
+      let c = parse_exn netlist in
+      Alcotest.(check string)
+        (Printf.sprintf "request %d (netlist %d, %s)" n i
+           (Session.universe_name universe))
+        (rendered_no_time c (oneshot ~config c universe))
+        (rendered_no_time c (ask_miss service netlist universe config)))
+    requests;
+  let distinct l = List.length (List.sort_uniq compare l) in
+  let graph (i, _, _, (c : Engine.config)) =
+    (i, c.Engine.k, c.Engine.timeout, c.Engine.max_states, c.Engine.max_transitions)
+  in
+  let symbolic n ((_, _, _, (c : Engine.config)) as r) =
+    match (c.Engine.engine, c.Engine.reorder) with
+    | Engine.Bdd, Satg_bdd.Bdd.Reorder_none -> Some (graph r, c.Engine.cluster_cap, -1)
+    | Engine.Bdd, Satg_bdd.Bdd.Reorder_sift -> Some (graph r, c.Engine.cluster_cap, n)
+    | (Engine.Explicit | Engine.Sat), _ -> None
+  in
+  let cssg_builds, symbolic_builds = count_builds service in
+  Alcotest.(check int) "one graph build per graph key"
+    (distinct (List.map graph requests)) cssg_builds;
+  Alcotest.(check int) "one symbolic build per symbolic key, per sifting request"
+    (distinct (List.filter_map Fun.id (List.mapi symbolic requests)))
+    symbolic_builds;
+  Alcotest.(check (pair int int)) "3 graph keys, 7 symbolic builds per netlist"
+    (9, 21) (cssg_builds, symbolic_builds)
+
+(* A build that a deadline cut is not reproducible, so it is never
+   kept: two identical requests under an expired deadline each build,
+   both graphs.  Neither answer is stored either. *)
+let test_deadline_cut_builds_again () =
+  let netlist = List.hd shared_netlists in
+  let config =
+    { Engine.default_config with Engine.engine = Engine.Bdd; timeout = Some (-1.) }
+  in
+  with_service @@ fun service ->
+  List.iter
+    (fun n ->
+      let p = ask_miss service netlist Session.Input config in
+      Alcotest.(check bool) "deadline cut the graph" true
+        (p.Session.truncated = Some Guard.Timeout);
+      Alcotest.(check (pair int int)) "each request builds" (n, n)
+        (count_builds service))
+    [ 1; 2 ]
+
+(* With the fault-injection harness armed nothing is kept: every
+   request builds.  Disarmed, the same service keeps again. *)
+let test_inject_keeps_nothing () =
+  let netlist = List.hd shared_netlists in
+  let config = { Engine.default_config with Engine.engine = Engine.Bdd } in
+  with_service @@ fun service ->
+  Test_store.with_inject "bdd.collect=force@p1" (fun () ->
+      List.iter (fun u -> ignore (ask_miss service netlist u config)) universes);
+  Alcotest.(check (pair int int)) "armed: every request builds" (3, 3)
+    (count_builds service);
+  List.iter
+    (fun u -> ignore (ask_miss service netlist u config))
+    [ Session.Input; Session.Output ];
+  Alcotest.(check (pair int int)) "disarmed: one more build, then shared" (4, 4)
+    (count_builds service)
+
 (* --- the daemon over a real socket ----------------------------------------- *)
 
 (* The daemon under test is the real [satg serve] binary, spawned with
@@ -851,6 +971,12 @@ let suites =
           test_batch_isolation;
         Alcotest.test_case "batch: unparsable member fails alone" `Quick
           test_batch_bad_member_isolated;
+        Alcotest.test_case "one build per key, answers = one-shot" `Quick
+          test_builds_once_per_key;
+        Alcotest.test_case "deadline-cut builds are not kept" `Quick
+          test_deadline_cut_builds_again;
+        Alcotest.test_case "armed injection keeps no build" `Quick
+          test_inject_keeps_nothing;
       ] );
     ( "server_daemon",
       [

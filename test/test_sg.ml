@@ -426,6 +426,48 @@ let test_small_build_small_cache () =
     (Printf.sprintf "%d cache slots < 32 768" slots)
     true (slots < 32_768)
 
+(* --- frozen builds ------------------------------------------------------------ *)
+
+(* A build thawed from its frozen form answers as the build does: the
+   same graph and truncation tag, and the same justification (vectors
+   and reached state) for every state of the graph.  The 46 table
+   netlists and the families ladder.  trimos-send/bd's full build takes
+   seconds, so it runs under a transition cap and freezes a truncated
+   graph, the kind of capped build the daemon keeps too. *)
+let test_thaw_answers_as_built () =
+  let ok name = function Ok c -> c | Error e -> Alcotest.failf "%s: %s" name e in
+  let tables =
+    List.concat_map
+      (fun (e : Suite.entry) ->
+        [
+          (e.Suite.name ^ "/si", ok e.Suite.name (Suite.speed_independent e));
+          (e.Suite.name ^ "/bd", ok e.Suite.name (Suite.bounded_delay e));
+        ])
+      (Suite.all ())
+  in
+  List.iter
+    (fun (name, c) ->
+      let guard =
+        if name = "trimos-send/bd" then
+          Satg_guard.Guard.create ~max_transitions:1_000_000 ()
+        else Satg_guard.Guard.none
+      in
+      let sym = Symbolic.build ~guard c in
+      let thawed = Symbolic.thaw (Symbolic.freeze sym) in
+      let g = Symbolic.to_cssg sym in
+      Alcotest.(check bool) (name ^ ": same graph") true
+        (canonical (Symbolic.to_cssg thawed) = canonical g);
+      Alcotest.(check bool) (name ^ ": same truncation") true
+        (Symbolic.truncated thawed = Symbolic.truncated sym);
+      for i = 0 to Cssg.n_states g - 1 do
+        let answer s =
+          Symbolic.justify s ~target:(Symbolic.state_to_bdd s (Cssg.state g i))
+        in
+        if answer sym <> answer thawed then
+          Alcotest.failf "%s: state %d justifies differently" name i
+      done)
+    (tables @ List.map Test_families.build Test_families.instances)
+
 let suites =
   [
     ( "sg.explicit",
@@ -465,5 +507,7 @@ let suites =
           test_pipeline3_drops_doomed_sources;
         Alcotest.test_case "small build, small op cache" `Quick
           test_small_build_small_cache;
+        Alcotest.test_case "frozen build answers as built" `Quick
+          test_thaw_answers_as_built;
       ] );
   ]
