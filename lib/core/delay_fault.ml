@@ -29,10 +29,9 @@ let machine ~max_set g f =
 
 (* The delayed gate holds its (correct) reset value, so the faulty
    machine starts exactly in the reset state. *)
-let start g =
-  let c = Cssg.circuit g in
-  match Circuit.initial c with
-  | Some s -> [ s ]
+let start g m =
+  match Circuit.initial (Cssg.circuit g) with
+  | Some s -> Detect.of_states m [ s ]
   | None -> invalid_arg "Delay_fault: circuit has no reset state"
 
 let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
@@ -44,10 +43,12 @@ let find_test ?(max_depth = 24) ?(max_states = 4_000) ?(max_set = 128)
     let config =
       { Three_phase.default_config with max_depth; max_product_states = max_states }
     in
-    Three_phase.differentiate g guard config (machine ~max_set g f) ~start:i
-      ~fstates:(start g)
+    let m = machine ~max_set g f in
+    Three_phase.differentiate g guard config m ~start:i ~fstates:(start g m)
 
-let check g f seq = Detect.replay_exact g (machine ~max_set:128 g f) (start g) seq
+let check g f seq =
+  let m = machine ~max_set:128 g f in
+  Detect.replay_exact g m (start g m) seq
 
 type status =
   | Found of Testset.sequence

@@ -115,33 +115,87 @@ let sweep g seq faults =
 
 (* --- exact faulty-state sets ---------------------------------------------- *)
 
+(* A set is interned: its members are kernel graph ids, sorted
+   ascending, and two sets of one machine with the same members are one
+   record with one dense [id]. *)
+type set = {
+  id : int;
+  members : int array;
+  mutable applied : (int * set option) list;  (* vector mask -> [exact_apply] *)
+}
+
+type frontier =
+  | Unexplored
+  | Capped
+  | Frontier of int array
+
 type machine = {
   fc : Circuit.t;
   kern : Async_sim.Kernel.t;
   k : int;
   max_set : int;
-  memo : bool array list option Async_sim.Words.Tbl.t;
-      (* packed state after the vector -> k-step frontier (None = blow-up) *)
+  sets : set Async_sim.Words.Tbl.t;  (* sorted members -> interned set *)
+  mutable frontiers : frontier array;  (* per graph id: its k-step frontier *)
 }
 
 let machine ?(max_set = 128) ~k kern =
-  { fc = Async_sim.Kernel.circuit kern; kern; k; max_set; memo = Async_sim.Words.Tbl.create 256 }
+  let fc = Async_sim.Kernel.circuit kern in
+  if Circuit.n_inputs fc >= Sys.int_size then
+    invalid_arg "Detect.machine: more inputs than a vector mask holds";
+  { fc; kern; k; max_set; sets = Async_sim.Words.Tbl.create 64; frontiers = [||] }
 
-let dedup_states m states =
-  let seen = Async_sim.Words.Tbl.create 16 in
-  List.filter
-    (fun s ->
-      let key = Async_sim.Kernel.pack m.kern s in
-      if Async_sim.Words.Tbl.mem seen key then false
-      else begin
-        Async_sim.Words.Tbl.replace seen key ();
-        true
+let intern m members =
+  match Async_sim.Words.Tbl.find_opt m.sets members with
+  | Some s -> s
+  | None ->
+    let s =
+      { id = Async_sim.Words.Tbl.length m.sets; members; applied = [] }
+    in
+    Async_sim.Words.Tbl.replace m.sets members s;
+    s
+
+(* The members of [ids], sorted and each once, as a set. *)
+let set_of_ids m ids =
+  Array.sort Int.compare ids;
+  let n = ref 0 in
+  Array.iteri
+    (fun i e ->
+      if i = 0 || e <> ids.(i - 1) then begin
+        ids.(!n) <- e;
+        incr n
       end)
-    states
+    ids;
+  intern m (Array.sub ids 0 !n)
 
-let product_key m i states =
-  let words = List.map (Async_sim.Kernel.pack m.kern) states in
-  Array.concat ([| i |] :: List.sort Async_sim.Words.compare words)
+let of_states m states =
+  set_of_ids m (Array.of_list (List.map (Async_sim.Kernel.intern m.kern) states))
+
+let set_id s = s.id
+
+let members m s =
+  Array.to_list (Array.map (Async_sim.Kernel.state m.kern) s.members) |> List.sort compare
+
+let product_key g i s = i + (Cssg.n_states g * s.id)
+
+(* The k-step frontier of graph id [e], kept per id: it depends on
+   nothing else. *)
+let frontier m e =
+  if e >= Array.length m.frontiers then begin
+    let a = Array.make (max (e + 1) (2 * Array.length m.frontiers)) Unexplored in
+    Array.blit m.frontiers 0 a 0 (Array.length m.frontiers);
+    m.frontiers <- a
+  end;
+  match m.frontiers.(e) with
+  | Frontier ids -> Some ids
+  | Capped -> None
+  | Unexplored ->
+    let r =
+      match Async_sim.Kernel.frontier ~max_frontier:m.max_set m.kern ~k:m.k e with
+      | ids -> Frontier ids
+      | exception Async_sim.Frontier_limit -> Capped
+    in
+    m.frontiers.(e) <- r;
+    (match r with Frontier ids -> Some ids | _ -> None)
 
 let exact_start ?max_set g f =
   let good = Cssg.circuit g in
@@ -150,51 +204,66 @@ let exact_start ?max_set g f =
   let init = Fault.initial_faulty_state good f reset in
   let m = machine ?max_set ~k:(Cssg.k g) (Async_sim.Kernel.compile fc) in
   let start =
-    try Async_sim.Kernel.states_after ~max_frontier:m.max_set m.kern ~k:m.k init
-    with Async_sim.Frontier_limit -> []
+    match frontier m (Async_sim.Kernel.intern m.kern init) with
+    | Some ids -> set_of_ids m (Array.copy ids)
+    | None -> intern m [||]
     (* An empty start set means "unknown"; exact_differs treats it as
        inconclusive and exact_apply keeps it empty. *)
   in
   (m, start)
 
-(* The k-step frontier depends only on the state after the vector, so
-   that state's packed words are the memo key. *)
-let step_one m s v =
-  let s1 = Circuit.apply_input_vector m.fc s v in
-  let key = Async_sim.Kernel.pack m.kern s1 in
-  match Async_sim.Words.Tbl.find_opt m.memo key with
-  | Some r -> r
-  | None ->
-    let r =
-      try Some (Async_sim.Kernel.states_after ~max_frontier:m.max_set m.kern ~k:m.k s1)
-      with Async_sim.Frontier_limit -> None
-    in
-    Async_sim.Words.Tbl.replace m.memo key r;
-    r
+let mask_of_vector v =
+  let x = ref 0 in
+  Array.iteri (fun i b -> if b then x := !x lor (1 lsl i)) v;
+  !x
 
-(* The union lists the last member's frontier first, each frontier in
-   its sorted order, and keeps a state's first occurrence. *)
-let exact_apply m states v =
-  let rec go acc count = function
-    | [] ->
-      let deduped = dedup_states m (List.concat acc) in
-      if List.length deduped > m.max_set then None else Some deduped
-    | s :: rest -> (
-      match step_one m s v with
+(* The union of the members' frontiers after [v]; [None] as soon as a
+   frontier is capped or their sizes sum past [8 * max_set], or when
+   the union holds more than [max_set] states.  Each bound is a
+   property of the members, not of the order they are taken in. *)
+let step m s v =
+  let n = Array.length s.members in
+  let rec go i count fronts =
+    if i = n then Some fronts
+    else
+      match frontier m (Async_sim.Kernel.apply_inputs m.kern s.members.(i) v) with
       | None -> None
-      | Some finals ->
-        let count = count + List.length finals in
-        if count > 8 * m.max_set then None else go (finals :: acc) count rest)
+      | Some ids ->
+        let count = count + Array.length ids in
+        if count > 8 * m.max_set then None else go (i + 1) count (ids :: fronts)
   in
-  if states = [] then Some [] else go [] 0 states
+  match go 0 0 [] with
+  | None -> None
+  | Some fronts ->
+    let s' = set_of_ids m (Array.concat fronts) in
+    if Array.length s'.members > m.max_set then None else Some s'
 
-let exact_differs g i m states =
-  let good = Cssg.circuit g in
-  let expected = Circuit.output_values good (Cssg.state g i) in
-  states <> []
-  && List.for_all
-       (fun s -> Array.map (fun o -> s.(o)) (Circuit.outputs m.fc) <> expected)
-       states
+(* Kept per (set, vector): a set meets few distinct vectors, one per
+   CSSG edge leaving the good states it is paired with. *)
+let exact_apply m s v =
+  if Array.length s.members = 0 then Some s
+  else begin
+    if Array.length v <> Circuit.n_inputs m.fc then
+      invalid_arg "Circuit.apply_input_vector: wrong vector length";
+    let mask = mask_of_vector v in
+    let rec memo = function
+      | [] -> None
+      | (m', r) :: rest -> if m' = mask then Some r else memo rest
+    in
+    match memo s.applied with
+    | Some r -> r
+    | None ->
+      let r = step m s v in
+      s.applied <- (mask, r) :: s.applied;
+      r
+  end
+
+let exact_differs g i m s =
+  let expected = Circuit.output_values (Cssg.circuit g) (Cssg.state g i) in
+  Array.length s.members > 0
+  && Array.for_all
+       (fun e -> Circuit.output_values m.fc (Async_sim.Kernel.state m.kern e) <> expected)
+       s.members
 
 let replay_exact g m start seq =
   match good_trace g seq with

@@ -45,38 +45,64 @@ val sweep :
     be noticed in all terminal stable states"). *)
 
 type machine
-(** A faulty machine: one exploration kernel of the faulty circuit and
-    a memoized exact-step function. *)
+(** A faulty machine: one exploration kernel of the faulty circuit, whose
+    state graph holds every faulty state met, and the tables that
+    memoize its exact steps.  It lives as long as one fault's search, so
+    all of that fault's activation candidates share what it explored. *)
+
+type set
+(** A set of states of one machine, interned: its members are the
+    kernel's graph ids ({!Async_sim.Kernel.intern}), sorted, and two
+    sets of a machine with the same members are the same set with the
+    same {!set_id}.  A set is only meaningful to the machine that made
+    it. *)
 
 val machine : ?max_set:int -> k:int -> Async_sim.Kernel.t -> machine
 (** The machine exploring the kernel's circuit [k] firings per test
     cycle; [max_set] as in {!exact_start}.  {!exact_start} builds one
     for an injected stuck-at fault; the delay-fault engine builds one
-    around a kernel with a slow gate. *)
+    around a kernel with a slow gate.
+    @raise Invalid_argument if the circuit has more inputs than an
+    input-vector mask holds (62, the limit of a CSSG build). *)
 
-val exact_start : ?max_set:int -> Cssg.t -> Fault.t -> machine * bool array list
+val exact_start : ?max_set:int -> Cssg.t -> Fault.t -> machine * set
 (** Machine and the exact set of states it may be in after power-up in
     the good reset values (frontier after [k] firings).  [max_set]
     (default 128) bounds both the per-state frontier and the tracked
-    set size; overruns surface as [None] from {!exact_apply}. *)
+    set size; overruns surface as [None] from {!exact_apply}.  A start
+    frontier past the bound gives the empty set, which no sequence
+    detects. *)
 
-val exact_apply :
-  machine -> bool array list -> bool array -> bool array list option
-(** Apply one vector to every member and take the exact [k]-step
-    frontier union; [None] when the set or a frontier exceeds the
-    machine's bound — the caller must treat the branch as
-    inconclusive.  Per-(state, vector) results are memoized. *)
+val of_states : machine -> bool array list -> set
+(** The set of the given states. *)
 
-val exact_differs : Cssg.t -> int -> machine -> bool array list -> bool
-(** Every member's outputs differ from the good state's outputs. *)
+val members : machine -> set -> bool array list
+(** The states of a set, sorted by [Stdlib.compare]. *)
 
-val product_key : machine -> int -> bool array list -> Async_sim.Words.t
-(** [product_key m i states] identifies the product state (good CSSG
-    state [i], faulty-state set [states]): the set's packed states,
-    sorted, after [i].  Two lists with the same members give the same
-    key. *)
+val set_id : set -> int
+(** Dense per machine, from 0: two sets of one machine have the same id
+    iff they have the same members. *)
 
-val replay_exact : Cssg.t -> machine -> bool array list -> Testset.sequence -> bool
+val exact_apply : machine -> set -> bool array -> set option
+(** Apply one vector to every member and take the union of the exact
+    [k]-step frontiers; [None] when a member's frontier exceeds the
+    machine's bound, when the frontiers' sizes sum past 8 times it, or
+    when the union does: the caller must treat the branch as
+    inconclusive.  The empty set stays empty.  Each member's frontier
+    is computed once per state of the kernel's graph, and each result
+    once per (set, vector).
+    @raise Invalid_argument if the vector has the wrong length. *)
+
+val exact_differs : Cssg.t -> int -> machine -> set -> bool
+(** The set is not empty and every member's outputs differ from the
+    good state's outputs. *)
+
+val product_key : Cssg.t -> int -> set -> int
+(** [product_key g i s] identifies the product state (good CSSG state
+    [i], faulty-state set [s]): [i + n * set_id s], [n] the number of
+    states of [g]. *)
+
+val replay_exact : Cssg.t -> machine -> set -> Testset.sequence -> bool
 (** [replay_exact g m start seq]: does the sequence (a valid CSSG path)
     detect the machine [m] started in the exact set [start]?  Outputs
     are compared at reset and after every vector, as in {!check}; a

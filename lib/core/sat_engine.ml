@@ -1,5 +1,4 @@
 open Satg_guard
-open Satg_sim
 open Satg_sg
 module Sat = Satg_sat.Sat
 module Cnf = Satg_cnf.Cnf
@@ -119,16 +118,16 @@ let differentiate t guard config fm ~start ~fstates =
   let act = Sat.new_act sat in
   let l0 = max 0 cr.gdist.(start) in
   let unr = Cnf.Unroller.create ~act sat in
-  let key2pid = Async_sim.Words.Tbl.create 256 in
+  let key2pid = Hashtbl.create 256 in
   let info = Hashtbl.create 256 in (* pid -> (good state, faulty set) *)
   let evec = Hashtbl.create 256 in (* unroller edge id -> vector *)
   let capped = ref false in
   let register i fsts =
-    let k = Detect.product_key fm i fsts in
-    match Async_sim.Words.Tbl.find_opt key2pid k with
+    let k = Detect.product_key g i fsts in
+    match Hashtbl.find_opt key2pid k with
     | Some pid -> Some (pid, false)
     | None ->
-      if Async_sim.Words.Tbl.length key2pid >= config.Three_phase.max_product_states
+      if Hashtbl.length key2pid >= config.Three_phase.max_product_states
       then begin
         (* fail-soft: remember the truncation instead of silently
            pretending the frontier ended here *)
@@ -137,9 +136,9 @@ let differentiate t guard config fm ~start ~fstates =
       end
       else begin
         let pid =
-          Cnf.Unroller.add_state unr ~initial:(Async_sim.Words.Tbl.length key2pid = 0)
+          Cnf.Unroller.add_state unr ~initial:(Hashtbl.length key2pid = 0)
         in
-        Async_sim.Words.Tbl.replace key2pid k pid;
+        Hashtbl.replace key2pid k pid;
         Hashtbl.replace info pid (i, fsts);
         Some (pid, true)
       end

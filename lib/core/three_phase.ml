@@ -1,6 +1,5 @@
 open Satg_guard
 open Satg_fault
-open Satg_sim
 open Satg_sg
 
 type config = {
@@ -67,15 +66,16 @@ let replay_prefix guard g fm f0 prefix =
   | i :: _ -> go i f0 [] prefix
   | [] -> `Abort
 
-(* Differentiation: BFS over (good state, exact faulty-state set).
+(* Differentiation: BFS over (good state, exact faulty-state set), a
+   product state keyed by the good state and the set's id.
    Hitting [max_product_states] is fail-soft: edges to known states and
    difference checks still run, but once the frontier was truncated a
    "no result" answer is no longer trustworthy, so it degrades like any
    other guard trip instead of reporting undetectable. *)
 let differentiate g guard config fm ~start:start_good ~fstates =
-  let seen = Async_sim.Words.Tbl.create 256 in
+  let seen = Hashtbl.create 256 in
   let queue = Queue.create () in
-  Async_sim.Words.Tbl.replace seen (Detect.product_key fm start_good fstates) ();
+  Hashtbl.replace seen (Detect.product_key g start_good fstates) ();
   Queue.add (start_good, fstates, [], 0) queue;
   let result = ref None in
   let capped = ref false in
@@ -93,12 +93,12 @@ let differentiate g guard config fm ~start:start_good ~fstates =
               if Detect.exact_differs g j fm fsts' then
                 result := Some (List.rev (e.Cssg.vector :: path))
               else begin
-                let k = Detect.product_key fm j fsts' in
-                if not (Async_sim.Words.Tbl.mem seen k) then
-                  if Async_sim.Words.Tbl.length seen >= config.max_product_states then
+                let k = Detect.product_key g j fsts' in
+                if not (Hashtbl.mem seen k) then
+                  if Hashtbl.length seen >= config.max_product_states then
                     capped := true
                   else begin
-                    Async_sim.Words.Tbl.replace seen k ();
+                    Hashtbl.replace seen k ();
                     Queue.add (j, fsts', e.Cssg.vector :: path, depth + 1)
                       queue
                   end
@@ -122,7 +122,7 @@ type backend = {
     config ->
     Detect.machine ->
     start:int ->
-    fstates:bool array list ->
+    fstates:Detect.set ->
     bool array list option)
     option;
 }

@@ -5,9 +5,10 @@
       the value opposite to the stuck value;
     + {e state justification}: a shortest valid-vector path from reset
       to an activation state.  The prefix is replayed on the faulty
-      machine (ternary): a definite output difference along the way is
-      the "corruption always" case of figure 3 and yields a shorter
-      test; an uncertain difference is "corruption sometimes" and the
+      machine's exact state set ({!Detect.exact_apply}): a set whose
+      every member shows a different output along the way is the
+      "corruption always" case of figure 3 and yields a shorter test;
+      a set that only partly differs is "corruption sometimes" and the
       search continues with the full prefix;
     + {e state differentiation}: breadth-first search over the product
       of the good CSSG and the {e exact set} of possible faulty states
@@ -15,7 +16,10 @@
       (figure 4: a partially-agreeing set is not conclusive).
 
     Faults whose site never takes the opposite value in a stable state
-    skip activation and run differentiation from reset (§5.1). *)
+    skip activation and run differentiation from reset (§5.1).  One
+    {!Detect.machine} serves the whole search, so every activation
+    candidate reuses the faulty states, frontiers and set steps the
+    candidates before it explored. *)
 
 open Satg_guard
 open Satg_fault
@@ -50,7 +54,7 @@ type backend = {
     config ->
     Detect.machine ->
     start:int ->
-    fstates:bool array list ->
+    fstates:Detect.set ->
     bool array list option)
     option;
       (** shortest differentiating suffix from the (good state,
@@ -94,15 +98,16 @@ val differentiate :
   config ->
   Detect.machine ->
   start:int ->
-  fstates:bool array list ->
+  fstates:Detect.set ->
   Testset.sequence option
 (** [differentiate g guard config m ~start ~fstates], the explicit
     differentiation phase (a [backend_differentiate] of [g]): a
     breadth-first search over the product of the good CSSG from state
     [start] and the exact set [fstates] of states the faulty machine
     [m] may be in, for the shortest sequence after which every
-    member's outputs differ from the good state's.  The start point
-    itself is not checked.  The search goes at most [config.max_depth]
+    member's outputs differ from the good state's.  A product state is
+    keyed by the good state and the set's id ({!Detect.product_key}).
+    The start point itself is not checked.  The search goes at most [config.max_depth]
     vectors deep, and [guard] is charged one transition per product
     edge expanded.
 

@@ -34,6 +34,14 @@ let ctz x =
   if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
   if !x land 0x1 = 0 then !n + 1 else !n
 
+let popcount x =
+  let x = ref x and n = ref 0 in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr n
+  done;
+  !n
+
 let parity x =
   let x = x lxor (x lsr 32) in
   let x = x lxor (x lsr 16) in
@@ -41,6 +49,13 @@ let parity x =
   let x = x lxor (x lsr 4) in
   let x = x lxor (x lsr 2) in
   (x lxor (x lsr 1)) land 1 = 1
+
+(* The splitmix64 finalizer, its constants truncated to 63 bits: a
+   bijection whose every output bit depends on every input bit. *)
+let mix z =
+  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
+  z lxor (z lsr 31)
 
 module Words = struct
   type t = int array
@@ -55,21 +70,16 @@ module Words = struct
     done;
     !i = n
 
+  (* Each word goes through the finalizer: a state of at most 63 nodes
+     is one word whose first nodes are its top bits, and a hash that
+     only multiplied and xored words in kept those bits out of the low
+     bits a table indexes by. *)
   let hash (a : t) =
     let h = ref (Array.length a) in
     for i = 0 to Array.length a - 1 do
-      h := (!h * 0x100000001B3) lxor Array.unsafe_get a i
+      h := mix (!h + Array.unsafe_get a i)
     done;
     !h land max_int
-
-  let compare (a : t) (b : t) =
-    let n = min (Array.length a) (Array.length b) in
-    let i = ref 0 in
-    while !i < n && a.(!i) = b.(!i) do
-      incr i
-    done;
-    if !i < n then compare_unsigned a.(!i) b.(!i)
-    else compare (Array.length a) (Array.length b)
 
   module Tbl = Hashtbl.Make (struct
     type nonrec t = t
@@ -84,10 +94,7 @@ let zobrist n =
   let x = ref 0x2545F4914F6CDD1D in
   Array.init n (fun _ ->
       x := !x + 0x1E3779B97F4A7C15;
-      let z = !x in
-      let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
-      let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-      (z lxor (z lsr 31)) land max_int)
+      mix !x land max_int)
 
 (* --- compiled gates ---------------------------------------------------------- *)
 
@@ -225,11 +232,10 @@ let evaln g ~self fan =
    gate index [g] may fire).  Entries are appended in insertion order;
    [slots] maps probe positions to entry index + 1, and [slot_of] lets
    [clear_set] empty exactly the slots in use, so one set serves every
-   layer or search at the cost of its last contents. *)
+   search at the cost of its last contents. *)
 type set = {
   mutable data : int array;
   mutable count : int;
-  mutable unstable : int;  (* entries with a nonzero excitation word *)
   mutable slots : int array;
   mutable slot_of : int array;
 }
@@ -238,7 +244,6 @@ let new_set stride =
   {
     data = Array.make (8 * stride) 0;
     count = 0;
-    unstable = 0;
     slots = Array.make 16 0;
     slot_of = Array.make 8 0;
   }
@@ -247,8 +252,7 @@ let clear_set s =
   for e = 0 to s.count - 1 do
     Array.unsafe_set s.slots (Array.unsafe_get s.slot_of e) 0
   done;
-  s.count <- 0;
-  s.unstable <- 0
+  s.count <- 0
 
 module Kernel = struct
   type t = {
@@ -266,10 +270,15 @@ module Kernel = struct
     slow : int;  (* gate index whose transitions to [slow_to] never fire, or -1 *)
     slow_to : bool;
     fan : int array;  (* gather scratch for gates wider than one word *)
-    mutable cur : set;
-    mutable nxt : set;
+    cur : set;  (* the visited states of one depth-first search *)
     mutable height : int array;  (* per entry of [cur]: -1 on the stack, else its height *)
     mutable stack : int array;  (* per frame: entry, next gate, height so far *)
+    graph : set;  (* every state [frontier] has met, kept for the kernel's lifetime *)
+    mutable succ : int array array;  (* per graph entry: its successors once expanded, else [||] *)
+    mutable mark : int array;  (* per graph entry: the stamp of the last layer it joined *)
+    mutable stamp : int;
+    mutable layer : int array;  (* the current layer of [frontier] *)
+    mutable next : int array;  (* the layer being built *)
   }
 
   let circuit t = t.circuit
@@ -311,9 +320,14 @@ module Kernel = struct
       slow_to;
       fan = Array.make (Array.fold_left (fun m g -> max m g.fw) 1 gates) 0;
       cur = new_set stride;
-      nxt = new_set stride;
       height = Array.make 8 0;
       stack = Array.make 24 0;
+      graph = new_set stride;
+      succ = Array.make 8 [||];
+      mark = Array.make 8 0;
+      stamp = 0;
+      layer = Array.make 8 0;
+      next = Array.make 8 0;
     }
 
   (* May gate [gi] fire in the state whose words start at [d.(b)]? *)
@@ -422,18 +436,48 @@ module Kernel = struct
     end;
     !found
 
-  let commit t s =
-    if not (is_stable_entry t s.data (s.count * t.stride)) then s.unstable <- s.unstable + 1;
-    s.count <- s.count + 1
+  let commit s = s.count <- s.count + 1
 
-  (* Copy entry [e] of [src] into [dst] unless already present. *)
-  let add_entry t dst src e =
-    reserve t dst;
-    let sb = e * t.stride and db = dst.count * t.stride in
-    for j = 0 to t.stride - 1 do
-      Array.unsafe_set dst.data (db + j) (Array.unsafe_get src.data (sb + j))
-    done;
-    if claim t dst = dst.count then commit t dst
+  let grow a need =
+    if need <= Array.length a then a
+    else begin
+      let b = Array.make (max need (2 * Array.length a)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  (* Commit the graph's claimed candidate, with room for it in the
+     per-entry arrays. *)
+  let enter_graph t =
+    let g = t.graph in
+    commit g;
+    if g.count > Array.length t.succ then begin
+      let succ = Array.make (2 * g.count) [||] in
+      Array.blit t.succ 0 succ 0 (g.count - 1);
+      t.succ <- succ;
+      t.mark <- grow t.mark (2 * g.count)
+    end
+
+  (* The graph entry holding the candidate at [graph.count], whose hash,
+     state and excitation words are filled in: the candidate joins the
+     graph if its state is new. *)
+  let intern_candidate t =
+    let c = claim t t.graph in
+    if c = t.graph.count then enter_graph t;
+    c
+
+  (* Set the input nodes of the entry at [b] of [d] to [v], keeping its
+     hash and excitation words current. *)
+  let set_inputs t d b v =
+    Array.iteri
+      (fun i x ->
+        let w = b + 1 + t.env_w.(i) and m = t.env_m.(i) in
+        if d.(w) land m <> 0 <> x then begin
+          d.(w) <- d.(w) lxor m;
+          d.(b) <- d.(b) lxor t.env_z.(i);
+          update_exc t d b t.env_gates.(i)
+        end)
+      v
 
   (* --- loading and decoding ------------------------------------------------- *)
 
@@ -462,6 +506,27 @@ module Kernel = struct
   let decode t d base =
     Array.init t.n (fun i -> d.(base + 1 + (i / word_bits)) land bit_mask i <> 0)
 
+  let intern t s =
+    load t t.graph s;
+    intern_candidate t
+
+  let state t e =
+    if e < 0 || e >= t.graph.count then invalid_arg "Async_sim.Kernel.state: no such state";
+    decode t t.graph.data (e * t.stride)
+
+  let apply_inputs t e v =
+    if e < 0 || e >= t.graph.count then invalid_arg "Async_sim.Kernel.apply_inputs: no such state";
+    if Array.length v <> Array.length t.env_w then
+      invalid_arg "Circuit.apply_input_vector: wrong vector length";
+    let g = t.graph in
+    reserve t g;
+    let d = g.data and b = g.count * t.stride and pb = e * t.stride in
+    for j = 0 to t.stride - 1 do
+      Array.unsafe_set d (b + j) (Array.unsafe_get d (pb + j))
+    done;
+    set_inputs t d b v;
+    intern_candidate t
+
   let pack t s =
     if Array.length s <> t.n then invalid_arg "Async_sim.Kernel.pack: wrong state length";
     let w = Array.make t.nws 0 in
@@ -481,81 +546,107 @@ module Kernel = struct
     in
     List.map (fun e -> e * t.stride) es |> List.sort cmp |> List.map (decode t d)
 
-  (* --- one R_delta layer ---------------------------------------------------- *)
+  (* --- the state graph: R_delta layers over cached successors ------------------ *)
 
-  (* Every fireable gate of every state of [cur] fires; a state with
-     nothing fireable persists (self-loop).  A new successor copies its
-     parent's excitation and re-evaluates only the fired gate and its
-     readers; a successor already in the layer costs one hash update and
-     one probe.  Raises [Frontier_limit] as soon as the layer holds more
-     than [limit] states.  Words are copied by inline loops: a state is a
-     word or two, and [Array.blit] is an external call. *)
-  let step t ~limit =
-    let cur = t.cur and nxt = t.nxt in
-    clear_set nxt;
-    let stride = t.stride and nws = t.nws and nwe = t.nwe in
-    let src = cur.data in
-    for e = 0 to cur.count - 1 do
+  (* The successors of the unstable graph entry [e], one per fireable
+     gate in gate order (two gates never fire to the same state), found
+     on the first call and kept.  A new successor copies its parent's
+     excitation and re-evaluates only the fired gate and its readers; a
+     successor already in the graph costs one hash update and one
+     probe.  Words are copied by inline loops: a state is a word or two,
+     and [Array.blit] is an external call. *)
+  let successors t e =
+    let known = Array.unsafe_get t.succ e in
+    if Array.length known > 0 then known
+    else begin
+      let g = t.graph and stride = t.stride and nws = t.nws and nwe = t.nwe in
       let pb = e * stride in
-      if is_stable_entry t src pb then add_entry t nxt cur e
-      else
-        for w = 0 to nwe - 1 do
-          let x = ref (Array.unsafe_get src (pb + 1 + nws + w)) in
-          while !x <> 0 do
-            let low = !x land - !x in
-            x := !x lxor low;
-            let g = Array.unsafe_get t.gates ((w * word_bits) + ctz low) in
-            reserve t nxt;
-            let d = nxt.data and cb = nxt.count * stride in
-            Array.unsafe_set d cb (Array.unsafe_get src pb lxor g.zob);
-            for j = 1 to nws do
-              Array.unsafe_set d (cb + j) (Array.unsafe_get src (pb + j))
+      let n = ref 0 in
+      for w = 0 to nwe - 1 do
+        n := !n + popcount (Array.unsafe_get g.data (pb + 1 + nws + w))
+      done;
+      let succ = Array.make !n 0 and found = ref 0 in
+      for w = 0 to nwe - 1 do
+        let x = ref (Array.unsafe_get g.data (pb + 1 + nws + w)) in
+        while !x <> 0 do
+          let low = !x land - !x in
+          x := !x lxor low;
+          let gt = Array.unsafe_get t.gates ((w * word_bits) + ctz low) in
+          reserve t g;
+          let d = g.data and cb = g.count * stride in
+          Array.unsafe_set d cb (Array.unsafe_get d pb lxor gt.zob);
+          for j = 1 to nws do
+            Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
+          done;
+          let ow = cb + 1 + gt.out_w in
+          Array.unsafe_set d ow (Array.unsafe_get d ow lxor gt.out_m);
+          let c = claim t g in
+          if c = g.count then begin
+            for j = 1 + nws to nws + nwe do
+              Array.unsafe_set d (cb + j) (Array.unsafe_get d (pb + j))
             done;
-            let ow = cb + 1 + g.out_w in
-            Array.unsafe_set d ow (Array.unsafe_get d ow lxor g.out_m);
-            if claim t nxt = nxt.count then begin
-              for j = 1 + nws to nws + nwe do
-                Array.unsafe_set d (cb + j) (Array.unsafe_get src (pb + j))
-              done;
-              update_exc t d cb g.affected;
-              commit t nxt;
-              if nxt.count > limit then raise Frontier_limit
-            end
-          done
+            update_exc t d cb gt.affected;
+            enter_graph t
+          end;
+          Array.unsafe_set succ !found c;
+          incr found
         done
+      done;
+      t.succ.(e) <- succ;
+      succ
+    end
+
+  let stable t e = is_stable_entry t t.graph.data (e * t.stride)
+
+  (* Add graph entry [e] to the layer being built, of [n] entries so
+     far, unless it holds [e] already: the layer's new width.  Raises
+     [Frontier_limit] rather than grow the layer past [max_frontier]. *)
+  let join t ~max_frontier n e =
+    if Array.unsafe_get t.mark e = t.stamp then n
+    else begin
+      if n >= max_frontier then raise Frontier_limit;
+      Array.unsafe_set t.mark e t.stamp;
+      t.next <- grow t.next (n + 1);
+      Array.unsafe_set t.next n e;
+      n + 1
+    end
+
+  let rec all_stable t layer n = n = 0 || (stable t layer.(n - 1) && all_stable t layer (n - 1))
+
+  (* Every fireable gate of every state of a layer fires; a state with
+     nothing fireable persists (self-loop). *)
+  let frontier ?(max_frontier = max_int) ?(guard = Guard.none) t ~k e =
+    if e < 0 || e >= t.graph.count then invalid_arg "Async_sim.Kernel.frontier: no such state";
+    if max_frontier < 1 then raise Frontier_limit;
+    t.layer.(0) <- e;
+    let width = ref 1 and i = ref 0 in
+    while !i < k && not (all_stable t t.layer !width) do
+      Guard.spend_transitions guard !width;
+      t.stamp <- t.stamp + 1;
+      let n = ref 0 in
+      for j = 0 to !width - 1 do
+        let p = t.layer.(j) in
+        if stable t p then n := join t ~max_frontier !n p
+        else begin
+          let succ = successors t p in
+          for q = 0 to Array.length succ - 1 do
+            n := join t ~max_frontier !n (Array.unsafe_get succ q)
+          done
+        end
+      done;
+      let l = t.layer in
+      t.layer <- t.next;
+      t.next <- l;
+      width := !n;
+      incr i
     done;
-    t.nxt <- cur;
-    t.cur <- nxt
+    Array.sub t.layer 0 !width
 
-  let push_candidate t s =
-    ignore (claim t s : int);
-    commit t s
-
-  let states_after ?(max_frontier = max_int) ?(guard = Guard.none) t ~k s =
-    clear_set t.cur;
-    load t t.cur s;
-    push_candidate t t.cur;
-    let rec go i =
-      let width = t.cur.count in
-      if width > max_frontier then raise Frontier_limit;
-      if i < k && t.cur.unstable > 0 then begin
-        Guard.spend_transitions guard width;
-        step t ~limit:max_frontier;
-        go (i + 1)
-      end
-    in
-    go 0;
-    sorted_states t t.cur (List.init t.cur.count Fun.id)
+  let states_after ?max_frontier ?guard t ~k s =
+    let e = intern t s in
+    frontier ?max_frontier ?guard t ~k e |> Array.to_list |> sorted_states t t.graph
 
   (* --- depth-first TCR_k verdicts --------------------------------------------- *)
-
-  let grow a need =
-    if need <= Array.length a then a
-    else begin
-      let b = Array.make (max need (2 * Array.length a)) 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
 
   (* The lowest fireable gate index [>= gi] of the entry at [base], or -1. *)
   let rec next_gate t d base gi =
@@ -587,22 +678,14 @@ module Kernel = struct
     if not (is_stable_entry t d 0) then invalid_arg "Async_sim.Kernel: state not stable";
     if Array.length v <> Array.length t.env_w then
       invalid_arg "Circuit.apply_input_vector: wrong vector length";
-    Array.iteri
-      (fun i b ->
-        let w = 1 + t.env_w.(i) and m = t.env_m.(i) in
-        if d.(w) land m <> 0 <> b then begin
-          d.(w) <- d.(w) lxor m;
-          d.(0) <- d.(0) lxor t.env_z.(i);
-          update_exc t d 0 t.env_gates.(i)
-        end)
-      v;
+    set_inputs t d 0 v;
     let stride = t.stride and nws = t.nws and nwe = t.nwe in
     let sp = ref 0 and stable = ref (-1) in
     (* Commit the claimed candidate, the last state of a path of [depth]
        states, and push it if it is unstable. *)
     let enter depth =
       let e = cur.count in
-      commit t cur;
+      commit cur;
       t.height <- grow t.height cur.count;
       let settled = is_stable_entry t cur.data (e * stride) in
       if settled then begin

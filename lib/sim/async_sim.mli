@@ -8,10 +8,10 @@
 
     All exploration runs on a {!Kernel}: the circuit compiled once into
     packed state words, per-gate fanin masks and incremental excitation
-    words, with reusable open-addressing frontier sets (docs/PERF.md,
-    "The test-mode exploration kernel").  The circuit-level functions
-    below compile a kernel per call; loops that explore many pairs of
-    one circuit compile one kernel and keep it. *)
+    words, with open-addressing state sets (docs/PERF.md, "The
+    test-mode exploration kernel").  The circuit-level functions below
+    compile a kernel per call; loops that explore many pairs of one
+    circuit compile one kernel and keep it. *)
 
 open Satg_guard
 open Satg_circuit
@@ -41,13 +41,11 @@ type classification =
 exception Frontier_limit
 (** Raised by {!states_after} when a layer exceeds [max_frontier]. *)
 
-(** Packed state words as hash keys. *)
+(** Packed state words (and other int arrays) as hash keys.  The hash
+    passes every word through a splitmix64-style finalizer, so keys
+    that differ only in high bits still spread over a table. *)
 module Words : sig
   type t = int array
-
-  val compare : t -> t -> int
-  (** Unsigned, word by word; on {!Kernel.pack}ed states of one kernel
-      this is [Stdlib.compare] on the unpacked [bool array]s. *)
 
   module Tbl : Hashtbl.S with type key = t
 end
@@ -62,15 +60,20 @@ end
     - Every state in a frontier carries an excitation word per 63
       gates.  Firing a gate flips one state bit and re-evaluates only
       that gate and its readers.
-    - States live in open-addressing sets keyed by a Zobrist hash,
-      reused from layer to layer of {!states_after} and from search to
-      search.  Each set counts its unstable members, so the number of
-      stable states it holds is read off in O(1).
+    - States live in open-addressing sets keyed by a Zobrist hash.  The
+      depth-first search's set is reused from search to search.
+    - Every state {!frontier} meets stays in the kernel's {e state
+      graph}, one set that lives as long as the kernel, under a dense
+      integer id.  An unstable state's [R_delta] successors are
+      computed once, on its first expansion, and kept as a list of ids,
+      so a layer is a walk over cached int lists.  The graph only grows:
+      a kernel used for {!frontier} holds every distinct state it was
+      asked about, and is meant to live as long as one fault's search.
 
-    A kernel owns mutable scratch memory: it must not be shared between
+    A kernel owns mutable memory: it must not be shared between
     domains.  [Explicit.build] compiles one per build and each exact
-    fault check ([Detect]) one per call, so a fault search on a pool
-    worker explores on its own kernel. *)
+    fault check ([Detect]) one per faulty machine, so a fault search on
+    a pool worker explores on its own kernel. *)
 module Kernel : sig
   type t
 
@@ -83,6 +86,31 @@ module Kernel : sig
 
   val circuit : t -> Circuit.t
 
+  (** {2 The state graph} *)
+
+  val intern : t -> bool array -> int
+  (** The id of a state in the kernel's graph, added if new.  Ids are
+      dense from 0 in order of first appearance, and a state keeps its
+      id for the kernel's lifetime. *)
+
+  val state : t -> int -> bool array
+  (** The state of a graph id.
+      @raise Invalid_argument if the id is not in the graph. *)
+
+  val apply_inputs : t -> int -> bool array -> int
+  (** [apply_inputs t e v] is the id of state [e] with its input nodes
+      set to [v] ({!Circuit.apply_input_vector}), added if new.
+      @raise Invalid_argument if [e] is not in the graph or [v] has the
+      wrong length. *)
+
+  val frontier : ?max_frontier:int -> ?guard:Guard.t -> t -> k:int -> int -> int array
+  (** {!states_after} on graph ids: the ids of the states reachable from
+      state [e] in exactly [k] firings, each once, in no particular
+      order.  Layer [i + 1] is, for each state of layer [i] in turn,
+      that state if nothing in it can fire, else its successors; the
+      guard charges, the [Frontier_limit] and the set of states are
+      {!states_after}'s. *)
+
   val states_after :
     ?max_frontier:int -> ?guard:Guard.t -> t -> k:int -> bool array -> bool array list
   (** [states_after t ~k s] is the set of states reachable from [s] in
@@ -91,7 +119,8 @@ module Kernel : sig
       [Stdlib.compare].
 
       [guard] is charged once per layer with the layer's width (one
-      transition per frontier state).
+      transition per frontier state), before the layer is expanded.  The
+      states are kept in the kernel's graph ({!frontier}).
       @raise Frontier_limit when some layer grows beyond [max_frontier]
       (default: unlimited).
       @raise Satg_guard.Guard.Exhausted when [guard] trips. *)

@@ -130,3 +130,36 @@ let apply_vector ?guard kern ~k s v =
     | [ s' ] -> Settles s'
     | [] -> assert false
     | multiple -> Non_confluent multiple
+
+(* The exact faulty-state step of the three-phase search as a list
+   rule, with none of [Detect]'s interning or memos: each member takes
+   the vector and then its [k]-step frontier ([frontier], which raises
+   [Frontier_limit] past the cap); the union lists the last member's
+   frontier first and keeps each state's first occurrence.  [None] when
+   a frontier is capped, when the frontiers hold more than
+   [8 * max_set] states together, or when the union holds more than
+   [max_set]. *)
+let exact_apply ~max_set ~frontier c states v =
+  let first_occurrences states =
+    let seen = ref StringSet.empty in
+    List.filter
+      (fun s ->
+        let sk = key c s in
+        (not (StringSet.mem sk !seen))
+        &&
+        (seen := StringSet.add sk !seen;
+         true))
+      states
+  in
+  let rec go acc count = function
+    | [] ->
+      let union = first_occurrences (List.concat acc) in
+      if List.length union > max_set then None else Some union
+    | s :: rest -> (
+      match frontier (Circuit.apply_input_vector c s v) with
+      | exception Satg_sim.Async_sim.Frontier_limit -> None
+      | finals ->
+        let count = count + List.length finals in
+        if count > 8 * max_set then None else go (finals :: acc) count rest)
+  in
+  if states = [] then Some [] else go [] 0 states

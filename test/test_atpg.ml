@@ -289,6 +289,143 @@ let test_baseline_optimism_fig1a () =
   Alcotest.(check bool) "claimed >= validated" true
     (Baseline.claimed r >= Baseline.validated r)
 
+(* --- exact faulty-state sets against the list rule ---------------------------- *)
+
+(* The reference [k]-step frontier of the faulty circuit [fc]: the
+   string-set exploration of [Async_oracle], capped at [max_set] like
+   Detect's, kept per state so the walk stays fast. *)
+let oracle_frontier fc ~k ~max_set =
+  let memo = Hashtbl.create 64 in
+  fun s ->
+    let sk = Circuit.state_to_string fc s in
+    let r =
+      match Hashtbl.find_opt memo sk with
+      | Some r -> r
+      | None ->
+        let r =
+          match Async_oracle.states_after ~max_frontier:max_set fc ~k s with
+          | states -> Some states
+          | exception Satg_sim.Async_sim.Frontier_limit -> None
+        in
+        Hashtbl.add memo sk r;
+        r
+    in
+    match r with Some states -> states | None -> raise Satg_sim.Async_sim.Frontier_limit
+
+(* Walk every product edge up to [depth] vectors from reset for every
+   fault of [faults], stepping Detect's interned sets and the list rule
+   of [Async_oracle.exact_apply] side by side.  On each edge the members
+   of Detect's set are the reference's, sorted, and Detect's step is
+   [None] exactly when the reference's is; a (set, vector) pair met
+   again, by a second call or along another path, gives the same set.
+   [max_set] is Detect's cap, 128 by default.  Returns the edges walked
+   and how many of them were [None]. *)
+let walk_exact_sets ?(depth = 3) ?(max_set = 128) name g faults =
+  let c = Cssg.circuit g in
+  let reset = Option.get (Circuit.initial c) in
+  let edges = ref 0 and nones = ref 0 in
+  let show states = String.concat "," (List.map (Circuit.state_to_string c) states) in
+  List.iter
+    (fun f ->
+      let what = Printf.sprintf "%s %s" name (Fault.to_string c f) in
+      let fc = Fault.inject c f in
+      let frontier = oracle_frontier fc ~k:(Cssg.k g) ~max_set in
+      let m, start = Detect.exact_start ~max_set g f in
+      let want =
+        try frontier (Fault.initial_faulty_state c f reset)
+        with Satg_sim.Async_sim.Frontier_limit -> []
+      in
+      Alcotest.(check (list string))
+        (what ^ ": start set")
+        (List.map (Circuit.state_to_string c) (List.sort compare want))
+        (List.map (Circuit.state_to_string c) (Detect.members m start));
+      let results = Hashtbl.create 64 in
+      let rec walk d i set want =
+        if d < depth then
+          List.iter
+            (fun e ->
+              let v = e.Cssg.vector in
+              let got = Detect.exact_apply m set v in
+              let id = Option.map Detect.set_id got in
+              let key = (Detect.set_id set, v) in
+              (match Hashtbl.find_opt results key with
+              | Some id' when id' <> id -> Alcotest.failf "%s: a repeated (set, vector) pair changed" what
+              | Some _ -> ()
+              | None -> Hashtbl.add results key id);
+              if Option.map Detect.set_id (Detect.exact_apply m set v) <> id then
+                Alcotest.failf "%s: a second call changed the set" what;
+              incr edges;
+              match (got, Async_oracle.exact_apply ~max_set ~frontier fc want v) with
+              | None, None -> incr nones
+              | Some s, Some want' ->
+                let want' = List.sort compare want' in
+                if Detect.members m s <> want' then
+                  Alcotest.failf "%s: after %s: %s, reference %s" what
+                    (Circuit.state_to_string c v) (show (Detect.members m s)) (show want');
+                walk (d + 1) e.Cssg.target s want'
+              | Some _, None -> Alcotest.failf "%s: a set where the reference has none" what
+              | None, Some _ -> Alcotest.failf "%s: no set where the reference has one" what)
+            (Cssg.successors g i)
+      in
+      walk 0 (List.hd (Cssg.initial g)) start want)
+    faults;
+  (!edges, !nones)
+
+(* dff/bd and vbe6a/bd hold the hottest undetectable faults of the
+   table netlists, and trimos-send/bd's faulty frontiers overrun the
+   cap. *)
+let test_exact_sets_table () =
+  let edges = ref 0 and nones = ref 0 in
+  List.iter
+    (fun name ->
+      let e = Option.get (Suite.find name) in
+      let c =
+        match Suite.bounded_delay e with Ok c -> c | Error m -> Alcotest.failf "%s: %s" name m
+      in
+      let g = Explicit.build c in
+      let n, k = walk_exact_sets (name ^ "/bd") g (all_faults c) in
+      edges := !edges + n;
+      nones := !nones + k)
+    [ "dff"; "vbe6a"; "trimos-send" ];
+  Alcotest.(check bool) "edges walked" true (!edges > 1000);
+  Alcotest.(check bool) "some steps overrun the cap" true (!nones > 0)
+
+(* The summed-frontier bound, which no walk above reaches: seventeen
+   members, each all ones but for one buffer of [a], all step to the one
+   all-ones state when [a] stays high.  Past 8 x 2 summed frontier states
+   the step is [None] although its union has one member; at a cap of 3
+   it is that member. *)
+let test_exact_sets_sum_bound () =
+  let b = Circuit.Builder.create "buffers" in
+  let a = Circuit.Builder.add_input b "a" in
+  let bufs =
+    List.init 17 (fun i -> Circuit.Builder.add_gate b ~name:(Printf.sprintf "b%d" i) Gatefunc.Buf [ a ])
+  in
+  Circuit.Builder.mark_output b (List.hd bufs);
+  let c = Circuit.Builder.finalize b in
+  let k = Structure.default_k c in
+  let members = List.map (fun i -> Array.init (Circuit.n_nodes c) (fun n -> n <> i)) bufs in
+  List.iter
+    (fun (max_set, expected) ->
+      let m = Detect.machine ~max_set ~k (Satg_sim.Async_sim.Kernel.compile c) in
+      let got = Detect.exact_apply m (Detect.of_states m members) [| true |] in
+      let want =
+        Async_oracle.exact_apply ~max_set ~frontier:(oracle_frontier c ~k ~max_set) c members
+          [| true |]
+      in
+      let show = function
+        | None -> "none"
+        | Some states -> String.concat "," (List.map (Circuit.state_to_string c) states)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "reference at cap %d" max_set)
+        expected (show want);
+      Alcotest.(check string)
+        (Printf.sprintf "interned at cap %d" max_set)
+        expected
+        (show (Option.map (Detect.members m) got)))
+    [ (2, "none"); (3, String.make (Circuit.n_nodes c) '1') ]
+
 let suites =
   [
     ( "atpg.engine",
@@ -312,6 +449,11 @@ let suites =
         Alcotest.test_case "undetectable" `Quick test_three_phase_undetectable;
         Alcotest.test_case "unobservable gate" `Quick
           test_three_phase_unobservable;
+      ] );
+    ( "atpg.exact_sets",
+      [
+        Alcotest.test_case "table netlists = list rule" `Quick test_exact_sets_table;
+        Alcotest.test_case "summed-frontier bound" `Quick test_exact_sets_sum_bound;
       ] );
     ( "atpg.fault_sim",
       [

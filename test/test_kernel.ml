@@ -296,6 +296,29 @@ let test_capped_charges () =
       check "build" (Explicit.build ~guard:g1 c) g1)
     [ (Test_domains.ring_storm_text, 251, 200_001); (Test_domains.toggle_farm_text, 251, 200_001) ]
 
+(* --- packed-word hashing ----------------------------------------------------- *)
+
+(* A state of at most 63 nodes packs into one word with node 0 in its
+   top bit.  Every assignment of dff/bd's first ten nodes over its reset
+   state gives 1 024 distinct words that differ only in their top ten
+   bits; a table of 1 024 buckets must still spread them. *)
+let test_words_hash_spreads () =
+  let e = Option.get (Suite.find "dff") in
+  let c = ok "dff" (Suite.bounded_delay e) in
+  Alcotest.(check bool) "one word" true (Circuit.n_nodes c <= 63 && Circuit.n_nodes c >= 10);
+  let kern = Async_sim.Kernel.compile c in
+  let reset = Option.get (Circuit.initial c) in
+  let tbl = Async_sim.Words.Tbl.create 1024 in
+  for mask = 0 to 1023 do
+    let s = Array.mapi (fun i b -> if i < 10 then mask land (1 lsl i) <> 0 else b) reset in
+    Async_sim.Words.Tbl.replace tbl (Async_sim.Kernel.pack kern s) ()
+  done;
+  let stats = Async_sim.Words.Tbl.stats tbl in
+  Alcotest.(check int) "distinct states" 1024 stats.Hashtbl.num_bindings;
+  if stats.Hashtbl.max_bucket_length > 16 then
+    Alcotest.failf "largest bucket %d of %d buckets" stats.Hashtbl.max_bucket_length
+      stats.Hashtbl.num_buckets
+
 let suites =
   [
     ( "sim.kernel",
@@ -307,5 +330,6 @@ let suites =
         Alcotest.test_case "wide netlist = oracle" `Quick test_wide_matches_oracle;
         Alcotest.test_case "wide netlist build = reference" `Quick test_wide_build_reference;
         Alcotest.test_case "capped charges per firing" `Quick test_capped_charges;
+        Alcotest.test_case "packed states spread over a table" `Quick test_words_hash_spreads;
       ] );
   ]

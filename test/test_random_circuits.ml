@@ -374,7 +374,7 @@ let prop_exact_dominates_when_settled =
                fully stable *)
             let m, f0 = Satg_core.Detect.exact_start g f in
             let all_stable states fc =
-              List.for_all (fun s -> Circuit.is_stable fc s) states
+              List.for_all (fun s -> Circuit.is_stable fc s) (Satg_core.Detect.members m states)
             in
             let fc = Fault.inject c f in
             let rec settled states = function
@@ -392,6 +392,24 @@ let prop_exact_dominates_when_settled =
               let exact = Satg_core.Detect.check_exact g f seq in
               (not ternary) || exact)
           (Fault.universe_output_sa c))
+
+(* Detect's interned faulty-state sets step as the list rule of
+   [Async_oracle.exact_apply] on every product edge up to three vectors
+   from reset, for every stuck-at fault, under caps small enough that
+   some steps overrun them. *)
+let prop_exact_sets_match_list_rule =
+  QCheck.Test.make ~name:"random circuits: interned exact sets = the list rule" ~count:60
+    QCheck.(pair spec_arb (int_range 1 8))
+    (fun (spec, max_set) ->
+      match build_spec spec with
+      | None -> QCheck.assume_fail ()
+      | Some c ->
+        let g = Satg_sg.Explicit.build c in
+        ignore
+          (Test_atpg.walk_exact_sets ~max_set "random" g
+             (Fault.universe_input_sa c @ Fault.universe_output_sa c)
+            : int * int);
+        true)
 
 (* --- P6: timed simulation agrees with the exact engine on valid edges ------- *)
 
@@ -506,6 +524,7 @@ let qcheck_cases =
       prop_differential_oracle;
       prop_parser_roundtrip;
       prop_exact_dominates_when_settled;
+      prop_exact_sets_match_list_rule;
       prop_timed_matches_exact_on_valid_edges;
     ]
   @ pinned_engines_agree
