@@ -31,28 +31,37 @@ module Proto = Satg_server.Proto
 
 let exit_partial = 2
 
-let read_circuit path =
-  match Parser.parse_file path with
-  | Ok c -> Ok c
-  | Error m -> Error (Printf.sprintf "%s: %s" path m)
-
 let or_die = function
   | Ok v -> v
   | Error m ->
     prerr_endline ("error: " ^ m);
     exit 1
 
+(* The whole file, read to end of file rather than by length, so a pipe
+   works too.  A pipe can be read only once: a command that needs both
+   the text and the circuit parses the text it read. *)
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> text
+  | exception Sys_error m ->
+    (* an open error names the file, a read error does not *)
+    or_die
+      (Error
+         (if String.starts_with ~prefix:path m then m
+          else Printf.sprintf "%s: %s" path m))
+
+let parse_circuit path text =
+  Result.map_error (Printf.sprintf "%s: %s" path) (Parser.parse_string text)
+
+let read_circuit path = parse_circuit path (read_file path)
+
 (* Every command that builds a CSSG refuses up front, as an ordinary
    error, a circuit the explicit builder cannot explore. *)
-let read_explorable path =
-  let c = or_die (read_circuit path) in
+let explorable path c =
   or_die (Result.map_error (Printf.sprintf "%s: %s" path) (Explicit.check c));
   c
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  really_input_string ic (in_channel_length ic)
+let read_explorable path = explorable path (or_die (read_circuit path))
 
 (* SIGINT/SIGTERM drain the run instead of killing it: the handler
    cancels the run guard with [Interrupt], every in-flight search trips
@@ -356,7 +365,8 @@ let atpg_cmd =
   let run file universe no_random seed verbose engine no_collapse stats k
       jobs timeout max_states max_transitions reorder cluster_cap cache_dir
       resume =
-    let c = read_explorable file in
+    let netlist = read_file file in
+    let c = explorable file (or_die (parse_circuit file netlist)) in
     let config =
       {
         (make_config ~k ~no_random ~engine ~no_collapse ~timeout ~max_states
@@ -387,7 +397,7 @@ let atpg_cmd =
         or_die (Error "--resume needs --cache-dir (or SATG_CACHE_DIR)");
       print_result c verbose stats (engine_run ~cleanup:(fun () -> ()) ())
     | Some dir -> (
-      let key = Durable.key_of ~netlist:(read_file file) ~universe ~config in
+      let key = Durable.key_of ~netlist ~universe ~config in
       match Durable.cached ~dir ~key with
       | Some p ->
         Printf.eprintf
@@ -560,12 +570,12 @@ let print_diags file diags =
 let check_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.cct") in
   let run file =
+    let text = read_file file in
     (* Lint first. *)
-    (match Parser.lint_file file with
+    (match Parser.lint_string text with
     | [] -> ()
-    | exception Sys_error m -> or_die (Error m)
     | diags -> print_diags file diags);
-    let c = or_die (read_circuit file) in
+    let c = or_die (parse_circuit file text) in
     (match Circuit.validate c with
     | Ok () -> ()
     | Error m -> or_die (Error m));
@@ -806,7 +816,7 @@ let client_atpg_cmd =
   let run socket file universe no_random seed verbose engine no_collapse k
       deadline_ms timeout max_states max_transitions reorder cluster_cap =
     let netlist = read_file file in
-    let c = or_die (read_circuit file) in
+    let c = or_die (parse_circuit file netlist) in
     let config =
       make_config ~k ~no_random ~engine ~no_collapse
         ~timeout:(effective_timeout ~deadline_ms ~timeout)
@@ -881,7 +891,10 @@ let client_batch_cmd =
   let run socket files universe no_random seed verbose engine no_collapse k
       deadline_ms timeout max_states max_transitions reorder cluster_cap =
     let members =
-      List.map (fun file -> (file, or_die (read_circuit file), read_file file))
+      List.map
+        (fun file ->
+          let netlist = read_file file in
+          (file, or_die (parse_circuit file netlist), netlist))
         files
     in
     let config =

@@ -295,13 +295,10 @@ let lint_string text =
     (fun a b -> compare (a.line, a.msg) (b.line, b.msg))
     !diags
 
-let lint_file path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    really_input_string ic (in_channel_length ic)
-  in
-  lint_string text
+(* Read to end of file rather than by length, so a pipe works too. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let lint_file path = lint_string (read_file path)
 
 let parse_string text =
   let lines = String.split_on_char '\n' text in
@@ -320,11 +317,9 @@ let parse_string text =
   | Invalid_argument m -> Error m
 
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+  match read_file path with
+  | text -> parse_string text
+  | exception Sys_error m -> Error m
 
 let to_string c =
   let buf = Buffer.create 1024 in

@@ -20,8 +20,10 @@
       contain opposing literals, so the hazard-free synthesis backend
       inserts redundant cubes, reproducing the Table 2 pathology.
 
-    Size caps keep the compiled STGs inside
-    [Stg.next_state_tables]'s 20-signal synthesis ceiling. *)
+    Size caps are measured: [ring], [fifo] and [latch] go up to the 62
+    signals a state code holds; [pipeline] and [arbiter], whose state
+    graphs grow as 2^n, stop at the largest size synthesized in about
+    2 s a style. *)
 
 open Satg_stg
 

@@ -244,12 +244,11 @@ let parse_string text =
       }
   with Parse_error m -> Error m
 
+(* Read to end of file rather than by length, so a pipe works too. *)
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> parse_string text
+  | exception Sys_error m -> Error m
 
 let to_string t =
   let buf = Buffer.create 512 in
@@ -437,9 +436,9 @@ let check_csc sg =
 let next_state_tables sg =
   let t = sg.stg in
   let n_sig = Array.length t.signals in
-  if n_sig > 20 then invalid_arg "Stg.next_state_tables: too many signals";
+  if n_sig > 62 then invalid_arg "Stg.next_state_tables: too many signals";
   let reached = Hashtbl.create 64 in
-  let on = Array.make n_sig [] in
+  let on = Array.make n_sig [] and off = Array.make n_sig [] in
   Array.iteri
     (fun i st ->
       let code = code_of_values st.values in
@@ -447,17 +446,12 @@ let next_state_tables sg =
         Hashtbl.replace reached code ();
         for s = 0 to n_sig - 1 do
           (* Next value: current XOR excited. *)
-          let next = st.values.(s) <> sg.excited.(i).(s) in
-          if next then on.(s) <- code :: on.(s)
+          if st.values.(s) <> sg.excited.(i).(s) then on.(s) <- code :: on.(s)
+          else off.(s) <- code :: off.(s)
         done
       end)
     sg.states;
-  let dc =
-    List.filter
-      (fun code -> not (Hashtbl.mem reached code))
-      (List.init (1 lsl n_sig) Fun.id)
-  in
-  (Array.map List.rev on, dc)
+  Array.init n_sig (fun s -> (List.rev on.(s), List.rev off.(s)))
 
 let to_dot t =
   let buf = Buffer.create 1024 in

@@ -92,12 +92,13 @@ val check_csc : sg -> (unit, string) result
 (** Complete State Coding: any two reachable states with identical
     codes must agree on the excitation of every {e output} signal. *)
 
-val next_state_tables : sg -> int list array * int list
-(** [(on, dc)]: for every signal [s], [on.(s)] lists the minterms (over
-    the signal code, signal 0 = MSB) where the next-state function of
-    [s] is 1; [dc] is the shared don't-care list (codes never reached).
-    Meaningful only if {!check_csc} passed.
-    @raise Invalid_argument beyond 20 signals. *)
+val next_state_tables : sg -> (int list * int list) array
+(** [(on, off)] per signal [s]: the reached codes (signal 0 = MSB) in
+    which the next-state function of [s] is 1, and those in which it
+    is 0, each in first-reached order.  Every unreached code is a
+    don't-care and is not listed.  Meaningful only if {!check_csc}
+    passed.
+    @raise Invalid_argument beyond 62 signals. *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the Petri net: transitions as boxes (inputs

@@ -4,23 +4,20 @@ open Satg_circuit
 let covers_with sg select =
   let t = sg.Stg.stg in
   let n_sig = Array.length t.Stg.signals in
-  let on, dc = Stg.next_state_tables sg in
+  let tables = Stg.next_state_tables sg in
   List.filteri (fun s _ -> not (Stg.is_input t s)) (Array.to_list t.Stg.signals)
   |> List.mapi (fun i nm ->
-         let s = t.Stg.n_inputs + i in
-         (nm, select ~n:n_sig ~on:on.(s) ~dc))
+         let on, off = tables.(t.Stg.n_inputs + i) in
+         (nm, select ~n:n_sig ~on ~off))
 
 let next_state_covers sg = covers_with sg Qm.minimize
 
-(* Maximally-redundant cover: every prime implicant of (on, dc) that
-   covers at least one on-set minterm.  This is the classic
-   fully-hazard-free two-level cover; its redundant cubes are what make
-   some of the Table 2 circuits poorly testable. *)
-let all_primes_cover ~n ~on ~dc =
-  if on = [] then Cover.empty n
-  else
-    let useful p = List.exists (fun m -> Cube.contains_minterm p m) on in
-    Cover.make ~n (List.filter useful (Qm.primes ~n ~on ~dc))
+(* Maximally-redundant cover: every prime implicant that covers at least
+   one on-set minterm.  This is the classic fully-hazard-free two-level
+   cover; its redundant cubes are what make some of the Table 2 circuits
+   poorly testable. *)
+let all_primes_cover ~n ~on ~off =
+  if on = [] then Cover.empty n else Cover.make ~n (Qm.primes ~n ~on ~off)
 
 let prime_covers sg = covers_with sg all_primes_cover
 
@@ -52,9 +49,9 @@ let has_opposing_pair cover =
 (* Hazard-driven redundancy (the Table 2 style): hazard-prone functions
    get their full prime cover, unate-ish ones keep the minimum. *)
 let hazard_free_covers sg =
-  covers_with sg (fun ~n ~on ~dc ->
-      let minimal = Qm.minimize ~n ~on ~dc in
-      if has_opposing_pair minimal then all_primes_cover ~n ~on ~dc
+  covers_with sg (fun ~n ~on ~off ->
+      let minimal = Qm.minimize ~n ~on ~off in
+      if has_opposing_pair minimal then all_primes_cover ~n ~on ~off
       else minimal)
 
 (* Columns actually referenced by a cover, ascending. *)
@@ -79,12 +76,15 @@ let shrink cover cols =
        (Cover.cubes cover))
 
 let prepare stg =
-  match Stg.explore stg with
-  | Error m -> Error (Printf.sprintf "%s: %s" stg.Stg.name m)
-  | Ok sg -> (
-    match Stg.check_csc sg with
-    | Error m -> Error (Printf.sprintf "%s: %s" stg.Stg.name m)
-    | Ok () -> Ok sg)
+  let n_sig = Array.length stg.Stg.signals in
+  let fail m = Error (Printf.sprintf "%s: %s" stg.Stg.name m) in
+  if n_sig > 62 then
+    fail (Printf.sprintf "%d signals, more than the 62 a code holds" n_sig)
+  else
+    match Stg.explore stg with
+    | Error m -> fail m
+    | Ok sg -> (
+      match Stg.check_csc sg with Error m -> fail m | Ok () -> Ok sg)
 
 (* Shared scaffolding: builder with input buffers and declared output
    gates; returns the node id of every signal. *)

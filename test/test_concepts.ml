@@ -286,6 +286,22 @@ let test_families_compile_and_verify () =
       | Error m -> Alcotest.failf "%s: decomposed: %s" f.fname m)
     Families.all
 
+(* Every family's top size compiles to a spec whose state codes fit the
+   62 bits synthesis works in, and the size past it is refused. *)
+let test_family_caps () =
+  List.iter
+    (fun (f : Families.family) ->
+      let stg = ok (Families.generate f.fname ~n:f.max_n) in
+      let n_sig = Array.length stg.Stg.signals in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %d: %d signals <= 62" f.fname f.max_n n_sig)
+        true (n_sig <= 62);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %d refused" f.fname (f.max_n + 1))
+        true
+        (Result.is_error (Families.generate f.fname ~n:(f.max_n + 1))))
+    Families.all
+
 let test_family_matches_seed_benchmarks () =
   (* The scaling recipes collapse to the fixed benchmarks at the small
      end: fifo 2 is vbe5b, latch 1 is dff (same reachable state count —
@@ -552,6 +568,8 @@ let suites =
         Alcotest.test_case "marking overrides" `Quick test_marking_overrides;
         Alcotest.test_case "families compile + verify" `Quick
           test_families_compile_and_verify;
+        Alcotest.test_case "family caps fit a state code" `Quick
+          test_family_caps;
         Alcotest.test_case "families match seed benchmarks" `Quick
           test_family_matches_seed_benchmarks;
         Alcotest.test_case "family bounds + registry" `Quick test_family_bounds;

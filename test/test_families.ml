@@ -27,6 +27,7 @@ let instances =
     ("ring", 2, `Complex);
     ("ring", 4, `Complex);
     ("ring", 8, `Complex);
+    ("ring", 20, `Complex);
     ("fifo", 2, `Complex);
     ("fifo", 3, `Complex);
     ("fifo", 4, `Complex);
@@ -54,8 +55,7 @@ let synthesize (fname, n, style) =
      (match style with `Complex -> "cg" | `Redundant -> "hf"),
    circuit)
 
-(* Synthesizing ring 8 takes about a second and five tests build the
-   ladder, so each instance is synthesized once. *)
+(* Five tests build the ladder, so each instance is synthesized once. *)
 let built = Hashtbl.create 16
 
 let build inst =

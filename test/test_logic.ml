@@ -166,11 +166,18 @@ let test_cover_irredundant () =
 
 (* --- Quine-McCluskey ---------------------------------------------------- *)
 
+let universe n = List.init (1 lsl n) Fun.id
+
+(* The off-set of a function given by its on-set and don't-cares. *)
+let off_of ~n ~on ~dc =
+  List.filter (fun m -> not (List.mem m on || List.mem m dc)) (universe n)
+
 let test_qm_textbook () =
   (* Classic example: f(a,b,c,d) on {4,8,10,11,12,15}, dc {9,14}.
      Minimal covers have 3 product terms. *)
   let on = [ 4; 8; 10; 11; 12; 15 ] and dc = [ 9; 14 ] in
-  let cover = Qm.minimize ~n:4 ~on ~dc in
+  let off = off_of ~n:4 ~on ~dc in
+  let cover = Qm.minimize ~n:4 ~on ~off in
   List.iter
     (fun m ->
       Alcotest.(check bool)
@@ -180,21 +187,20 @@ let test_qm_textbook () =
     on;
   List.iter
     (fun m ->
-      if not (List.mem m on || List.mem m dc) then
-        Alcotest.(check bool)
-          (Printf.sprintf "off %d not covered" m)
-          false
-          (Cover.eval_minterm cover m))
-    (List.init 16 Fun.id);
+      Alcotest.(check bool)
+        (Printf.sprintf "off %d not covered" m)
+        false
+        (Cover.eval_minterm cover m))
+    off;
   Alcotest.(check int) "3 cubes" 3 (Cover.cube_count cover)
 
 let test_qm_constant () =
-  let c = Qm.minimize ~n:3 ~on:(List.init 8 Fun.id) ~dc:[] in
+  let c = Qm.minimize ~n:3 ~on:(universe 3) ~off:[] in
   Alcotest.(check int) "tautology is one cube" 1 (Cover.cube_count c);
   Alcotest.(check string)
     "universe" "---"
     (Cube.to_string (List.hd (Cover.cubes c)));
-  let z = Qm.minimize ~n:3 ~on:[] ~dc:[ 1; 2 ] in
+  let z = Qm.minimize ~n:3 ~on:[] ~off:(off_of ~n:3 ~on:[] ~dc:[ 1; 2 ]) in
   Alcotest.(check bool) "empty on-set" true (Cover.is_empty z)
 
 let test_qm_xor () =
@@ -203,9 +209,9 @@ let test_qm_xor () =
   let on = List.filter (fun m ->
       let rec pop x = if x = 0 then 0 else (x land 1) + pop (x lsr 1) in
       pop m mod 2 = 1)
-      (List.init (1 lsl n) Fun.id)
+      (universe n)
   in
-  let cover = Qm.minimize ~n ~on ~dc:[] in
+  let cover = Qm.minimize ~n ~on ~off:(off_of ~n ~on ~dc:[]) in
   Alcotest.(check int) "4 cubes" 4 (Cover.cube_count cover);
   List.iter
     (fun c -> Alcotest.(check int) "full cube" n (Cube.num_literals c))
@@ -213,7 +219,7 @@ let test_qm_xor () =
 
 let test_qm_primes () =
   (* f = sum(0,1,2,3) over 2 vars: single prime "--". *)
-  let ps = Qm.primes ~n:2 ~on:[ 0; 1; 2; 3 ] ~dc:[] in
+  let ps = Qm.primes ~n:2 ~on:[ 0; 1; 2; 3 ] ~off:[] in
   Alcotest.(check (list string))
     "single prime" [ "--" ]
     (List.map Cube.to_string ps)
@@ -221,10 +227,16 @@ let test_qm_primes () =
 let test_qm_bad_args () =
   Alcotest.check_raises "minterm range"
     (Invalid_argument "Qm: minterm out of range") (fun () ->
-      ignore (Qm.minimize ~n:2 ~on:[ 4 ] ~dc:[]));
+      ignore (Qm.minimize ~n:2 ~on:[ 4 ] ~off:[]));
+  Alcotest.check_raises "off-set minterm range"
+    (Invalid_argument "Qm: minterm out of range") (fun () ->
+      ignore (Qm.primes ~n:2 ~on:[ 1 ] ~off:[ -1 ]));
   Alcotest.check_raises "var count"
-    (Invalid_argument "Qm: variable count out of [0, 24]") (fun () ->
-      ignore (Qm.minimize ~n:25 ~on:[] ~dc:[]))
+    (Invalid_argument "Qm: variable count out of [0, 62]") (fun () ->
+      ignore (Qm.minimize ~n:63 ~on:[] ~off:[]));
+  Alcotest.check_raises "on and off overlap"
+    (Invalid_argument "Qm: minterm in both the on-set and the off-set")
+    (fun () -> ignore (Qm.primes ~n:3 ~on:[ 1; 5 ] ~off:[ 2; 5 ]))
 
 (* Property: on random functions, the QM cover equals the function on the
    on-set, avoids the off-set, and every selected cube is prime (covered
@@ -245,12 +257,9 @@ let prop_qm_correct =
   QCheck.Test.make ~name:"qm cover is correct and on-only" ~count:300 arb
     (fun (n, assigns) ->
       let value m = assigns.(m) in
-      let on =
-        List.filter (fun m -> value m = 1) (List.init (1 lsl n) Fun.id)
-      and dc =
-        List.filter (fun m -> value m = 2) (List.init (1 lsl n) Fun.id)
-      in
-      let cover = Qm.minimize ~n ~on ~dc in
+      let on = List.filter (fun m -> value m = 1) (universe n)
+      and off = List.filter (fun m -> value m = 0) (universe n) in
+      let cover = Qm.minimize ~n ~on ~off in
       List.for_all
         (fun m ->
           let v = Cover.eval_minterm cover m in
@@ -258,27 +267,117 @@ let prop_qm_correct =
           | 1 -> v
           | 0 -> not v
           | _ -> true)
-        (List.init (1 lsl n) Fun.id))
+        (universe n))
 
 let prop_qm_minimize_f_agrees =
   QCheck.Test.make ~name:"minimize_f agrees with minimize" ~count:100
     QCheck.(pair (int_range 1 4) (int_bound 0xFFFF))
     (fun (n, bits) ->
       let f m = Some (bits land (1 lsl m) <> 0) in
-      let on =
-        List.filter (fun m -> bits land (1 lsl m) <> 0)
-          (List.init (1 lsl n) Fun.id)
-      in
-      let a = Qm.minimize_f ~n f and b = Qm.minimize ~n ~on ~dc:[] in
+      let on = List.filter (fun m -> bits land (1 lsl m) <> 0) (universe n) in
+      let a = Qm.minimize_f ~n f
+      and b = Qm.minimize ~n ~on ~off:(off_of ~n ~on ~dc:[]) in
       Cover.equal_semantics a b)
+
+(* The reference: the pairwise Quine–McCluskey of [Qm_oracle], which
+   lists every don't-care.  Random disjoint on/off sets over up to 8
+   variables, with a random share of don't-cares (sparse ones look like
+   the reached codes of an STG, dense ones like a pipeline's). *)
+let qm_instance =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 8 in
+      let* w_on = int_range 0 4 and* w_off = int_range 0 4
+      and* w_dc = int_range 0 8 in
+      let* classes =
+        array_size
+          (return (1 lsl n))
+          (frequency
+             [ (w_on, return 1); (w_off, return 0); (w_dc + 1, return 2) ])
+      in
+      return (n, classes))
+  in
+  QCheck.make gen ~print:(fun (n, a) ->
+      Printf.sprintf "n=%d f=%s" n
+        (String.concat "" (Array.to_list (Array.map string_of_int a))))
+
+let split (n, classes) =
+  let with_class c = List.filter (fun m -> classes.(m) = c) (universe n) in
+  (with_class 1, with_class 0, with_class 2)
+
+let cube_strings cover = List.map Cube.to_string (Cover.cubes cover)
+
+let prop_qm_matches_oracle =
+  QCheck.Test.make ~name:"primes and covers = pairwise QM" ~count:300
+    qm_instance (fun ((n, _) as inst) ->
+      let on, off, dc = split inst in
+      let oracle_primes =
+        List.filter
+          (fun p -> List.exists (Cube.contains_minterm p) on)
+          (Qm_oracle.primes ~n ~on ~dc)
+      in
+      List.map Cube.to_string (Qm.primes ~n ~on ~off)
+      = List.map Cube.to_string oracle_primes
+      && cube_strings (Qm.minimize ~n ~on ~off)
+         = cube_strings (Qm_oracle.minimize ~n ~on ~dc)
+      && cube_strings (Satg_stg.Synth.all_primes_cover ~n ~on ~off)
+         = cube_strings (Qm_oracle.all_primes_cover ~n ~on ~dc))
+
+let test_qm_edge_sets () =
+  let same ~n ~on ~off =
+    let dc = off_of ~n ~on ~dc:off in
+    Alcotest.(check (list string))
+      (Printf.sprintf "n=%d primes" n)
+      (List.map Cube.to_string
+         (List.filter
+            (fun p -> List.exists (Cube.contains_minterm p) on)
+            (Qm_oracle.primes ~n ~on ~dc)))
+      (List.map Cube.to_string (Qm.primes ~n ~on ~off));
+    Alcotest.(check (list string))
+      (Printf.sprintf "n=%d cover" n)
+      (cube_strings (Qm_oracle.minimize ~n ~on ~dc))
+      (cube_strings (Qm.minimize ~n ~on ~off))
+  in
+  (* empty on-set: no prime, the empty cover *)
+  Alcotest.(check (list string)) "empty on-set" []
+    (List.map Cube.to_string (Qm.primes ~n:3 ~on:[] ~off:[ 0; 7 ]));
+  same ~n:3 ~on:[] ~off:[ 0; 7 ];
+  (* empty off-set: one universal cube *)
+  Alcotest.(check (list string)) "empty off-set" [ "----" ]
+    (List.map Cube.to_string (Qm.primes ~n:4 ~on:[ 3; 12 ] ~off:[]));
+  same ~n:4 ~on:[ 3; 12 ] ~off:[];
+  (* n = 0: the one minterm is on (the empty-width cube) or off *)
+  Alcotest.(check (list string)) "n=0 on" [ "" ]
+    (List.map Cube.to_string (Qm.primes ~n:0 ~on:[ 0 ] ~off:[]));
+  Alcotest.(check bool) "n=0 off" true
+    (Cover.is_empty (Qm.minimize ~n:0 ~on:[] ~off:[ 0 ]));
+  same ~n:0 ~on:[ 0 ] ~off:[];
+  (* a position one flip from an off-minterm is fixed in every prime *)
+  Alcotest.(check (list string)) "forced position" [ "-1-" ]
+    (List.map Cube.to_string (Qm.primes ~n:3 ~on:[ 2 ] ~off:[ 0 ]))
+
+let test_qm_wide () =
+  (* 62 variables, the int-mask limit: two reached codes of opposite
+     value, far apart, give two half-spaces split on each differing
+     position. *)
+  let n = 62 in
+  let on = [ 1 ] and off = [ 1 lor (1 lsl 61) ] in
+  let ps = Qm.primes ~n ~on ~off in
+  Alcotest.(check (list string)) "one prime"
+    [ "0" ^ String.make 61 '-' ]
+    (List.map Cube.to_string ps);
+  let c = Qm.minimize ~n ~on ~off in
+  Alcotest.(check bool) "covers on" true (Cover.eval_minterm c 1);
+  Alcotest.(check bool) "avoids off" false
+    (Cover.eval_minterm c (1 lor (1 lsl 61)))
 
 let test_qm_degenerate_sizes () =
   (* n = 0: the only minterm is 0; the cover is the empty-width cube. *)
-  let c = Qm.minimize ~n:0 ~on:[ 0 ] ~dc:[] in
+  let c = Qm.minimize ~n:0 ~on:[ 0 ] ~off:[] in
   Alcotest.(check int) "one cube" 1 (Cover.cube_count c);
   Alcotest.(check bool) "covers it" true (Cover.eval_minterm c 0);
   (* n = 1 identity *)
-  let c = Qm.minimize ~n:1 ~on:[ 1 ] ~dc:[] in
+  let c = Qm.minimize ~n:1 ~on:[ 1 ] ~off:[ 0 ] in
   Alcotest.(check (list string)) "single literal" [ "1" ]
     (List.map Cube.to_string (Cover.cubes c))
 
@@ -289,7 +388,7 @@ let test_cover_width_mismatch () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_qm_correct; prop_qm_minimize_f_agrees ]
+    [ prop_qm_correct; prop_qm_minimize_f_agrees; prop_qm_matches_oracle ]
 
 let suites =
   [
@@ -325,6 +424,8 @@ let suites =
         Alcotest.test_case "primes" `Quick test_qm_primes;
         Alcotest.test_case "bad args" `Quick test_qm_bad_args;
         Alcotest.test_case "degenerate sizes" `Quick test_qm_degenerate_sizes;
+        Alcotest.test_case "edge sets = pairwise QM" `Quick test_qm_edge_sets;
+        Alcotest.test_case "62 variables" `Quick test_qm_wide;
       ]
       @ qcheck_cases );
   ]

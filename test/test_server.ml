@@ -938,6 +938,57 @@ let test_cli_no_reset_state () =
   expect_error d [ "cssg"; file ];
   expect_error d [ "atpg"; file ]
 
+(* --- piped input ---------------------------------------------------------- *)
+
+(* [satg ARGS1 | satg ARGS2] over a real pipe: the consumer's exit code
+   and stdout.  The producer must succeed. *)
+let run_piped d args1 args2 =
+  let out_file = d // "stdout" in
+  let out =
+    Unix.openfile out_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let r, w = Unix.pipe ~cloexec:true () in
+  let spawn args stdin stdout =
+    Unix.create_process satg_exe
+      (Array.of_list (satg_exe :: args))
+      stdin stdout devnull
+  in
+  let producer = spawn args1 Unix.stdin w in
+  Unix.close w;
+  let consumer = spawn args2 r out in
+  List.iter Unix.close [ r; out; devnull ];
+  let code pid =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED n -> n
+    | _ -> Alcotest.fail "satg did not exit"
+  in
+  let produced = code producer in
+  let consumed = code consumer in
+  Alcotest.(check int) ("satg " ^ String.concat " " args1 ^ ": exit") 0 produced;
+  (consumed, In_channel.with_open_bin out_file In_channel.input_all)
+
+(* A spec or a netlist on a pipe is read to end of file, once: the
+   pipe gives what a file would. *)
+let test_cli_reads_pipes () =
+  with_dir @@ fun d ->
+  let dff = Option.get (Suite.find "dff") in
+  let netlist =
+    Parser.to_string (Result.get_ok (Satg_stg.Synth.decomposed ~redundant:true dff.Suite.stg))
+  in
+  let code, out =
+    run_piped d [ "bench"; "dff" ] [ "synth"; "-b"; "redundant"; "/dev/stdin" ]
+  in
+  Alcotest.(check int) "bench | synth: exit" 0 code;
+  Alcotest.(check string) "bench | synth = synth of the spec" netlist out;
+  let code, out =
+    run_piped d [ "gen"; "latch"; "-n"; "2"; "--style"; "redundant" ]
+      [ "check"; "/dev/stdin" ]
+  in
+  Alcotest.(check int) "gen | check: exit" 0 code;
+  Alcotest.(check bool) "gen | check: report" true
+    (String.starts_with ~prefix:"circuit latch2_hf:" out)
+
 let suites =
   [
     ( "server_proto",
@@ -993,5 +1044,7 @@ let suites =
           test_cli_too_many_inputs;
         Alcotest.test_case "no reset state exits 1" `Quick
           test_cli_no_reset_state;
+        Alcotest.test_case "specs and netlists on a pipe" `Quick
+          test_cli_reads_pipes;
       ] );
   ]
