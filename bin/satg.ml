@@ -37,9 +37,9 @@ let or_die = function
     prerr_endline ("error: " ^ m);
     exit 1
 
-(* The whole file, read to end of file rather than by length, so a pipe
-   works too.  A pipe can be read only once: a command that needs both
-   the text and the circuit parses the text it read. *)
+(* Every spec and netlist is read here, to end of file rather than by
+   length, so a pipe works too.  A pipe can be read only once: a command
+   that needs both the text and the circuit parses the text it read. *)
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | text -> text
@@ -95,7 +95,7 @@ let synth_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT")
   in
   let run spec backend output =
-    let stg = or_die (Stg.parse_file spec) in
+    let stg = or_die (Stg.parse_string (read_file spec)) in
     let circuit =
       or_die
         (match backend with
@@ -718,7 +718,7 @@ let dot_cmd =
   let run file what k =
     match what with
     | `Stg ->
-      let stg = or_die (Stg.parse_file file) in
+      let stg = or_die (Stg.parse_string (read_file file)) in
       print_string (Stg.to_dot stg)
     | `Circuit ->
       let c = or_die (read_circuit file) in

@@ -295,11 +295,6 @@ let lint_string text =
     (fun a b -> compare (a.line, a.msg) (b.line, b.msg))
     !diags
 
-(* Read to end of file rather than by length, so a pipe works too. *)
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let lint_file path = lint_string (read_file path)
-
 let parse_string text =
   let lines = String.split_on_char '\n' text in
   try
@@ -315,11 +310,6 @@ let parse_string text =
   with
   | Parse_error m -> Error m
   | Invalid_argument m -> Error m
-
-let parse_file path =
-  match read_file path with
-  | text -> parse_string text
-  | exception Sys_error m -> Error m
 
 let to_string c =
   let buf = Buffer.create 1024 in

@@ -18,7 +18,6 @@
     sets both the environment node and its buffer. *)
 
 val parse_string : string -> (Circuit.t, string) result
-val parse_file : string -> (Circuit.t, string) result
 
 (** One lint finding.  [line] is 1-based; 0 marks a file-level problem
     (e.g. a missing [circuit] directive). *)
@@ -35,10 +34,6 @@ val lint_string : string -> diag list
     first like {!parse_string}.  Empty means {!parse_string} will
     almost surely succeed (builder-level errors excepted).  Never
     raises. *)
-
-val lint_file : string -> diag list
-(** {!lint_string} on the file's bytes.
-    @raise Sys_error if the file cannot be read. *)
 
 val to_string : Circuit.t -> string
 (** Render in the same format (modulo comments); [parse_string] of the

@@ -80,7 +80,7 @@ let minimal_hitting_sets sets emit =
    prime through [m], and the scan of the off-set is skipped. *)
 let primes_imp ~n ~on ~off =
   if n < 0 || n > max_vars then
-    invalid_arg "Qm: variable count out of [0, 62]";
+    invalid_arg (Printf.sprintf "Qm: variable count out of [0, %d]" max_vars);
   let in_range m = m >= 0 && m lsr n = 0 in
   if not (List.for_all in_range on && List.for_all in_range off) then
     invalid_arg "Qm: minterm out of range";

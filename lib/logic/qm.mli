@@ -4,10 +4,13 @@
     primes, then a greedy cover for the remainder — adequate for the
     controller-sized functions produced by STG synthesis.
 
-    Both entry points take up to 62 variables, the int-mask width of the
-    rest of the pipeline.
-    @raise Invalid_argument if [n] is outside [\[0, 62\]], a minterm is
-    out of range, or a minterm is in both [on] and [off]. *)
+    Both entry points take up to {!max_vars} variables, the int-mask
+    width of the rest of the pipeline.
+    @raise Invalid_argument if [n] is outside [\[0, max_vars\]], a
+    minterm is out of range, or a minterm is in both [on] and [off]. *)
+
+val max_vars : int
+(** 62: the most variables a non-negative int mask holds. *)
 
 val primes : n:int -> on:int list -> off:int list -> Cube.t list
 (** Every prime implicant of the function that contains at least one

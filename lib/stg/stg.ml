@@ -244,12 +244,6 @@ let parse_string text =
       }
   with Parse_error m -> Error m
 
-(* Read to end of file rather than by length, so a pipe works too. *)
-let parse_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> parse_string text
-  | exception Sys_error m -> Error m
-
 let to_string t =
   let buf = Buffer.create 512 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -436,7 +430,8 @@ let check_csc sg =
 let next_state_tables sg =
   let t = sg.stg in
   let n_sig = Array.length t.signals in
-  if n_sig > 62 then invalid_arg "Stg.next_state_tables: too many signals";
+  if n_sig > Satg_logic.Qm.max_vars then
+    invalid_arg "Stg.next_state_tables: too many signals";
   let reached = Hashtbl.create 64 in
   let on = Array.make n_sig [] and off = Array.make n_sig [] in
   Array.iteri

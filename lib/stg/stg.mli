@@ -55,7 +55,6 @@ val is_input : t -> int -> bool
 val signal_index : t -> string -> int option
 
 val parse_string : string -> (t, string) result
-val parse_file : string -> (t, string) result
 val to_string : t -> string
 
 (** {1 Token-game semantics} *)
@@ -98,7 +97,7 @@ val next_state_tables : sg -> (int list * int list) array
     is 0, each in first-reached order.  Every unreached code is a
     don't-care and is not listed.  Meaningful only if {!check_csc}
     passed.
-    @raise Invalid_argument beyond 62 signals. *)
+    @raise Invalid_argument beyond {!Satg_logic.Qm.max_vars} signals. *)
 
 val to_dot : t -> string
 (** Graphviz rendering of the Petri net: transitions as boxes (inputs

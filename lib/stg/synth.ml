@@ -78,8 +78,10 @@ let shrink cover cols =
 let prepare stg =
   let n_sig = Array.length stg.Stg.signals in
   let fail m = Error (Printf.sprintf "%s: %s" stg.Stg.name m) in
-  if n_sig > 62 then
-    fail (Printf.sprintf "%d signals, more than the 62 a code holds" n_sig)
+  if n_sig > Qm.max_vars then
+    fail
+      (Printf.sprintf "%d signals, more than the %d a code holds" n_sig
+         Qm.max_vars)
   else
     match Stg.explore stg with
     | Error m -> fail m

@@ -32,11 +32,6 @@ val prime_covers : Stg.sg -> (string * Satg_logic.Cover.t) list
 (** All-primes (maximally redundant, hazard-free) covers: every prime
     that covers a reached code where the signal's next value is 1. *)
 
-val all_primes_cover :
-  n:int -> on:int list -> off:int list -> Satg_logic.Cover.t
-(** The all-primes cover of one function given by its on- and off-set
-    ({!Satg_logic.Qm.primes}); the empty cover when [on] is empty. *)
-
 val hazard_free_covers : Stg.sg -> (string * Satg_logic.Cover.t) list
 (** Per-function choice: all-primes where the minimal cover has
     opposing literals (hazard potential), minimal otherwise.  This is

@@ -4,7 +4,7 @@
    don't-care and compares O(k^2) pairs a round.  Slow, and obviously
    the textbook procedure; [Satg_logic.Qm] grows primes from the on-set
    against the off-set instead, and must return the primes listed here
-   that contain an on-minterm, in the same order, and the same covers. *)
+   that contain an on-minterm, in the same order, and the same cover. *)
 
 open Satg_logic
 
@@ -106,13 +106,3 @@ let minimize ~n ~on ~dc =
   else
     Cover.make ~n
       (List.map (cube_of_imp n) (select_cover (primes_imp ~on ~dc) on))
-
-(* The all-primes (hazard-free) cover: every prime that covers an
-   on-minterm. *)
-let all_primes_cover ~n ~on ~dc =
-  if on = [] then Cover.empty n
-  else
-    Cover.make ~n
-      (List.filter
-         (fun p -> List.exists (Cube.contains_minterm p) on)
-         (primes ~n ~on ~dc))

@@ -287,15 +287,16 @@ let test_families_compile_and_verify () =
     Families.all
 
 (* Every family's top size compiles to a spec whose state codes fit the
-   62 bits synthesis works in, and the size past it is refused. *)
+   bits synthesis works in, and the size past it is refused. *)
 let test_family_caps () =
   List.iter
     (fun (f : Families.family) ->
       let stg = ok (Families.generate f.fname ~n:f.max_n) in
       let n_sig = Array.length stg.Stg.signals in
       Alcotest.(check bool)
-        (Printf.sprintf "%s %d: %d signals <= 62" f.fname f.max_n n_sig)
-        true (n_sig <= 62);
+        (Printf.sprintf "%s %d: %d signals <= %d" f.fname f.max_n n_sig
+           Qm.max_vars)
+        true (n_sig <= Qm.max_vars);
       Alcotest.(check bool)
         (Printf.sprintf "%s %d refused" f.fname (f.max_n + 1))
         true
