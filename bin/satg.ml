@@ -64,10 +64,11 @@ let explorable path c =
 let read_explorable path = explorable path (or_die (read_circuit path))
 
 (* SIGINT/SIGTERM drain the run instead of killing it: the handler
-   cancels the run guard with [Interrupt], every in-flight search trips
-   at its next probe, the wave merge commits (and journals) what is
-   already done, and the normal epilogue prints the partial summary and
-   exits 2.  Journaled [Interrupt] aborts are re-searched on resume. *)
+   cancels the run guard with [Interrupt], the search in progress trips
+   at its next probe and every later fault at its first, each ending
+   [Aborted] (and journaled as such) while the outcomes already settled
+   stay.  The normal epilogue prints the partial summary and exits 2.
+   Journaled [Interrupt] aborts are re-searched on resume. *)
 let drain_on_signal guard =
   let handle =
     Sys.Signal_handle (fun _ -> Guard.cancel guard Guard.Interrupt)
@@ -150,19 +151,6 @@ let max_transitions_arg =
     & opt (some int) None
     & info [ "max-transitions" ] ~docv:"N"
         ~doc:"Ceiling on transition expansions, per phase / per fault.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~env:(Cmd.Env.info "SATG_JOBS")
-        ~doc:
-          "Run the deterministic fault search on $(docv) worker domains \
-           (default 1).  Merging is deterministic: the reported coverage \
-           partition is identical for every $(docv).  The BDD engine's \
-           deterministic phase searches one fault at a time \
-           (single-domain manager).")
 
 let reorder_arg =
   Arg.(
@@ -363,17 +351,12 @@ let atpg_cmd =
     if Session.degraded p then exit exit_partial
   in
   let run file universe no_random seed verbose engine no_collapse stats k
-      jobs timeout max_states max_transitions reorder cluster_cap cache_dir
-      resume =
+      timeout max_states max_transitions reorder cluster_cap cache_dir resume =
     let netlist = read_file file in
     let c = explorable file (or_die (parse_circuit file netlist)) in
     let config =
-      {
-        (make_config ~k ~no_random ~engine ~no_collapse ~timeout ~max_states
-           ~max_transitions ~reorder ~cluster_cap ~seed)
-        with
-        jobs;
-      }
+      make_config ~k ~no_random ~engine ~no_collapse ~timeout ~max_states
+        ~max_transitions ~reorder ~cluster_cap ~seed
     in
     let guard = Guard.create ?timeout ?max_states ?max_transitions () in
     drain_on_signal guard;
@@ -449,7 +432,7 @@ let atpg_cmd =
     (Cmd.info "atpg" ~doc:"Generate synchronous test patterns for a netlist.")
     Term.(
       const run $ file $ universe $ no_random $ seed $ verbose $ engine
-      $ no_collapse $ stats_arg $ k_arg $ jobs_arg $ timeout_arg
+      $ no_collapse $ stats_arg $ k_arg $ timeout_arg
       $ max_states_arg $ max_transitions_arg $ reorder_arg $ cluster_cap_arg
       $ cache_dir $ resume)
 
@@ -652,20 +635,13 @@ let dft_cmd =
          ~doc:"Insert a control point (test-mode mux) on the signal and \
                re-run ATPG; repeatable.")
   in
-  let run file budget control k jobs timeout max_states max_transitions =
+  let run file budget control k timeout max_states max_transitions =
     let c = read_explorable file in
     let faults = Fault.universe_input_sa c in
     (* The same config (test-cycle budget and resource limits) governs
        every ATPG run below, instrumented circuits included. *)
     let config =
-      {
-        Engine.default_config with
-        k;
-        jobs;
-        timeout;
-        max_states;
-        max_transitions;
-      }
+      { Engine.default_config with k; timeout; max_states; max_transitions }
     in
     if control = [] then begin
       let imp = Dft.evaluate ~budget ~config c ~faults in
@@ -701,7 +677,7 @@ let dft_cmd =
     (Cmd.info "dft"
        ~doc:"Recommend and evaluate test observation/control points.")
     Term.(
-      const run $ file $ budget $ control $ k_arg $ jobs_arg $ timeout_arg
+      const run $ file $ budget $ control $ k_arg $ timeout_arg
       $ max_states_arg $ max_transitions_arg)
 
 (* --- dot ------------------------------------------------------------------- *)
@@ -753,8 +729,8 @@ let serve_cmd =
              $(docv) — shared, in both directions, with one-shot \
              $(b,--cache-dir) runs.")
   in
-  let run socket jobs cache_dir =
-    let service = Satg_server.Service.create ?cache_dir ~jobs () in
+  let run socket cache_dir =
+    let service = Satg_server.Service.create ?cache_dir () in
     let on_ready () = Printf.eprintf "[serve] listening on %s\n%!" socket in
     match Satg_server.Server.serve ~on_ready ~socket service with
     | Ok () ->
@@ -772,7 +748,7 @@ let serve_cmd =
          "Run the persistent ATPG daemon: batched requests, per-request \
           QoS budgets, a warm content-addressed result store, and each \
           graph built once per daemon.  SIGINT/SIGTERM drain gracefully.")
-    Term.(const run $ socket_arg $ jobs_arg $ cache_dir)
+    Term.(const run $ socket_arg $ cache_dir)
 
 let deadline_arg =
   Arg.(

@@ -2,7 +2,6 @@ open Satg_guard
 open Satg_circuit
 open Satg_fault
 open Satg_sg
-open Satg_pool
 
 type justification_engine = Explicit | Bdd | Sat
 
@@ -12,7 +11,6 @@ type config = {
   enable_fault_sim : bool;
   engine : justification_engine;
   collapse : bool;
-  jobs : int;
   timeout : float option;
   max_states : int option;
   max_transitions : int option;
@@ -29,7 +27,6 @@ let default_config =
     enable_fault_sim = true;
     engine = Explicit;
     collapse = true;
-    jobs = 1;
     timeout = None;
     max_states = None;
     max_transitions = None;
@@ -62,8 +59,8 @@ type result = {
 (* A phase's guard: fresh state/transition counters (so one runaway
    fault cannot starve the others) under the run guard's absolute
    deadline (so --timeout bounds the whole run).  Sub-guards also share
-   the run guard's cancel token, the cross-domain channel that lets one
-   worker's deadline trip stop its siblings. *)
+   the run guard's cancel token, so a drain signal that cancels the run
+   guard stops the search in progress. *)
 let sub_guard config run_guard =
   Guard.sub ?max_states:config.max_states
     ?max_transitions:config.max_transitions run_guard
@@ -72,15 +69,17 @@ let build_symbolic ~config ~guard g circuit =
   Symbolic.build ~k:(Cssg.k g) ~reorder:config.reorder
     ~cluster_cap:config.cluster_cap ~guard:(sub_guard config guard) circuit
 
-let run ?(config = default_config) ?cssg ?symbolic ?guard ?pool ?settled
-    ?on_outcome circuit ~faults =
+let run ?(config = default_config) ?cssg ?symbolic ?guard ?settled ?on_outcome
+    circuit ~faults =
   let t0 = Sys.time () in
   (* Structural fault collapsing: every phase searches one
      representative per equivalence class; afterwards each given fault
-     inherits its representative's outcome.  Equivalent faults yield
-     the same network function, so a test detecting the representative
-     detects the whole class — the expansion is sound and the reported
-     universe stays the caller's. *)
+     inherits its representative's outcome, so the reported universe
+     stays the caller's.  The expansion assumes that faults with the
+     same faulty network function are detected by the same tests.  That
+     holds only when their faulty machines also power up in the same
+     state: a pin fault whose gate resets away from the stuck value
+     starts where the output fault cannot (ROADMAP item 2). *)
   let targets =
     if config.collapse then Fault.collapse circuit faults else faults
   in
@@ -104,29 +103,21 @@ let run ?(config = default_config) ?cssg ?symbolic ?guard ?pool ?settled
     | Bdd, None -> Some (build_symbolic ~config ~guard:run_guard g circuit)
     | (Explicit | Sat), _ -> None
   in
-  (* A caller-owned pool (the daemon's) is reused across runs and never
-     shut down here; otherwise the config's [jobs] owns a fresh one. *)
-  Pool.with_pool ?pool ~jobs:config.jobs @@ fun pool ->
-  (* Per-worker deterministic-phase backends.  The SAT engine is a
-     mutable single-domain structure, so each worker lazily builds its
-     own instance over the shared (immutable) CSSG; detectability is a
-     semantic property of the graph, so the detected/undetected
-     partition does not depend on which instance answered.  The BDD
-     manager is also single-domain, but duplicating it per worker
-     means re-running the symbolic build — engine=Bdd therefore
-     searches one fault at a time on the caller (see docs/PERF.md). *)
-  let worker_sats = Array.make (Pool.jobs pool) None in
-  let backend_for wid =
+  (* The deterministic-phase backend.  The SAT engine is made on the
+     first search, so a run whose faults all fall to random TPG reports
+     no solver instance. *)
+  let sat = ref None in
+  let backend () =
     match config.engine with
     | Explicit -> None
     | Bdd -> Option.map (Three_phase.symbolic_backend g) symbolic
     | Sat ->
       let se =
-        match worker_sats.(wid) with
+        match !sat with
         | Some se -> se
         | None ->
           let se = Sat_engine.create g in
-          worker_sats.(wid) <- Some se;
+          sat := Some se;
           se
       in
       Some (Sat_engine.backend se)
@@ -137,7 +128,7 @@ let run ?(config = default_config) ?cssg ?symbolic ?guard ?pool ?settled
      single choke point through which every freshly computed outcome
      lands, so the journal receives outcomes exactly in commit order —
      the invariant that makes a journal prefix equal a prefix of the
-     sequential run. *)
+     uninterrupted run. *)
   (match settled with
   | None -> ()
   | Some settled ->
@@ -206,81 +197,40 @@ let run ?(config = default_config) ?cssg ?symbolic ?guard ?pool ?settled
       | (`Found _ | `Not_found) as x -> x)
     | (`Found _ | `Not_found) as x -> x
   in
-  (* Commit one fault's search result, replaying the sequential
-     semantics: a found test fault-simulates the faults still pending
-     and the caught ones leave the list.  Returns the pruned tail. *)
-  let commit f rest result =
-    match result with
-    | `Aborted r ->
-      record f (Testset.Aborted r);
-      rest
-    | `Not_found ->
-      record f Testset.Undetected;
-      rest
-    | `Found seq ->
-      record f
-        (Testset.Detected { sequence = seq; phase = Testset.Three_phase });
-      if config.enable_fault_sim then begin
-        let caught, pending = Detect.sweep g seq rest in
-        List.iter
-          (fun f' ->
-            record f'
-              (Testset.Detected
-                 { sequence = seq; phase = Testset.Fault_simulation }))
-          caught;
-        pending
-      end
-      else rest
-  in
-  (* Speculative wave parallelism: search a fixed-size prefix of the
-     pending list concurrently, then merge the results in list order
-     through [commit] — exactly a one-fault-at-a-time loop, so when
-     fault simulation sweeps a wave member away its speculative result
-     is simply discarded.  Outcomes are therefore identical for every
-     [-j]; a SAT worker's witness sequence may depend on its private
-     solver history, so there the detected/undetected partition is the
-     j-invariant, not the sequences.  A wave is one fault on a
-     one-worker pool (no speculation, so [-j 1] makes exactly the
-     sequential searches) and for the BDD engine (single-domain
-     manager; a one-item [Pool.map] runs on the caller).  A worker that
-     hits the global deadline cancels the guard family so its siblings
-     stop promptly. *)
-  let search wid f =
-    let r = find (backend_for wid) f in
-    (match r with
-    | `Aborted ((Guard.Timeout | Guard.Interrupt) as reason) ->
-      Guard.cancel run_guard reason
-    | `Aborted _ | `Not_found | `Found _ -> ());
-    r
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  let wave_size =
-    if Pool.jobs pool = 1 || config.engine = Bdd then 1 else 2 * Pool.jobs pool
-  in
-  let rec waves pending =
-    match pending with
+  (* One fault at a time: search the first pending fault, then commit
+     its result.  A found test fault-simulates the faults still pending,
+     and the ones it catches leave the list.  A fault listed twice is
+     searched once. *)
+  let rec search = function
     | [] -> ()
-    | _ ->
-      let wave = Array.of_list (take wave_size pending) in
-      let results = Pool.map pool search wave in
-      let tbl = Hashtbl.create (Array.length wave) in
-      Array.iteri (fun i f -> Hashtbl.replace tbl f results.(i)) wave;
-      let rec merge = function
-        | [] -> []
-        | f :: rest as l -> (
-          match Hashtbl.find_opt tbl f with
-          | None -> l (* first fault past this wave: start the next *)
-          | Some r ->
-            if Hashtbl.mem status f then merge rest
-            else merge (commit f rest r))
+    | f :: rest when Hashtbl.mem status f -> search rest
+    | f :: rest ->
+      let rest =
+        match find (backend ()) f with
+        | `Aborted r ->
+          record f (Testset.Aborted r);
+          rest
+        | `Not_found ->
+          record f Testset.Undetected;
+          rest
+        | `Found seq ->
+          record f
+            (Testset.Detected { sequence = seq; phase = Testset.Three_phase });
+          if config.enable_fault_sim then begin
+            let caught, pending = Detect.sweep g seq rest in
+            List.iter
+              (fun f' ->
+                record f'
+                  (Testset.Detected
+                     { sequence = seq; phase = Testset.Fault_simulation }))
+              caught;
+            pending
+          end
+          else rest
       in
-      waves (merge pending)
+      search rest
   in
-  waves remaining;
+  search remaining;
   let by_class = Hashtbl.create (List.length targets) in
   if config.collapse then
     List.iter
@@ -313,28 +263,18 @@ let run ?(config = default_config) ?cssg ?symbolic ?guard ?pool ?settled
     sat_stats =
       (match config.engine with
       | Sat ->
-        (* summed over the per-worker engines (one engine at -j 1),
-           so -j reports the run's whole SAT traffic *)
         Some
-          (Array.fold_left
-             (fun acc se ->
-               match se with
-               | Some se -> Satg_sat.Sat.add_stats acc (Sat_engine.stats se)
-               | None -> acc)
-             Satg_sat.Sat.zero_stats worker_sats)
+          (match !sat with
+          | Some se -> Sat_engine.stats se
+          | None -> Satg_sat.Sat.zero_stats)
       | Explicit | Bdd -> None);
     cnf_defs =
       (match config.engine with
       | Sat ->
         Some
-          (Array.fold_left
-             (fun (d, i) se ->
-               match se with
-               | Some se ->
-                 let d', i' = Sat_engine.defs_stats se in
-                 (d + d', i + i')
-               | None -> (d, i))
-             (0, 0) worker_sats)
+          (match !sat with
+          | Some se -> Sat_engine.defs_stats se
+          | None -> (0, 0))
       | Explicit | Bdd -> None);
   }
 

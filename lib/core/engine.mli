@@ -30,16 +30,6 @@ type config = {
   collapse : bool;
       (** structurally collapse the fault universe before any phase
           (default [true]); the result keeps both sizes *)
-  jobs : int;
-      (** width of the domain pool ({!Satg_pool.Pool}) the run creates
-          when the caller passes none (default 1).  The CSSG is built
-          on the caller; the deterministic phase searches speculative
-          fault waves of [2 × jobs] on the pool, merged in input
-          order, so the outcome partition is identical for every
-          [jobs].  At [jobs = 1] a wave is one fault and the pool
-          spawns no domains: that {e is} the sequential pipeline.  The
-          BDD engine's deterministic phase always searches one fault
-          at a time (single-domain manager); see docs/PERF.md. *)
   timeout : float option;
       (** wall-clock budget in seconds for the whole run *)
   max_states : int option;
@@ -69,8 +59,11 @@ type result = {
   outcomes : Testset.outcome list;
       (** in input fault order, one per given fault; under collapsing,
           a fault folded into an equivalence class carries its
-          representative's outcome (equivalent faults are detected by
-          exactly the same tests, so the expansion is sound) *)
+          representative's outcome.  That assumes the class members
+          are detected by the same tests, which fails for a pin fault
+          whose gate resets away from the stuck value: its faulty
+          machine powers up in another state than the output fault's
+          (ROADMAP item 2) *)
   cpu_seconds : float;
   faults_searched : int;
       (** class representatives the phases actually targeted; equals
@@ -82,9 +75,9 @@ type result = {
       (** solver counters, aggregated across every per-fault SAT
           query, when the [Sat] engine ran *)
   cnf_defs : (int * int) option;
-      (** [(defined, interned)] hash-consing counters summed over the
-          per-worker SAT engines: Tseitin definitions emitted vs
-          served structurally from the table *)
+      (** [(defined, interned)] hash-consing counters of the run's
+          SAT engine: Tseitin definitions emitted vs served
+          structurally from the table *)
 }
 
 val build_symbolic :
@@ -101,7 +94,6 @@ val run :
   ?cssg:Cssg.t ->
   ?symbolic:Symbolic.t ->
   ?guard:Guard.t ->
-  ?pool:Satg_pool.Pool.t ->
   ?settled:(Fault.t -> Testset.status option) ->
   ?on_outcome:(Fault.t -> Testset.status -> unit) ->
   Circuit.t ->
@@ -120,12 +112,6 @@ val run :
     ({!Symbolic.thaw}), which justifies exactly as the build did.
     [bdd_stats] are then that manager's counters.
 
-    [pool] substitutes a caller-owned worker pool for the one
-    [config.jobs] would create (and shut down) per run — the hook that
-    lets a long-lived service amortize domain spin-up across requests.
-    [config.jobs] is then ignored and the run behaves as
-    [jobs = Pool.jobs pool]; the pool is {e not} shut down on return.
-
     Resource limits come from the config: the wall-clock deadline is
     global to the run, while state/transition counters are reset per
     phase and per fault ({!Guard.sub}), so one pathological fault
@@ -141,10 +127,10 @@ val run :
       (a collapse representative): the fault skips every phase and
       [on_outcome] is {e not} echoed for it — it is already on disk.
     - [on_outcome] observes each freshly computed outcome the moment it
-      is committed, in commit order (the wave merge replays the
-      one-fault-at-a-time order, so this order is identical for every
-      [jobs] value and a journal written from it is an exact prefix of
-      the commit sequence of any other [jobs]).  It runs on the coordinating domain only.
+      is committed, in commit order: random-phase detections first,
+      then each searched fault followed by the faults its test caught
+      in fault simulation.  A journal written from it is an exact
+      prefix of the commit sequence of the uninterrupted run.
 
     Determinism contract for resume: a fault's random-phase detection
     depends only on (graph, walk) — per-walk seeding makes it

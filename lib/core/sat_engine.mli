@@ -2,9 +2,9 @@
     deterministic engine next to the BDD one ([--engine sat]).
 
     One engine owns {e one} long-lived incremental {!Satg_sat.Sat}
-    instance (created lazily; in a parallel run each pool worker gets
-    its own engine, so the per-run instance count is O(workers), not
-    O(faults)).  The instance holds the good-machine time-frame
+    instance (created lazily), and a run makes one engine, so a run
+    creates at most one instance, never one per fault.  The instance
+    holds the good-machine time-frame
     unrolling ({!Satg_cnf.Cnf.Unroller}), emitted once and shared by
     every query, plus a {!Satg_cnf.Cnf.Defs} hash-consing table.
 

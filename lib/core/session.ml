@@ -45,9 +45,8 @@ let degraded s =
   s.truncated <> None
   || List.exists (fun (_, st) -> Testset.is_aborted st) s.outcomes
 
-let run ?guard ?pool ?cssg ?symbolic ?settled ?on_outcome ~config circuit
-    universe =
-  Engine.run ~config ?cssg ?symbolic ?guard ?pool ?settled ?on_outcome circuit
+let run ?guard ?cssg ?symbolic ?settled ?on_outcome ~config circuit universe =
+  Engine.run ~config ?cssg ?symbolic ?guard ?settled ?on_outcome circuit
     ~faults:(faults_of circuit universe)
 
 (* The one rendering path: a live run is first condensed to a summary,
@@ -107,9 +106,8 @@ let reorder_of_name = function
 
 (* The field list is the one exhaustive enumeration of what determines
    an outcome partition: the store's cache key and the daemon's wire
-   format both render it, so the two can never drift apart.  [jobs] is
-   excluded by the determinism contract; field order is fixed (the
-   cache key hashes the rendering). *)
+   format both render it, so the two can never drift apart.  Field
+   order is fixed (the cache key hashes the rendering). *)
 let opt_int = function None -> "-" | Some n -> string_of_int n
 let opt_float = function None -> "-" | Some f -> Printf.sprintf "%.17g" f
 
@@ -186,7 +184,6 @@ let config_of_fields fields =
           enable_fault_sim;
           engine;
           collapse;
-          jobs = Engine.default_config.Engine.jobs;
           timeout;
           max_states;
           max_transitions;

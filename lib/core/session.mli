@@ -24,7 +24,6 @@ open Satg_guard
 open Satg_circuit
 open Satg_fault
 open Satg_sg
-open Satg_pool
 
 (** The fault model of a request: which stuck-at universe to target. *)
 type universe = Input | Output | Both
@@ -67,7 +66,6 @@ val degraded : summary -> bool
 
 val run :
   ?guard:Guard.t ->
-  ?pool:Pool.t ->
   ?cssg:Cssg.t ->
   ?symbolic:Symbolic.t ->
   ?settled:(Fault.t -> Testset.status option) ->
@@ -76,10 +74,10 @@ val run :
   Circuit.t ->
   universe ->
   Engine.result
-(** {!Engine.run} over {!faults_of}.  [pool] lets a long-lived caller
-    (the daemon) amortize domain spin-up across runs; [cssg] and
-    [symbolic] let it reuse the graph and the [Bdd] engine's symbolic
-    build across requests that share them (see {!Engine.run}). *)
+(** {!Engine.run} over {!faults_of}.  [cssg] and [symbolic] let a
+    long-lived caller (the daemon) reuse the graph and the [Bdd]
+    engine's symbolic build across requests that share them (see
+    {!Engine.run}). *)
 
 val render : ?verbose:bool -> Format.formatter -> Circuit.t -> summary -> unit
 (** The CLI report: per-fault outcome lines (with [verbose]), the CSSG
@@ -93,14 +91,11 @@ val check_report : Circuit.t -> string
 val config_fields :
   universe:universe -> Engine.config -> (string * string) list
 (** Every outcome-relevant configuration field as canonical
-    [(name, value)] pairs, in one fixed order.  [jobs] is deliberately
-    excluded: the engine's input-order wave merge makes the outcome
-    partition identical for every job count, so requests differing
-    only in [-j] must share cache keys and batch groups. *)
+    [(name, value)] pairs, in one fixed order.  Every field of
+    {!Engine.config} is outcome-relevant, so every field is listed. *)
 
 val config_of_fields :
   (string * string) list -> (universe * Engine.config) option
 (** Rebuild [(universe, config)] from {!config_fields} output (the
-    wire-protocol decoder).  [jobs] comes back at its default — the
-    receiving side owns its own parallelism.  [None] on any missing, duplicated
-    or malformed field. *)
+    wire-protocol decoder).  [None] on any missing, duplicated or
+    malformed field. *)

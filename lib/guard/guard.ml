@@ -14,12 +14,11 @@ type limits = {
   max_transitions : int option;
 }
 
-(* [cancel] is the only cross-domain channel: a guard family (one
-   [create] plus its [sub]s) shares a single atomic cell, so a worker
-   that hits the shared wall-clock deadline — or a signal handler
-   delivering SIGINT — can trip its siblings promptly even while they
-   sit in pure-CPU loops between ticks.  All other fields are mutated
-   exclusively by the domain that owns the guard. *)
+(* [cancel] is the one cell a guard family (one [create] plus its
+   [sub]s) shares, so a signal handler delivering SIGINT, or the
+   daemon's drain, trips the search in progress at its next probe and
+   every later sub-guard at its first.  All other fields belong to the
+   one guard. *)
 type t = {
   limits : limits;
   cancel : reason option Atomic.t;
@@ -46,9 +45,8 @@ let is_none t =
   && t.limits.max_states = None
   && t.limits.max_transitions = None
 
-(* Shared value, safe under domains: every probe takes the [inert]
-   fast path and returns without mutating anything, so the singleton
-   carries no cross-domain data race. *)
+(* Shared value: every probe takes the [inert] fast path and returns
+   without mutating anything, so the singleton is never written. *)
 let none = make { deadline = None; max_states = None; max_transitions = None }
 
 (* Only the [none] singleton is exempt from probing.  A guard the
@@ -74,8 +72,6 @@ let trip t r =
 let cancel t r =
   if not (inert t) then
     ignore (Atomic.compare_and_set t.cancel None (Some r))
-
-let cancelled t = Atomic.get t.cancel
 
 let retrip t =
   match t.tripped with

@@ -39,9 +39,9 @@ val none : t
 (** The unlimited guard: probes never raise.  Default everywhere a
     [?guard] parameter is omitted, so callers that do not care keep the
     historical behaviour.  Every probe on {e this singleton} is a
-    complete no-op (no counter mutation), so sharing [none] across
-    domains is race-free.  A guard {!create}d with no limits is {e not}
-    inert: its probes still observe the family's cancel token (and the
+    complete no-op (no counter mutation), so the singleton is never
+    written.  A guard {!create}d with no limits is {e not} inert: its
+    probes still observe the family's cancel token (and the
     fault-injection harness), which is what lets a signal handler stop
     an otherwise unlimited run. *)
 
@@ -55,19 +55,16 @@ val sub : ?max_states:int -> ?max_transitions:int -> t -> t
     deadline: per-fault isolation shares the run's clock while each
     fault gets its own state/transition allowance.  The child also
     shares the parent's {!cancel} token, so cancelling the parent trips
-    the whole family — the cross-domain kill switch for worker pools. *)
+    the whole family, the sub-guard of the search in progress included. *)
 
 val cancel : t -> reason -> unit
-(** Cross-domain cancellation: mark this guard family (the guard, its
-    parent if it is a [sub], and every sibling sharing the token) so
-    that each member's next probe raises {!Exhausted} with the given
-    reason.  First cancellation wins; cancelling the {!none} singleton
-    is a no-op.  Safe to call from any domain — including from an OCaml
-    signal handler, which is how SIGINT drains a run. *)
-
-val cancelled : t -> reason option
-(** The family's cancel token, without raising: lets a driver loop ask
-    "has someone pulled the plug?" between waves. *)
+(** Drain a run: mark this guard family (the guard, its parent if it
+    is a [sub], and every sibling sharing the token) so that each
+    member's next probe raises {!Exhausted} with the given reason.
+    First cancellation wins; cancelling the {!none} singleton is a
+    no-op.  The SIGINT/SIGTERM handler of [satg atpg] and the daemon's
+    [Service.interrupt] cancel with {!Interrupt}; safe to call from an
+    OCaml signal handler. *)
 
 val is_none : t -> bool
 (** No deadline and no ceilings — every probe is a no-op. *)

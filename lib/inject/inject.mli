@@ -1,8 +1,8 @@
 (** Deterministic fault injection for robustness testing.
 
     The durability and fail-soft invariants of this codebase — torn
-    journal tails salvage, a poisoned worker never wedges the pool, a
-    tripped guard degrades one fault, a killed process resumes — are
+    journal tails salvage, a tripped guard degrades one fault, a
+    killed process resumes — are
     only worth anything if something actually exercises the failure
     paths.  This module is that something: a seeded, spec-driven
     harness that makes selected {e probe sites} fail on demand, so
@@ -32,16 +32,12 @@
     - [guard.tick] — every {!Satg_guard.Guard} probe on a limited
       guard.  [trip] raises the guard's [Exhausted Transition_limit]
       mid-phase; [trip-timeout] raises [Exhausted Timeout] (the
-      no-retry, cancel-the-family path).
+      no-retry path: the fault it hits ends [Aborted] at once).
     - [bdd.collect] — each safe point of the symbolic engine: before
       every [TCR_k] image step and between reachability rings of
       [Symbolic.build], and on entry to [Symbolic.justify].  [force]
       collects the BDD store there whatever its size, so
-      [bdd.collect=force@p1] collects at every safe point.  Probed on
-      the caller's domain only (the BDD manager is single-domain), so
-      an [@N] trigger is deterministic.
-    - [pool.worker] — each item a {!Satg_pool.Pool.map} worker runs.
-      [poison] raises {!Injected} inside the worker.
+      [bdd.collect=force@p1] collects at every safe point.
     - [journal.append] — each journal record append.  [short] writes a
       torn half-record then raises; [enospc] raises before writing;
       [kill] SIGKILLs the process {e after} the append is durable;
@@ -49,15 +45,15 @@
     - [store.rename] / [store.fsync] — the atomic-publish steps of the
       store.  [fail] raises {!Injected}.
 
-    Counting is per-site across all domains (atomic), so an [@N]
-    trigger on a caller-domain-only site (the journal) is exactly
-    deterministic; on multi-domain sites ([guard.tick]) the count
-    interleaves and [@pF] is the reproducible choice. *)
+    Every site is probed on the one domain that runs the pipeline, so
+    hit counts are deterministic and an [@N] trigger fires on the same
+    probe in every run of the same command, at every site.  A site
+    not listed above is never probed: a rule for it arms nothing. *)
 
 exception Injected of string
 (** Raised by probing code when an armed site fires; the payload is
     ["site/action"].  Deliberately {e not} a [Guard.Exhausted]: it
-    models an environment failure (I/O, a crashed worker), not a
+    models an environment failure (an I/O error), not a
     resource budget. *)
 
 val enabled : unit -> bool

@@ -20,7 +20,7 @@
     — the registered problem clauses plus every learned clause that
     mentions the activation — detaching them from the watch lists and
     compacting the arena once dead clauses dominate.  This is the
-    mechanism behind the one-solver-per-worker ATPG engine: each
+    mechanism behind the one-solver-per-run ATPG engine: each
     fault's product clauses live and die under one activation while the
     shared time-frame clauses and act-free learned clauses persist.
 
@@ -125,7 +125,7 @@ type stats = {
   instances : int;
       (** solver instances behind these counters: [1] for a live
           solver's own {!stats}, summed by {!add_stats} — the ATPG
-          engine's "one instance per worker, not per fault" witness *)
+          engine's "one instance per run, not per fault" witness *)
   solves : int;  (** {!solve} calls *)
   reused_shared : int;
       (** times a clause predating the latest activation — the shared
@@ -148,7 +148,7 @@ val stats : t -> stats
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 (** Pointwise sum, except [n_vars]/[n_clauses] which take the max —
-    used to aggregate counters across the per-worker solvers of one
-    ATPG run. *)
+    used to aggregate counters across the solvers of several ATPG
+    runs. *)
 
 val pp_stats : Format.formatter -> stats -> unit

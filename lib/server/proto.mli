@@ -33,8 +33,7 @@ type atpg_request = {
   netlist : string;  (** raw [.cct] bytes *)
   universe : Session.universe;
   config : Engine.config;
-      (** outcome-relevant fields only travel; [jobs] is stripped (the
-          server owns its own parallelism; outcomes are j-invariant) *)
+      (** travels as {!Session.config_fields} *)
 }
 
 type cssg_request = {

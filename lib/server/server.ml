@@ -62,15 +62,12 @@ let serve_connection service fd =
 let serve ?(on_ready = fun () -> ()) ~socket service =
   install_drain service;
   match claim_socket socket with
-  | Error _ as e ->
-    Service.shutdown service;
-    e
+  | Error _ as e -> e
   | Ok () ->
     let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let cleanup () =
       Unix.close listen_fd;
-      (try Unix.unlink socket with Unix.Unix_error _ -> ());
-      Service.shutdown service
+      try Unix.unlink socket with Unix.Unix_error _ -> ()
     in
     (match
        Unix.bind listen_fd (Unix.ADDR_UNIX socket);

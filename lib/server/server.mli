@@ -1,10 +1,9 @@
 (** The daemon's accept loop: a Unix-domain stream socket, one
     connection at a time, one {!Proto} frame per request.
 
-    Sequential connection handling is a feature, not a shortcut: the
-    fault search inside an ATPG request already fans out over the
-    service's worker pool, and serving requests in arrival order keeps the
-    daemon's outcomes — and its counters — deterministic.
+    Sequential connection handling is a feature, not a shortcut:
+    serving requests in arrival order keeps the daemon's outcomes —
+    and its counters — deterministic.
 
     Failure containment, from the outside in: a malformed frame drops
     its connection (framing sync is lost) and the loop keeps accepting;
@@ -22,7 +21,7 @@
 val serve :
   ?on_ready:(unit -> unit) -> socket:string -> Service.t -> (unit, string) result
 (** Bind [socket], call [on_ready] once listening, serve until a drain
-    signal, then clean up (close, unlink, {!Service.shutdown}).
+    signal, then clean up (close, unlink).
 
     A pre-existing socket path is probed: a dead one (stale file from a
     killed daemon, connection refused) is unlinked and reclaimed; a

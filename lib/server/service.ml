@@ -1,7 +1,6 @@
 open Satg_circuit
 open Satg_core
 module Guard = Satg_guard.Guard
-module Pool = Satg_pool.Pool
 module Cssg = Satg_sg.Cssg
 module Explicit = Satg_sg.Explicit
 module Symbolic = Satg_sg.Symbolic
@@ -27,7 +26,6 @@ type counters = {
 
 type t = {
   cache_dir : string option;
-  pool : Pool.t;
   warm : (string, Satg_store.Codec.result_payload) Hashtbl.t;
   graphs : (string, Cssg.t) Hashtbl.t;
   frozen : (string, Symbolic.frozen) Hashtbl.t;
@@ -36,10 +34,9 @@ type t = {
   mutable active : Guard.t option;
 }
 
-let create ?cache_dir ?(jobs = 1) () =
+let create ?cache_dir () =
   {
     cache_dir;
-    pool = Pool.create ~jobs;
     warm = Hashtbl.create 64;
     graphs = Hashtbl.create 16;
     frozen = Hashtbl.create 16;
@@ -65,7 +62,6 @@ let create ?cache_dir ?(jobs = 1) () =
     active = None;
   }
 
-let shutdown t = Pool.shutdown t.pool
 let note_connection t = t.k.connections <- t.k.connections + 1
 let note_malformed t = t.k.malformed <- t.k.malformed + 1
 
@@ -212,7 +208,6 @@ let shared_symbolic t ~netlist ~config ~guard g c =
 
 let run_atpg t (a : Proto.atpg_request) =
   t.k.atpg <- t.k.atpg + 1;
-  (* the wire never carries [jobs]: every run uses the daemon's pool *)
   let config = a.Proto.config in
   match Parser.parse_string a.Proto.netlist with
   | Error m -> failure t "parse" m
@@ -231,10 +226,7 @@ let run_atpg t (a : Proto.atpg_request) =
       let guard = fresh_guard t config in
       let cssg = shared_cssg t ~netlist ~config ~guard c in
       let symbolic = shared_symbolic t ~netlist ~config ~guard cssg c in
-      let r =
-        Session.run ~guard ~pool:t.pool ~cssg ?symbolic ~config c
-          a.Proto.universe
-      in
+      let r = Session.run ~guard ~cssg ?symbolic ~config c a.Proto.universe in
       let payload = Session.summary_of_result r in
       (* cacheable = reproducible: deterministic budget trips qualify,
          wall-clock/drain aborts and injected failures do not *)

@@ -1,5 +1,5 @@
 (** Request execution for the ATPG daemon: one long-lived {!t} owns the
-    warm store, the shared builds, the worker pool and the counters;
+    warm store, the shared builds and the counters;
     {!handle} maps each decoded {!Proto.request} to its
     {!Proto.response}.
 
@@ -62,11 +62,8 @@
 
 type t
 
-val create : ?cache_dir:string -> ?jobs:int -> unit -> t
-(** [jobs] (default 1) sizes the one {!Satg_pool.Pool} every ATPG
-    request's fault search runs on — the daemon amortizes domain
-    creation across its lifetime.  Graphs are built on the caller.
-    [cache_dir] backs the warm store with the durable object store
+val create : ?cache_dir:string -> unit -> t
+(** [cache_dir] backs the warm store with the durable object store
     (shared with one-shot [--cache-dir] runs, both directions). *)
 
 val handle : t -> Proto.request -> Proto.response
@@ -77,9 +74,6 @@ val interrupt : t -> unit
 (** Begin draining: cancel the in-flight guard family with
     [Interrupt], and pre-cancel every future one.  Safe from a signal
     handler.  Irreversible. *)
-
-val shutdown : t -> unit
-(** Release the worker pool.  The [t] must not be used afterwards. *)
 
 val note_connection : t -> unit
 (** Server-side accounting hooks for the accept loop. *)

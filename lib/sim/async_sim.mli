@@ -70,10 +70,9 @@ end
       a kernel used for {!frontier} holds every distinct state it was
       asked about, and is meant to live as long as one fault's search.
 
-    A kernel owns mutable memory: it must not be shared between
-    domains.  [Explicit.build] compiles one per build and each exact
-    fault check ([Detect]) one per faulty machine, so a fault search on
-    a pool worker explores on its own kernel. *)
+    A kernel owns mutable memory: [Explicit.build] compiles one per
+    build and each exact fault check ([Detect]) one per faulty
+    machine, so no two searches share one. *)
 module Kernel : sig
   type t
 

@@ -3,9 +3,7 @@
     Objects live at [<dir>/objects/<k₀k₁>/<key>], where [key] is the
     MD5 of a canonical description of everything the result depends on
     — netlist hash, test-cycle budget, fault universe, engine, resource
-    caps, collapse flag, random-phase config ({!Durable.key_of}).  Jobs
-    ([-j]) is deliberately {e not} part of the key: outcomes are
-    j-invariant by the pool's determinism contract.
+    caps, collapse flag, random-phase config ({!Durable.key_of}).
 
     Publication is atomic (write a unique tmp in the same directory,
     fsync, rename), so readers never observe a half-written object and

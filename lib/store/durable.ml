@@ -6,11 +6,10 @@ let ( // ) = Filename.concat
 
 let key_of ~netlist ~universe ~config =
   (* Everything outcome-determining goes in, via the session layer's
-     one exhaustive field list ([jobs] stays out: the wave merge is
-     j-invariant).  The typed [universe] kills a whole bug class — a
-     caller passing "Input" vs "input" used to mint two keys for one
-     request.  [format] guards against wire-format or semantics
-     changes across versions of this code. *)
+     one exhaustive field list.  The typed [universe] kills a whole bug
+     class — a caller passing "Input" vs "input" used to mint two keys
+     for one request.  [format] guards against wire-format or
+     semantics changes across versions of this code. *)
   Cache.key_of_parts
     (("format", "3")
     :: ("netlist", Digest.to_hex (Digest.string netlist))

@@ -12,11 +12,7 @@
     The {e key} fingerprints everything that determines the outcome
     partition: the netlist bytes, fault universe, test-cycle budget,
     phase toggles, engine, collapse flag, resource caps and the random
-    seed.  [-j] is deliberately {e not} part of the key — the engine's
-    input-order wave merge makes outcomes identical for every job
-    count, so a run at [-j4] may serve, or resume, a run at [-j1].
-    (Under [--engine sat] a witness {e sequence} may differ across
-    [-j]; the detected/undetected partition still cannot.)
+    seed.
 
     Lifecycle: {!start} takes the lock and either creates a fresh
     journal or replays one ([resume]); {!settled} feeds the engine the

@@ -1,8 +1,7 @@
-(* The build and -j contracts, measured: CSSG construction must equal
-   the reference BFS under every budget; fault search must produce
-   bit-identical outcomes for every pool width; and both must degrade
+(* The build contract, measured: CSSG construction must equal the
+   reference BFS under every budget, and the pipeline must degrade
    fail-soft (never raise) when a resource guard trips, in the build or
-   inside a worker. *)
+   inside the fault search. *)
 
 open Satg_guard
 open Satg_circuit
@@ -164,99 +163,29 @@ let test_cap_sweeps () =
   Alcotest.(check bool) "some capped builds truncate" true (!truncated > 0);
   Alcotest.(check bool) "some capped builds complete" true (!complete > 0)
 
-(* --- parallel fault search -------------------------------------------------- *)
+(* --- fail-soft degradation inside the search -------------------------------- *)
 
-let status_string c o =
-  Fault.to_string c o.Testset.fault
-  ^ ": "
-  ^
-  match o.Testset.status with
-  | Testset.Detected { phase; sequence } ->
-    Printf.sprintf "detected(%s, %s)"
-      (match phase with
-      | Testset.Random -> "random"
-      | Testset.Three_phase -> "3ph"
-      | Testset.Fault_simulation -> "sim")
-      (Testset.sequence_to_string sequence)
-  | Testset.Undetected -> "undetected"
-  | Testset.Aborted r -> "aborted(" ^ Guard.reason_to_string r ^ ")"
-
-let run_atpg ?(jobs = 1) ?(engine = Engine.Explicit) ?caps c =
-  let max_states, max_transitions =
-    match caps with
-    | Some (s, t) -> (Some s, Some t)
-    | None -> (None, None)
-  in
-  let config =
-    { Engine.default_config with engine; jobs; max_states; max_transitions }
-  in
-  Engine.run ~config c ~faults:(Fault.universe_input_sa c)
-
-let check_outcomes_equal name c a b =
-  List.iter2
-    (fun oa ob ->
-      Alcotest.(check string) name (status_string c oa) (status_string c ob))
-    a.Engine.outcomes b.Engine.outcomes
-
-let test_engine_jobs_deterministic () =
-  let tractable =
-    [ (Figures.celem_handshake (), None); (Figures.mutex_latch (), None) ]
-  in
-  let pathological =
-    [
-      (parse ring_storm_text, Some (cap_states, cap_transitions));
-      (parse toggle_farm_text, Some (cap_states, cap_transitions));
-    ]
-  in
-  List.iter
-    (fun (c, caps) ->
-      let j1 = run_atpg ~jobs:1 ?caps c in
-      let j4 = run_atpg ~jobs:4 ?caps c in
-      check_outcomes_equal (Circuit.name c ^ " -j1 = -j4") c j1 j4)
-    (tractable @ pathological)
-
-let test_engine_sat_partition_deterministic () =
-  (* the SAT engine's witness sequences may depend on each worker's
-     private solver history, so the j-invariant is the
-     detected/undetected partition, not the sequences *)
-  let c = Figures.celem_handshake () in
-  let partition r =
-    List.map
-      (fun o -> Testset.is_detected o.Testset.status)
-      r.Engine.outcomes
-  in
-  let j1 = run_atpg ~jobs:1 ~engine:Engine.Sat c in
-  let j4 = run_atpg ~jobs:4 ~engine:Engine.Sat c in
-  Alcotest.(check (list bool)) "sat partition -j1 = -j4" (partition j1)
-    (partition j4);
-  Alcotest.(check (list bool))
-    "sat partition = explicit partition" (partition (run_atpg c))
-    (partition j1)
-
-(* --- fail-soft degradation inside workers ----------------------------------- *)
-
-let test_worker_trip_fail_soft () =
+let test_search_trip_fail_soft () =
   (* a transition budget small enough to trip inside the CSSG build and
-     the per-fault searches on the workers: the run must complete, flag
-     itself partial, and never leak Guard.Exhausted *)
+     the per-fault searches: the run must complete, flag itself
+     partial, and never leak Guard.Exhausted *)
   let c = parse toggle_farm_text in
-  let r = run_atpg ~jobs:4 ~caps:(40, 500) c in
+  let config =
+    { Engine.default_config with max_states = Some 40; max_transitions = Some 500 }
+  in
+  let r = Engine.run ~config c ~faults:(Fault.universe_input_sa c) in
   Alcotest.(check bool) "partial" true (Engine.partial r);
   Alcotest.(check bool) "truncated CSSG" true (Engine.truncated r <> None);
   Alcotest.(check int) "every fault has an outcome"
     (List.length (Fault.universe_input_sa c))
-    (List.length r.Engine.outcomes);
-  (* and the degraded run is still deterministic *)
-  let r' = run_atpg ~jobs:1 ~caps:(40, 500) c in
-  check_outcomes_equal "degraded -j4 = -j1" c r r'
+    (List.length r.Engine.outcomes)
 
-let test_worker_timeout_fail_soft () =
+let test_search_timeout_fail_soft () =
   (* an already-expired deadline: everything aborts, nothing raises *)
   let c = parse ring_storm_text in
   let config =
     {
       Engine.default_config with
-      jobs = 4;
       timeout = Some (-1.0);
       max_states = Some cap_states;
       max_transitions = Some cap_transitions;
@@ -278,18 +207,11 @@ let suites =
           test_build_state_cap_only;
         Alcotest.test_case "cap sweeps = reference" `Quick test_cap_sweeps;
       ] );
-    ( "domains.engine",
-      [
-        Alcotest.test_case "outcomes j-deterministic" `Slow
-          test_engine_jobs_deterministic;
-        Alcotest.test_case "sat partition j-deterministic" `Quick
-          test_engine_sat_partition_deterministic;
-      ] );
     ( "domains.fail-soft",
       [
         Alcotest.test_case "worker budget trip" `Quick
-          test_worker_trip_fail_soft;
+          test_search_trip_fail_soft;
         Alcotest.test_case "expired deadline" `Quick
-          test_worker_timeout_fail_soft;
+          test_search_timeout_fail_soft;
       ] );
   ]

@@ -1,10 +1,9 @@
 (* Cross-engine conformance over the generated benchmark families: the
    explicit BFS, BDD and SAT deterministic engines must report the same
    detected/undetected fault partition on every family instance, the
-   domain-pool pipeline must be invariant in -j, the SAT engine must
-   keep its solver count at one per worker, and bit-parallel fault
-   simulation must agree lane-for-lane with scalar ternary
-   simulation. *)
+   SAT engine must keep its solver count at one per run, and
+   bit-parallel fault simulation must agree lane-for-lane with scalar
+   ternary simulation. *)
 
 open Satg_logic
 open Satg_circuit
@@ -127,22 +126,6 @@ let test_engines_agree () =
         (peak bdd_sift <= 2 * peak bdd))
     instances
 
-let test_jobs_determinism () =
-  (* The full production pipeline (random phase on) at -j1 and -j4:
-     identical outcome lists, sequences included, fault by fault. *)
-  List.iter
-    (fun inst ->
-      let nm, c = build inst in
-      let faults = Fault.universe_input_sa c in
-      let run jobs =
-        Engine.run ~config:{ Engine.default_config with jobs } c ~faults
-      in
-      let r1 = run 1 and r4 = run 4 in
-      Alcotest.(check bool)
-        (nm ^ ": -j1 = -j4 outcomes") true
-        (r1.Engine.outcomes = r4.Engine.outcomes))
-    instances
-
 let test_sat_searches_for_real () =
   (* Acceptance gate: at least one CI-tractable generated instance
      forces the CDCL engine into genuine search (nonzero decisions)
@@ -168,7 +151,7 @@ let test_sat_searches_for_real () =
             (nm ^ ": partition agrees under search") (partition exp)
             (partition sat);
           Alcotest.(check int)
-            (nm ^ ": one solver instance per sequential run")
+            (nm ^ ": one solver instance per run")
             1 s.Sat.instances;
           if s.Sat.decisions > 0 && s.Sat.reused_shared > 0 then Some (nm, s)
           else None)
@@ -177,30 +160,6 @@ let test_sat_searches_for_real () =
   Alcotest.(check bool)
     "some family instance yields nonzero SAT decisions and shared-clause reuse"
     true (hits <> [])
-
-let test_sat_instances_o_workers () =
-  (* Through the full pool: the per-run solver-instance count follows
-     the worker count, never the fault count. *)
-  let _, c = build ("pipeline", 3, `Complex) in
-  let faults = Fault.universe_input_sa c @ Fault.universe_output_sa c in
-  let run jobs =
-    Engine.run
-      ~config:{ (deterministic_config Engine.Sat) with jobs }
-      c ~faults
-  in
-  let instances r =
-    match r.Engine.sat_stats with
-    | Some s -> s.Sat.instances
-    | None -> Alcotest.fail "sat engine reported no stats"
-  in
-  let r1 = run 1 and r4 = run 4 in
-  Alcotest.(check int) "-j1: one instance" 1 (instances r1);
-  Alcotest.(check bool) "-j4: at most one instance per worker" true
-    (instances r4 <= 4);
-  Alcotest.(check bool) "-j4: far fewer instances than faults" true
-    (instances r4 < List.length faults);
-  Alcotest.(check (list (pair string string)))
-    "-j1 = -j4 partition" (partition r1) (partition r4)
 
 let test_parallel_sim_lane_equality () =
   (* Bit-parallel fault packs vs standalone scalar ternary simulation,
@@ -298,11 +257,8 @@ let suites =
       [
         Alcotest.test_case "explicit = bdd = sat partitions" `Quick
           test_engines_agree;
-        Alcotest.test_case "-j1 = -j4 = sequential" `Quick test_jobs_determinism;
         Alcotest.test_case "SAT records real search" `Quick
           test_sat_searches_for_real;
-        Alcotest.test_case "SAT instances follow workers" `Quick
-          test_sat_instances_o_workers;
         Alcotest.test_case "parallel-sim lane equality" `Quick
           test_parallel_sim_lane_equality;
       ]

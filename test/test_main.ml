@@ -18,7 +18,6 @@ let () =
          Test_timed.suites;
          Test_robustness.suites;
          Test_sat.suites;
-         Test_pool.suites;
          Test_domains.suites;
          Test_store.suites;
          Test_concepts.suites;

@@ -4,7 +4,7 @@
 
    - ternary simulation is sound w.r.t. exhaustive exploration,
    - the explicit and symbolic CSSG engines give the reference graph,
-   - the pooled explicit build equals the reference BFS under budgets,
+   - the explicit build equals the reference BFS under budgets,
    - bit-parallel fault simulation equals scalar ternary simulation,
    - the netlist text format round-trips behaviour exactly. *)
 
@@ -484,7 +484,7 @@ let prop_kernel_matches_oracle =
                  (all_vectors (Circuit.n_inputs c)))
              (List.init (Cssg.n_states g) Fun.id))
 
-(* --- P8: the pooled CSSG build equals the reference BFS -------------------- *)
+(* --- P8: the CSSG build equals the reference BFS under budgets ------------- *)
 
 (* Under random state and transition budgets (each absent one time in
    ten, otherwise drawn up to the unbudgeted build's size): the same

@@ -89,6 +89,32 @@ let test_guarded_capture () =
   | Ok v -> Alcotest.(check int) "passthrough" 42 v
   | Error _ -> Alcotest.fail "none never errors"
 
+(* the cancel token: what a drain signal pulls *)
+let test_cancel_poisons_subs () =
+  let g = Guard.create ~timeout:3600.0 () in
+  Guard.cancel g Guard.Timeout;
+  let s = Guard.sub g in
+  (match Guard.check_time s with
+  | () -> Alcotest.fail "sub of a cancelled family must trip"
+  | exception Guard.Exhausted Guard.Timeout -> ());
+  Alcotest.(check bool) "reason recorded" true
+    (Guard.tripped s = Some Guard.Timeout)
+
+let test_sub_trip_stays_local () =
+  (* a budget trip on one branch never cancels its siblings *)
+  let g = Guard.create () in
+  let a = Guard.sub ~max_transitions:1 g in
+  (try
+     Guard.spend_transition a;
+     Guard.spend_transition a
+   with Guard.Exhausted Guard.Transition_limit -> ());
+  Alcotest.(check bool) "branch tripped" true
+    (Guard.tripped a = Some Guard.Transition_limit);
+  let b = Guard.sub ~max_transitions:1 g in
+  Guard.spend_transition b;
+  Alcotest.(check bool) "sibling unaffected" true (Guard.tripped b = None);
+  Guard.check_time g
+
 (* --- simulator saturation -------------------------------------------------- *)
 
 (* fig1b oscillates under input 1: a starved round budget must saturate
@@ -385,6 +411,28 @@ let test_engine_nonconfluent_state_ceiling () =
   Alcotest.(check bool) "coverage is a lower bound" true
     (Engine.detected r <= Engine.detected full)
 
+(* The drain path of [satg atpg]: the signal handler cancels the run
+   guard with [Interrupt] while outcomes are landing.  Here the cancel
+   comes at the first committed outcome, inside the random phase: its
+   detections stay, and every fault left for the search ends aborted. *)
+let test_engine_interrupt_drains () =
+  let c = Figures.celem_handshake () in
+  let faults = Fault.universe_input_sa c @ Fault.universe_output_sa c in
+  let guard = Guard.create () in
+  let on_outcome _ _ = Guard.cancel guard Guard.Interrupt in
+  let r = Engine.run ~guard ~on_outcome c ~faults in
+  Alcotest.(check int) "universe" 14 (Engine.total r);
+  Alcotest.(check int) "random detections stay" 7
+    (Engine.detected_by r Testset.Random);
+  Alcotest.(check int) "nothing else detected" 7 (Engine.detected r);
+  Alcotest.(check int) "the rest aborted" 7 (Engine.aborted r);
+  Alcotest.(check bool) "every abort is the interrupt" true
+    (List.for_all
+       (fun (_, reason) -> reason = Guard.Interrupt)
+       (Engine.aborted_faults r));
+  Alcotest.(check bool) "partial" true (Engine.partial r);
+  Alcotest.(check bool) "not cacheable" false (Satg_store.Durable.cacheable r)
+
 let test_delay_and_baseline_abort () =
   let c = Figures.celem_handshake () in
   let g = Explicit.build c in
@@ -413,6 +461,9 @@ let suites =
         Alcotest.test_case "expired deadline" `Quick test_expired_deadline;
         Alcotest.test_case "sub-guard isolation" `Quick test_sub_isolation;
         Alcotest.test_case "guarded capture" `Quick test_guarded_capture;
+        Alcotest.test_case "cancel poisons subs" `Quick test_cancel_poisons_subs;
+        Alcotest.test_case "sub trip stays local" `Quick
+          test_sub_trip_stays_local;
       ] );
     ( "robust.saturation",
       [
@@ -450,5 +501,7 @@ let suites =
           test_engine_nonconfluent_state_ceiling;
         Alcotest.test_case "delay + baseline abort" `Quick
           test_delay_and_baseline_abort;
+        Alcotest.test_case "interrupt drains the run" `Quick
+          test_engine_interrupt_drains;
       ] );
   ]

@@ -2,8 +2,8 @@
 
    The headline property is conformance: for every request kind, the
    daemon's response renders bit-for-bit like the one-shot CLI path —
-   including deterministically degraded runs under tiny budgets, and at
-   every worker-pool width.  Around it: the warm store serves repeats
+   including deterministically degraded runs under tiny budgets.
+   Around it: the warm store serves repeats
    with zero searches, the service builds each graph once per key and
    keeps only reproducible builds, a batch isolates a budget-tripped
    member, the framing layer survives truncated and
@@ -20,7 +20,6 @@ module Server = Satg_server.Server
 module Client = Satg_server.Client
 module Cssg = Satg_sg.Cssg
 module Explicit = Satg_sg.Explicit
-module Pool = Satg_pool.Pool
 
 let ( // ) = Filename.concat
 let dir_counter = ref 0
@@ -45,11 +44,6 @@ let rec rm_rf path =
 let with_dir f =
   let d = fresh_dir () in
   Fun.protect ~finally:(fun () -> try rm_rf d with _ -> ()) (fun () -> f d)
-
-let with_service ?cache_dir ?jobs f =
-  let service = Service.create ?cache_dir ?jobs () in
-  Fun.protect ~finally:(fun () -> Service.shutdown service) (fun () ->
-      f service)
 
 let parse_exn netlist =
   match Parser.parse_string netlist with
@@ -105,8 +99,7 @@ let rendered_no_time c p = strip_seconds (rendered c p)
 
 (* The one-shot CLI path, distilled: same guard construction, same
    session entry point as [bin/satg.ml]. *)
-let oneshot ?(jobs = 1) ~config c universe =
-  let config = { config with Engine.jobs } in
+let oneshot ~config c universe =
   let guard =
     Guard.create ?timeout:config.Engine.timeout
       ?max_states:config.Engine.max_states
@@ -170,21 +163,6 @@ let test_request_roundtrip () =
         Alcotest.(check string) "request round-trips"
           (Proto.encode_request r) (Proto.encode_request r'))
     all;
-  (* jobs never travels: a config with jobs decodes with the default *)
-  (match
-     Proto.decode_request
-       (Proto.encode_request
-          (Proto.Atpg
-             {
-               Proto.netlist = "n";
-               universe = Session.Input;
-               config = { sample_config with Engine.jobs = 8 };
-             }))
-   with
-  | Ok (Proto.Atpg a) ->
-    Alcotest.(check int) "jobs stripped" Engine.default_config.Engine.jobs
-      a.Proto.config.Engine.jobs
-  | _ -> Alcotest.fail "atpg must decode as atpg");
   (* one nesting level only *)
   (match
      Proto.decode_request
@@ -327,29 +305,25 @@ let conformance_configs =
 let test_atpg_conformance () =
   let netlist = Parser.to_string (Figures.celem_handshake ()) in
   let c = parse_exn netlist in
+  let service = Service.create () in
   List.iter
-    (fun jobs ->
-      with_service ~jobs @@ fun service ->
+    (fun (label, config) ->
       List.iter
-        (fun (label, config) ->
-          List.iter
-            (fun universe ->
-              let expected = oneshot ~jobs ~config c universe in
-              match
-                Service.handle service
-                  (Proto.Atpg { Proto.netlist; universe; config })
-              with
-              | Proto.Result { hit = false; payload } ->
-                Alcotest.(check string)
-                  (Printf.sprintf "%s/%s/-j%d" label
-                     (Session.universe_name universe) jobs)
-                  (rendered_no_time c expected) (rendered_no_time c payload)
-              | Proto.Result { hit = true; _ } ->
-                Alcotest.fail "fresh request must not be a warm hit"
-              | _ -> Alcotest.fail "atpg must answer Result")
-            universes)
-        conformance_configs)
-    [ 1; 4 ]
+        (fun universe ->
+          let expected = oneshot ~config c universe in
+          match
+            Service.handle service
+              (Proto.Atpg { Proto.netlist; universe; config })
+          with
+          | Proto.Result { hit = false; payload } ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s" label (Session.universe_name universe))
+              (rendered_no_time c expected) (rendered_no_time c payload)
+          | Proto.Result { hit = true; _ } ->
+            Alcotest.fail "fresh request must not be a warm hit"
+          | _ -> Alcotest.fail "atpg must answer Result")
+        universes)
+    conformance_configs
 
 let test_cssg_conformance () =
   let netlist = Parser.to_string (Figures.fig1a ()) in
@@ -363,7 +337,7 @@ let test_cssg_conformance () =
         if dump then Format.asprintf "%a@." Cssg.pp g
         else Format.asprintf "%a@." Cssg.pp_stats g
       in
-      with_service @@ fun service ->
+      let service = Service.create () in
       match
         Service.handle service
           (Proto.Cssg
@@ -387,7 +361,7 @@ let test_cssg_conformance () =
 let test_check_conformance () =
   let netlist = Parser.to_string (Figures.mutex_latch ()) in
   let c = parse_exn netlist in
-  with_service @@ fun service ->
+  let service = Service.create () in
   (match Service.handle service (Proto.Check netlist) with
   | Proto.Text { degraded = false; text } ->
     Alcotest.(check string) "check report conforms"
@@ -413,7 +387,7 @@ let test_warm_hit () =
      so even it is served warm *)
   let config = { Engine.default_config with Engine.max_states = Some 3 } in
   let req = Proto.Atpg { Proto.netlist; universe = Session.Input; config } in
-  with_service @@ fun service ->
+  let service = Service.create () in
   let first =
     match Service.handle service req with
     | Proto.Result { hit = false; payload } -> payload
@@ -434,7 +408,7 @@ let test_warm_hit () =
 
 let test_warm_store_is_keyed () =
   let netlist = Parser.to_string (Figures.celem_handshake ()) in
-  with_service @@ fun service ->
+  let service = Service.create () in
   let ask config =
     match
       Service.handle service
@@ -447,9 +421,6 @@ let test_warm_store_is_keyed () =
   (* a different cap is a different result — must not be served warm *)
   Alcotest.(check bool) "different caps miss" false
     (ask { Engine.default_config with Engine.max_states = Some 3 });
-  (* jobs is not part of the identity: same key, warm *)
-  Alcotest.(check bool) "jobs-only difference hits" true
-    (ask { Engine.default_config with Engine.jobs = 4 });
   (* reorder and cluster-cap are outcome-relevant config: both must be
      part of the cache key even though they never change the graph *)
   Alcotest.(check bool) "reorder-only difference misses" false
@@ -513,11 +484,11 @@ let test_disk_store_shared () =
         config = Engine.default_config;
       }
   in
-  (with_service ~cache_dir:d @@ fun service ->
+  (let service = Service.create ~cache_dir:d () in
    match Service.handle service req with
    | Proto.Result { hit = false; _ } -> ()
    | _ -> Alcotest.fail "first daemon: cold miss expected");
-  with_service ~cache_dir:d @@ fun service ->
+  let service = Service.create ~cache_dir:d () in
   match Service.handle service req with
   | Proto.Result { hit = true; _ } -> ()
   | _ -> Alcotest.fail "second daemon must hit the disk store"
@@ -529,7 +500,7 @@ let test_batch_shares_cssg () =
   let c = parse_exn netlist in
   let config = Engine.default_config in
   let member universe = Proto.Atpg { Proto.netlist; universe; config } in
-  with_service @@ fun service ->
+  let service = Service.create () in
   (match Service.handle service (Proto.Batch (List.map member universes)) with
   | Proto.Batch_r responses ->
     Alcotest.(check int) "one response per member" (List.length universes)
@@ -562,7 +533,7 @@ let test_batch_isolation () =
   let member config universe =
     Proto.Atpg { Proto.netlist; universe; config }
   in
-  with_service @@ fun service ->
+  let service = Service.create () in
   match
     Service.handle service
       (Proto.Batch
@@ -592,7 +563,7 @@ let test_batch_isolation () =
 let test_batch_bad_member_isolated () =
   (* an unparsable member is a structured failure, not a batch killer *)
   let netlist = Parser.to_string (Figures.fig1a ()) in
-  with_service @@ fun service ->
+  let service = Service.create () in
   match
     Service.handle service
       (Proto.Batch
@@ -671,7 +642,7 @@ let test_builds_once_per_key () =
           configs)
       (List.mapi (fun i n -> (i, n)) shared_netlists)
   in
-  with_service @@ fun service ->
+  let service = Service.create () in
   List.iteri
     (fun n (i, netlist, universe, config) ->
       let c = parse_exn netlist in
@@ -708,7 +679,7 @@ let test_deadline_cut_builds_again () =
   let config =
     { Engine.default_config with Engine.engine = Engine.Bdd; timeout = Some (-1.) }
   in
-  with_service @@ fun service ->
+  let service = Service.create () in
   List.iter
     (fun n ->
       let p = ask_miss service netlist Session.Input config in
@@ -723,7 +694,7 @@ let test_deadline_cut_builds_again () =
 let test_inject_keeps_nothing () =
   let netlist = List.hd shared_netlists in
   let config = { Engine.default_config with Engine.engine = Engine.Bdd } in
-  with_service @@ fun service ->
+  let service = Service.create () in
   Test_store.with_inject "bdd.collect=force@p1" (fun () ->
       List.iter (fun u -> ignore (ask_miss service netlist u config)) universes);
   Alcotest.(check (pair int int)) "armed: every request builds" (3, 3)
@@ -737,9 +708,8 @@ let test_inject_keeps_nothing () =
 (* --- the daemon over a real socket ----------------------------------------- *)
 
 (* The daemon under test is the real [satg serve] binary, spawned with
-   [Unix.create_process]: [Unix.fork] is forbidden once any domain has
-   ever been created in the process (earlier suites spin up pools), and
-   a separate image is the stronger end-to-end test anyway. *)
+   [Unix.create_process]: a separate image is the stronger end-to-end
+   test. *)
 let satg_exe =
   Filename.concat
     (Filename.dirname (Filename.dirname Sys.executable_name))

@@ -10,7 +10,6 @@ open Satg_guard
 open Satg_fault
 open Satg_core
 open Satg_bench
-open Satg_pool
 open Satg_inject
 open Satg_store
 
@@ -299,19 +298,6 @@ let test_inject_bad_spec () =
   Inject.clear ();
   Alcotest.(check bool) "disarmed after clear" false (Inject.enabled ())
 
-let test_inject_pool_poison () =
-  Pool.with_pool ~jobs:4 @@ fun p ->
-  (with_inject "pool.worker=poison@1" @@ fun () ->
-   match Pool.map p (fun _ x -> x) (Array.init 32 (fun i -> i)) with
-   | _ -> Alcotest.fail "poisoned worker must surface"
-   | exception Inject.Injected m ->
-     Alcotest.(check string) "payload names the site" "pool.worker/poison" m);
-  (* the pool survives a poisoned region *)
-  let out = Pool.map p (fun _ x -> x + 1) (Array.init 8 (fun i -> i)) in
-  Alcotest.(check (array int)) "pool not wedged"
-    (Array.init 8 (fun i -> i + 1))
-    out
-
 let test_inject_guard_trip () =
   with_inject "guard.tick=trip@2" @@ fun () ->
   let g = Guard.create () in
@@ -477,13 +463,17 @@ let test_session_key_sensitivity () =
   Alcotest.(check bool) "collapse matters" true
     (k base <> k { base with Engine.collapse = false });
   Alcotest.(check bool) "random phase toggle matters" true
-    (k base <> k { base with Engine.enable_random = false });
-  Alcotest.(check string) "jobs does not matter (j-invariant outcomes)"
-    (k base)
-    (k { base with Engine.jobs = 4 });
-  Alcotest.(check string) "jobs does not matter under caps either"
-    (k { base with Engine.jobs = 2; Engine.max_states = Some 7 })
-    (k { base with Engine.jobs = 8; Engine.max_states = Some 7 })
+    (k base <> k { base with Engine.enable_random = false })
+
+(* One key, pinned: adding, dropping or renaming a config field, or
+   changing how one renders, re-keys every store on disk.  Such a
+   change must move the key's format version on from "3" and update
+   this value with it. *)
+let test_key_pinned () =
+  Alcotest.(check string) "default key, format 3"
+    "644e49178a825da020e4a7a61b87f9ef"
+    (Durable.key_of ~netlist:"x" ~universe:Session.Input
+       ~config:Engine.default_config)
 
 (* --- session resume ------------------------------------------------------- *)
 
@@ -646,7 +636,6 @@ let suites =
         Alcotest.test_case "probability is seeded" `Quick
           test_inject_probability_deterministic;
         Alcotest.test_case "bad specs rejected" `Quick test_inject_bad_spec;
-        Alcotest.test_case "pool worker poison" `Quick test_inject_pool_poison;
         Alcotest.test_case "guard trip mid-phase" `Quick test_inject_guard_trip;
         Alcotest.test_case "engine fail-soft under trips" `Quick
           test_inject_engine_fail_soft;
@@ -660,6 +649,7 @@ let suites =
         Alcotest.test_case "publish/lookup/corrupt" `Quick
           test_cache_roundtrip_and_corruption;
         Alcotest.test_case "key sensitivity" `Quick test_session_key_sensitivity;
+        Alcotest.test_case "key pinned" `Quick test_key_pinned;
       ] );
     ( "store.session",
       [
